@@ -50,7 +50,6 @@ from .nuisance import (
     fit_outcome,
     fit_outcome_both,
     fit_riesz,
-    fit_weighted_riesz,
     riesz_loss,
     tmle_fluctuate,
 )

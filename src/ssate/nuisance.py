@@ -24,7 +24,7 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from .optimize import OptimizerConfig, minimize_gd, minimize_newton
+from .optimize import OptimizerConfig, minimize_newton
 
 DEFAULT_CLIP_EPS = 0.01
 DEFAULT_R_CLIP = (0.01, 100.0)
@@ -347,35 +347,19 @@ def fit_density_ratio(
 # Riesz representer estimation
 # ---------------------------------------------------------------------------
 
-def _f_lsif(a):
-    return (np.asarray(a, dtype=float) - 1.0) ** 2
-
-
-def _df_lsif(a):
-    return 2.0 * (np.asarray(a, dtype=float) - 1.0)
-
-
-def _f_ukl(a):
-    a = np.abs(np.asarray(a, dtype=float))
-    return (a - 1.0) * np.log(a - 1.0) + a
-
-
-def _df_ukl(a):
-    a = np.asarray(a, dtype=float)
-    return np.sign(a) * (np.log(np.abs(a) - 1.0) + 2.0)
-
-
 @dataclass(frozen=True)
 class BregmanGenerator:
-    """Convex generator of the divergence used for representer fitting."""
+    """Convex generator of the divergence used for representer fitting.
+
+    Objectives, representer links and the brute-force oracle dispatch on
+    ``tag``.
+    """
 
     tag: str  # "LSIF" or "UKL"
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
 
 
-LSIF = BregmanGenerator("LSIF", _f_lsif, _df_lsif)
-UKL = BregmanGenerator("UKL", _f_ukl, _df_ukl)
+LSIF = BregmanGenerator("LSIF")
+UKL = BregmanGenerator("UKL")
 
 _GENERATORS = {"LSIF": LSIF, "UKL": UKL}
 
@@ -442,65 +426,53 @@ def _riesz_weights(
     return w_lab, w_mom
 
 
-def _riesz_objective_factory(
+def _riesz_arm_objectives(
     data: OneSampleDataset,
     gen: BregmanGenerator,
     fb: FittedBasis,
     residuals: Optional[np.ndarray] = None,
-):
-    """Build theta -> (loss, grad) for the empirical divergence objective.
+) -> list:
+    """The empirical divergence objective, split into its two arm terms.
 
-    The loss is the expanded per-generator form (see ``riesz_loss``);
-    additive constants relative to the generic f-based form do not
-    affect the gradient.
+    Returns [arm 1, arm 0] objectives theta -> (loss, grad, hess), each
+    (sum over the arm's labeled rows of w_lab * h(phi @ theta) - b @ theta) / n
+    with mom = sum over all rows of w_mom * phi. LSIF: h(u) = u^2 and
+    b = +-2 mom; UKL: h(u) = u + 1 + e^u and b = mom. The two losses sum to
+    the expanded per-generator form of ``riesz_loss``; additive constants
+    relative to the generic f-based form do not affect the minimizer.
     """
-    phi = fb.transform(data.x)
-    n, p = phi.shape
-    m1 = (data.o == 1) & (data.d == 1)
-    m0 = (data.o == 1) & (data.d == 0)
-    w_lab, w_mom = _riesz_weights(data, residuals)
-    phi_m1 = phi[m1] * w_lab[m1, None]
-    phi_m0 = phi[m0] * w_lab[m0, None]
-    mom = (w_mom[:, None] * phi).sum(axis=0)
-
-    if gen.tag == "LSIF":
-
-        def fun_grad(theta: np.ndarray):
-            t1, t0 = theta[:p], theta[p:]
-            u1 = phi[m1] @ t1
-            u0 = phi[m0] @ t0
-            a1_all = phi @ t1
-            a0_all = phi @ t0
-            loss = (
-                np.sum(w_lab[m1] * u1**2)
-                + np.sum(w_lab[m0] * u0**2)
-                - 2.0 * np.sum(w_mom * (a1_all - a0_all))
-            ) / n
-            g1 = (2.0 * (phi_m1.T @ u1) - 2.0 * mom) / n
-            g0 = (2.0 * (phi_m0.T @ u0) + 2.0 * mom) / n
-            return loss, np.concatenate([g1, g0])
-
-    elif gen.tag == "UKL":
-
-        def fun_grad(theta: np.ndarray):
-            t1, t0 = theta[:p], theta[p:]
-            u1 = phi[m1] @ t1
-            u0 = phi[m0] @ t0
-            v1_all = phi @ t1
-            v0_all = phi @ t0
-            loss = (
-                np.sum(w_lab[m1] * (u1 + 1.0 + np.exp(u1)))
-                + np.sum(w_lab[m0] * (u0 + 1.0 + np.exp(u0)))
-                - np.sum(w_mom * (v1_all + v0_all))
-            ) / n
-            g1 = (phi_m1.T @ (1.0 + np.exp(u1)) - mom) / n
-            g0 = (phi_m0.T @ (1.0 + np.exp(u0)) - mom) / n
-            return loss, np.concatenate([g1, g0])
-
-    else:  # pragma: no cover
+    if gen.tag not in _GENERATORS:
         raise ValueError(f"unknown generator {gen.tag!r}")
+    lsif = gen.tag == "LSIF"
+    phi = fb.transform(data.x)
+    n = data.n
+    w_lab, w_mom = _riesz_weights(data, residuals)
+    mom = w_mom @ phi
+    objectives = []
+    for arm, sign in ((1, 1.0), (0, -1.0)):
+        rows = (data.o == 1) & (data.d == arm)
+        phi_a, w_a = phi[rows], w_lab[rows]
+        b = 2.0 * sign * mom if lsif else mom
 
-    return fun_grad, p
+        def fun_grad_hess(theta, phi_a=phi_a, w_a=w_a, b=b):
+            u = phi_a @ theta
+            if lsif:
+                h, dh, d2h = u * u, 2.0 * u, np.full_like(u, 2.0)
+            else:
+                eu = np.exp(u)
+                h, dh, d2h = u + 1.0 + eu, 1.0 + eu, eu
+            loss = (w_a @ h - b @ theta) / n
+            grad = (phi_a.T @ (w_a * dh) - b) / n
+            hess = (phi_a * (w_a * d2h)[:, None]).T @ phi_a / n
+            return float(loss), grad, hess
+
+        objectives.append(fun_grad_hess)
+    return objectives
+
+
+def _riesz_arm_terms(model: RieszModel, data: OneSampleDataset, residuals) -> list:
+    objectives = _riesz_arm_objectives(data, model.generator, model.basis, residuals)
+    return [f(theta) for f, theta in zip(objectives, (model.theta1, model.theta0))]
 
 
 def riesz_loss(
@@ -520,9 +492,7 @@ def riesz_loss(
         a0 = model.a0(data.x)
         if np.any(a1 <= 1.0) or np.any(a0 >= -1.0):
             raise DomainViolation("UKL representer must satisfy a1 > 1 and a0 < -1")
-    fun_grad, p = _riesz_objective_factory(data, model.generator, model.basis, residuals)
-    loss, _ = fun_grad(np.concatenate([model.theta1, model.theta0]))
-    return float(loss)
+    return float(sum(loss for loss, _, _ in _riesz_arm_terms(model, data, residuals)))
 
 
 def riesz_loss_grad(
@@ -531,9 +501,12 @@ def riesz_loss_grad(
     residuals: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of ``riesz_loss`` in (theta1, theta0)."""
-    fun_grad, p = _riesz_objective_factory(data, model.generator, model.basis, residuals)
-    _, grad = fun_grad(np.concatenate([model.theta1, model.theta0]))
-    return grad[:p], grad[p:]
+    (_, g1, _), (_, g0, _) = _riesz_arm_terms(model, data, residuals)
+    return g1, g0
+
+
+# share of an arm's gradient outside its Gram matrix's range that is not round-off
+_CONSISTENT_RTOL = math.sqrt(np.finfo(float).eps)
 
 
 def fit_riesz(
@@ -541,44 +514,55 @@ def fit_riesz(
     gen: BregmanGenerator = LSIF,
     basis: BasisSpec = BasisSpec(),
     opt: OptimizerConfig = OptimizerConfig(),
+    residuals: Optional[np.ndarray] = None,
 ) -> RieszModel:
-    """Minimize the empirical divergence by gradient descent with backtracking."""
+    """Minimize the empirical divergence exactly, one arm at a time.
+
+    Each arm's convex problem is posed on the range of its weighted Gram
+    matrix, since directions outside it change no basis product on the
+    arm's labeled rows; collinear columns (binary x at degree >= 2) thus
+    give the minimum-norm theta and unique a1, a0. LSIF solves the arm's
+    normal equations (phi' W phi) theta = +-mom in closed form; UKL runs
+    damped Newton. ``residuals`` (labeled row order) weight the fit as in
+    ``_riesz_weights``. If the moment leaves that range (default basis: an
+    arm's labeled rows share one x, other rows do not) the objective is
+    unbounded below and SingularSystem is raised. LSIF ``converged`` means
+    a finite solve whose gradient is within ``opt.tol`` relative to
+    |grad(0)| + |H| |theta| (its backward error); UKL uses Newton's flag.
+    """
     if data.n_labeled < 1:
         raise InsufficientArmData("representer fitting needs at least one labeled row")
     fb = basis.fit(data.x)
-    fun_grad, p = _riesz_objective_factory(data, gen, fb)
-    res = minimize_gd(fun_grad, np.zeros(2 * p), opt)
-    return RieszModel(
-        generator=gen,
-        basis=fb,
-        theta1=res.x[:p],
-        theta0=res.x[p:],
-        loss=res.loss,
-        converged=res.converged,
-    )
+    p = fb.dim
+    thetas, loss, converged = [], 0.0, True
+    objectives = _riesz_arm_objectives(data, gen, fb, residuals)
+    for arm, fun_grad_hess in zip((1, 0), objectives):
+        _, grad, hess = fun_grad_hess(np.zeros(p))
+        evals, evecs = np.linalg.eigh(hess)
+        keep = evals > evals.max() * p * np.finfo(float).eps
+        span, evals = evecs[:, keep], evals[keep]
+        g_span = span.T @ grad
+        if np.linalg.norm(grad - span @ g_span) > _CONSISTENT_RTOL * np.linalg.norm(grad):
+            raise SingularSystem(
+                f"arm {arm}: the moment is outside the range of the arm's singular "
+                "weighted Gram matrix, so the objective is unbounded below"
+            )
+        if gen.tag == "LSIF":
+            theta = span @ (-g_span / evals)
+            arm_loss, g, _ = fun_grad_hess(theta)
+            scale = np.linalg.norm(grad) + evals.max() * np.linalg.norm(theta)
+            ok = bool(np.isfinite(arm_loss) and np.linalg.norm(g) <= opt.tol * scale)
+        else:
+            def on_span(z, fun_grad_hess=fun_grad_hess, span=span):
+                arm_loss, g, h = fun_grad_hess(span @ z)
+                return arm_loss, span.T @ g, span.T @ h @ span
 
-
-def fit_weighted_riesz(
-    data: OneSampleDataset,
-    residuals: np.ndarray,
-    gen: BregmanGenerator = LSIF,
-    basis: BasisSpec = BasisSpec(),
-    opt: OptimizerConfig = OptimizerConfig(),
-) -> RieszModel:
-    """Residual-weighted representer fit; residuals follow labeled row order."""
-    if data.n_labeled < 1:
-        raise InsufficientArmData("representer fitting needs at least one labeled row")
-    fb = basis.fit(data.x)
-    fun_grad, p = _riesz_objective_factory(data, gen, fb, residuals)
-    res = minimize_gd(fun_grad, np.zeros(2 * p), opt)
-    return RieszModel(
-        generator=gen,
-        basis=fb,
-        theta1=res.x[:p],
-        theta0=res.x[p:],
-        loss=res.loss,
-        converged=res.converged,
-    )
+            res = minimize_newton(on_span, np.zeros(span.shape[1]), opt)
+            theta, arm_loss, ok = span @ res.x, res.loss, res.converged
+        thetas.append(theta)
+        loss += arm_loss
+        converged = converged and ok
+    return RieszModel(gen, fb, thetas[0], thetas[1], loss, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +615,7 @@ def ddml_iterate(
     trace = []
     for _ in range(n_steps):
         res = yl - mu.predict_rows(dl, xl)
-        alpha = fit_weighted_riesz(data, res, gen=gen, basis=basis, opt=opt)
+        alpha = fit_riesz(data, gen, basis, opt, residuals=res)
         mu = tmle_fluctuate(mu, alpha, xl, dl, yl)
         av = np.where(dl == 1, alpha.a1(xl), alpha.a0(xl))
         score = float(np.sum(av * (yl - mu.predict_rows(dl, xl)))) / data.n

@@ -31,7 +31,8 @@ def minimize_gd(
     """Gradient descent with Armijo backtracking (halving) line search.
 
     The step size is warm-started from the previous iteration (doubled) so
-    well-conditioned problems take near-constant steps.
+    well-conditioned problems take near-constant steps. ``converged`` is
+    true only when the final gradient norm is within ``config.tol``.
     """
     x = np.asarray(x0, dtype=float).copy()
     loss, grad = fun_grad(x)
@@ -49,16 +50,11 @@ def minimize_gd(
                 break
             step *= 0.5
             if step < 1e-20:
-                # no descent possible at machine precision; accept the
-                # iterate as converged if the gradient is small relative
-                # to the attainable precision of the loss
-                gnorm = float(np.linalg.norm(grad))
-                ok = bool(gnorm <= max(config.tol, 1e-6 * (1.0 + abs(loss))))
-                return OptResult(x, loss, gnorm, ok, it)
+                # no descent possible at machine precision
+                return OptResult(x, loss, gnorm, bool(gnorm <= config.tol), it)
         x, loss, grad = x_new, loss_new, grad_new
     gnorm = float(np.linalg.norm(grad))
-    ok = bool(gnorm <= max(config.tol, 1e-6 * (1.0 + abs(loss))))
-    return OptResult(x, loss, gnorm, ok, config.max_iter)
+    return OptResult(x, loss, gnorm, bool(gnorm <= config.tol), config.max_iter)
 
 
 def minimize_newton(
@@ -68,9 +64,9 @@ def minimize_newton(
 ) -> OptResult:
     """Damped Newton with Armijo backtracking.
 
-    Used for the convex maximum-likelihood fits (logistic / multinomial),
-    where the exact Hessian is cheap and the problem may be badly
-    conditioned for plain gradient descent. Falls back to the gradient
+    Used for the convex fits (logistic / multinomial likelihoods and the
+    UKL representer), where the exact Hessian is cheap and the problem may
+    be badly conditioned for plain gradient descent. Falls back to the gradient
     direction when the Hessian solve fails.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -90,11 +86,14 @@ def minimize_newton(
         if slope <= 0:
             direction = grad
             slope = gnorm * gnorm
+        # accept round-off in the loss: near the minimum the predicted
+        # decrease falls below it and the search would stall above ``tol``
+        slack = 64 * np.finfo(float).eps * max(1.0, abs(loss))
         step = 1.0
         while True:
             x_new = x - step * direction
             out = fun_grad_hess(x_new)
-            if np.isfinite(out[0]) and out[0] <= loss - 1e-4 * step * slope:
+            if np.isfinite(out[0]) and out[0] <= loss - 1e-4 * step * slope + slack:
                 break
             step *= 0.5
             if step < 1e-20:

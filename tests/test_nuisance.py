@@ -16,15 +16,15 @@ from ssate import (
     fit_outcome,
     fit_outcome_both,
     fit_riesz,
-    fit_weighted_riesz,
     riesz_loss,
     sample_one,
     sample_two,
     tmle_fluctuate,
 )
 from ssate.datamodel import OneSampleDataset
-from ssate.errors import ClassAbsent, InsufficientArmData, ZeroDenominator
-from ssate.nuisance import riesz_loss_grad
+from ssate.errors import ClassAbsent, InsufficientArmData, SingularSystem, ZeroDenominator
+from ssate.nuisance import _riesz_arm_objectives, riesz_loss_grad
+from ssate.optimize import OptimizerConfig, minimize_gd, minimize_newton
 
 from conftest import random_one_sample
 
@@ -196,14 +196,14 @@ class TestFitRiesz:
     def test_unit_weights_match_unweighted(self, d1):
         data = sample_one(d1, 1000, 12)
         unweighted = fit_riesz(data, gen=LSIF)
-        weighted = fit_weighted_riesz(data, np.ones(data.n_labeled), gen=LSIF)
+        weighted = fit_riesz(data, gen=LSIF, residuals=np.ones(data.n_labeled))
         assert np.array_equal(unweighted.theta1, weighted.theta1)
         assert np.array_equal(unweighted.theta0, weighted.theta0)
 
     def test_constant_weight_same_argmin(self, d1):
         data = sample_one(d1, 1000, 13)
-        a = fit_weighted_riesz(data, np.ones(data.n_labeled), gen=LSIF)
-        b = fit_weighted_riesz(data, 2.0 * np.ones(data.n_labeled), gen=LSIF)
+        a = fit_riesz(data, gen=LSIF, residuals=np.ones(data.n_labeled))
+        b = fit_riesz(data, gen=LSIF, residuals=2.0 * np.ones(data.n_labeled))
         assert np.allclose(a.theta1, b.theta1, atol=1e-5)
         assert np.allclose(a.theta0, b.theta0, atol=1e-5)
 
@@ -211,10 +211,83 @@ class TestFitRiesz:
         data = sample_one(d1, 20000, 14)
         rng = np.random.default_rng(15)
         residuals = rng.uniform(0.5, 1.5, size=data.n_labeled)
-        model = fit_weighted_riesz(data, residuals, gen=LSIF)
+        model = fit_riesz(data, gen=LSIF, residuals=residuals)
         grid = np.array([[0.0], [1.0]])
         assert np.allclose(model.a1(grid), 4.0, atol=0.2)
         assert np.allclose(model.a0(grid), -4.0, atol=0.2)
+
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_lsif_fit_is_stationary(self, weighted, d1):
+        data = sample_one(d1, 1000, 25)
+        rng = np.random.default_rng(26)
+        res = rng.uniform(0.5, 1.5, size=data.n_labeled) if weighted else None
+        model = fit_riesz(data, gen=LSIF, residuals=res)
+        g1, g0 = riesz_loss_grad(model, data, res)
+        assert np.linalg.norm(np.concatenate([g1, g0])) <= 1e-10
+        assert model.converged
+
+    def test_ukl_fit_converged_flag_is_honest(self, d1):
+        data = sample_one(d1, 400, 3)
+        opt = OptimizerConfig()
+        model = fit_riesz(data, gen=UKL, opt=opt)
+        g1, g0 = riesz_loss_grad(model, data)
+        assert model.converged
+        assert np.linalg.norm(np.concatenate([g1, g0])) <= opt.tol
+        refit = fit_riesz(data, gen=UKL, opt=opt)
+        assert np.array_equal(model.theta1, refit.theta1)
+        assert np.array_equal(model.theta0, refit.theta0)
+
+    @pytest.mark.parametrize("gen", [LSIF, UKL])
+    def test_collinear_basis_gives_same_representer(self, gen, d1):
+        # x is binary, so x**2 == x: the degree-2 Gram matrices are singular
+        # but the moment lies in their range and a1, a0 stay unique
+        data = sample_one(d1, 400, 28)
+        linear = fit_riesz(data, gen=gen)
+        quadratic = fit_riesz(data, gen=gen, basis=BasisSpec(degree=2))
+        assert quadratic.converged
+        assert np.allclose(quadratic.a1(data.x), linear.a1(data.x), rtol=0, atol=1e-9)
+        assert np.allclose(quadratic.a0(data.x), linear.a0(data.x), rtol=0, atol=1e-9)
+        # the minimum-norm minimizer splits the weight evenly over x and x**2
+        assert quadratic.theta1[1] == pytest.approx(quadratic.theta1[2], abs=1e-9)
+
+    @pytest.mark.parametrize("gen", [LSIF, UKL])
+    def test_arm_on_one_x_is_singular(self, gen):
+        # every labeled treated row sits at x = 0.5, so that arm's Gram
+        # matrix under the intercept + x basis has rank 1
+        x = np.array([[0.5], [0.5], [0.5], [0.0], [1.0], [2.0], [1.5]])
+        o = [1, 1, 1, 1, 1, 1, 0]
+        d = [1, 1, 1, 0, 0, 0, 0]
+        data = OneSampleDataset.from_arrays(x, o, d, np.zeros(7))
+        with pytest.raises(SingularSystem):
+            fit_riesz(data, gen=gen)
+
+
+class TestMinimizeGd:
+    def test_iteration_cap_is_not_convergence(self):
+        # condition number 1e3: after 1,000 steps the gradient norm is
+        # still ~0.4; the large constant checks that the size of the loss
+        # does not loosen the gradient test
+        scales = np.array([1.0, 1e3])
+
+        def fun_grad(x):
+            return 1e6 + 0.5 * float(np.sum(scales * x * x)), scales * x
+
+        opt = OptimizerConfig(max_iter=1000)
+        res = minimize_gd(fun_grad, np.ones(2), opt)
+        assert res.n_iter == opt.max_iter
+        assert res.grad_norm > opt.tol
+        assert not res.converged
+
+class TestMinimizeNewton:
+    def test_roundoff_does_not_stall(self):
+        # on this arm the last Newton step's predicted decrease is below
+        # the loss's round-off while the gradient norm is ~1e-8
+        data = random_one_sample(np.random.default_rng(35), n=300)
+        fun_grad_hess = _riesz_arm_objectives(data, UKL, BasisSpec().fit(data.x))[1]
+        res = minimize_newton(fun_grad_hess, np.zeros(2))
+        assert res.converged
+        assert res.n_iter < 20
 
 
 class TestTmle:
@@ -271,7 +344,7 @@ class TestDdml:
         xl, dl, yl = data.labeled_arrays()
         mu0 = fit_outcome_both(xl, dl, yl)
         res = yl - mu0.predict_rows(dl, xl)
-        alpha_direct = fit_weighted_riesz(data, res, gen=LSIF)
+        alpha_direct = fit_riesz(data, gen=LSIF, residuals=res)
         mu_direct = tmle_fluctuate(mu0, alpha_direct, xl, dl, yl)
         assert np.array_equal(alpha.theta1, alpha_direct.theta1)
         assert mu.fluctuations[-1][1] == mu_direct.fluctuations[-1][1]
