@@ -28,8 +28,6 @@ from .estimators import (
     estimate_os_ipw,
     estimate_os_ra,
     estimate_ts_eff,
-    score_os,
-    score_ts_labeled,
     score_ts_x,
 )
 from .nuisance import (
@@ -47,7 +45,6 @@ from .nuisance import (
     fit_density_ratio,
     fit_e_model,
     fit_gmodel_mle,
-    fit_outcome,
     fit_outcome_both,
     fit_riesz,
     riesz_loss,

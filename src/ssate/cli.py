@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from . import __version__
 from .datamodel import read_one_sample_csv, read_two_sample_csv
-from .errors import ReportIncomplete, SsateError
+from .errors import BadFoldCount, BadLevel, ReportIncomplete, SsateError
 from .estimators import NuisanceConfig, estimate_os_eff, estimate_ts_eff
 from .oracle import (
     dgp_from_dict,
@@ -43,12 +44,23 @@ def _emit(command: str, config: dict, report: dict, output: Optional[str]):
         "config": config,
         "report": report,
     }
-    text = json.dumps(envelope, sort_keys=True, indent=2)
+    text = json.dumps(_finite(envelope), sort_keys=True, indent=2, allow_nan=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None, so the JSON is strict."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -71,12 +83,39 @@ def _merged(args: argparse.Namespace, keys: list) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, integral: bool = False):
+    """cfg[key] as an int or float; bools, strings and fractions for an
+    integral field are config errors rather than being coerced."""
+    val = cfg[key]
+    if type(val) not in (int, float) or (integral and not float(val).is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise SsateError(f"config {key!r} must be {kind}, got {val!r}")
+    return int(val) if integral else float(val)
+
+
 def _nuisance_from(cfg: dict) -> NuisanceConfig:
-    kwargs = {}
-    for key in ("degree", "ridge_lambda", "clip_eps", "clip_c", "riesz_mode"):
-        if cfg.get(key) is not None:
-            kwargs[key] = cfg[key]
-    return NuisanceConfig(**kwargs)
+    kwargs = {key: _number(cfg, key, key == "degree")
+              for key in ("degree", "ridge_lambda", "clip_eps", "clip_c")
+              if cfg.get(key) is not None}
+    if cfg.get("riesz_mode") is not None:
+        kwargs["riesz_mode"] = cfg["riesz_mode"]
+    try:
+        config = NuisanceConfig(**kwargs)
+        config.basis  # BasisSpec rejects a degree below 1
+    except ValueError as exc:
+        raise SsateError(f"bad nuisance config: {exc}") from None
+    return config
+
+
+def _run_args(cfg: dict, n: int):
+    """Checked (folds, seed, level); ``n`` is the size of the smallest sample."""
+    folds, seed, level = (_number(cfg, "folds", True), _number(cfg, "seed", True),
+                          _number(cfg, "level"))
+    if not 1 <= folds <= n:
+        raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {folds}")
+    if not 0.0 < level < 1.0:
+        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    return folds, seed, level
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +134,12 @@ def cmd_estimate_os(args) -> int:
     try:
         data = read_one_sample_csv(cfg["input"])
         nuisance = _nuisance_from(cfg)
+        folds, seed, level = _run_args(cfg, data.n)
     except (SsateError, OSError) as exc:
         print(f"estimate-os: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        report = estimate_os_eff(
-            data, n_folds=int(cfg["folds"]), seed=int(cfg["seed"]),
-            config=nuisance, level=float(cfg["level"]),
-        )
+        report = estimate_os_eff(data, n_folds=folds, seed=seed, config=nuisance, level=level)
     except SsateError as exc:
         print(f"estimate-os: estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
@@ -126,15 +163,16 @@ def cmd_estimate_ts(args) -> int:
     try:
         data = read_two_sample_csv(cfg["labeled"], cfg["unlabeled"])
         nuisance = _nuisance_from(cfg)
+        folds, seed, level = _run_args(cfg, min(data.m, data.l))
+        beta = _number(cfg, "beta-star")
+        if not 0.0 <= beta <= 1.0:
+            raise SsateError(f"beta-star must lie in [0, 1], got {beta}")
     except (SsateError, OSError) as exc:
         print(f"estimate-ts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        report = estimate_ts_eff(
-            data, beta_star=float(cfg["beta-star"]),
-            n_folds=int(cfg["folds"]), seed=int(cfg["seed"]),
-            config=nuisance, level=float(cfg["level"]),
-        )
+        report = estimate_ts_eff(data, beta_star=beta, n_folds=folds, seed=seed,
+                                 config=nuisance, level=level)
     except SsateError as exc:
         print(f"estimate-ts: estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION

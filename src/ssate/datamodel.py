@@ -41,6 +41,11 @@ class LabeledRow:
     y: float
 
 
+def _is_indicator(a: np.ndarray) -> bool:
+    """Every value is exactly 0 or 1, checked before any integer cast."""
+    return bool(np.all((a == 0) | (a == 1)))
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -97,8 +102,8 @@ class OneSampleDataset:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        o = np.asarray(o, dtype=np.int8)
-        d = np.asarray(d, dtype=np.int8)
+        o = np.asarray(o)
+        d = np.asarray(d)
         y = np.asarray(y, dtype=float)
         if x.shape[0] == 0:
             raise EmptyDataset("dataset must contain at least one row")
@@ -106,13 +111,14 @@ class OneSampleDataset:
             raise DimMismatch("array lengths disagree")
         if not np.all(np.isfinite(x)):
             raise NonfiniteValue("covariates must be finite")
-        if not np.all((o == 0) | (o == 1)):
+        if not _is_indicator(o):
             raise BadIndicator("observation indicator must be 0 or 1")
         lab = o == 1
-        if not np.all((d[lab] == 0) | (d[lab] == 1)):
+        if not _is_indicator(d[lab]):
             raise BadIndicator("treatment indicator must be 0 or 1 on labeled rows")
         if not np.all(np.isfinite(y[lab])):
             raise NonfiniteValue("labeled outcomes must be finite")
+        o = o.astype(np.int8)
         d = np.where(lab, d, 0).astype(np.int8)
         y = np.where(lab, y, 0.0)
         return OneSampleDataset(_as_readonly(x), _as_readonly(o), _as_readonly(d), _as_readonly(y))
@@ -141,10 +147,6 @@ class TwoSampleDataset:
     def n_total(self) -> int:
         return self.m + self.l
 
-    @property
-    def labeled_fraction(self) -> float:
-        return self.m / self.n_total
-
     def labeled_rows(self) -> Iterator[LabeledRow]:
         for j in range(self.m):
             yield LabeledRow(tuple(self.x[j]), int(self.d[j]), float(self.y[j]))
@@ -157,7 +159,7 @@ class TwoSampleDataset:
             x = x[:, None]
         if z.ndim == 1:
             z = z[:, None]
-        d = np.asarray(d, dtype=np.int8)
+        d = np.asarray(d)
         y = np.asarray(y, dtype=float)
         if x.shape[0] == 0 or z.shape[0] == 0:
             raise EmptyDataset("both labeled and unlabeled samples must be nonempty")
@@ -171,9 +173,10 @@ class TwoSampleDataset:
             raise NonfiniteValue("covariates must be finite")
         if not np.all(np.isfinite(y)):
             raise NonfiniteValue("outcomes must be finite")
-        if not np.all((d == 0) | (d == 1)):
+        if not _is_indicator(d):
             raise BadIndicator("treatment indicator must be 0 or 1")
-        return TwoSampleDataset(_as_readonly(x), _as_readonly(d), _as_readonly(y), _as_readonly(z))
+        return TwoSampleDataset(_as_readonly(x), _as_readonly(d.astype(np.int8)), _as_readonly(y),
+                                _as_readonly(z))
 
 
 def validate_one_sample(rows: Sequence[OneSampleRow]) -> OneSampleDataset:
@@ -246,9 +249,6 @@ class FoldPlan:
     def indices(self, b: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == b)
 
-    def complement(self, b: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != b)
-
     def masks(self):
         for b in range(1, self.n_folds + 1):
             yield b, self.assignment == b
@@ -281,6 +281,14 @@ def _parse_float(token: str, where: str) -> float:
         raise NonfiniteValue(f"{where}: cannot parse {token!r} as a number") from None
 
 
+def _parse_indicator(token: str, where: str) -> int:
+    """Indicators must read exactly 0 or 1; 1.5 is rejected, not truncated."""
+    value = _parse_float(token, where)
+    if value not in (0.0, 1.0):
+        raise BadIndicator(f"{where}: indicator must be 0 or 1, got {token!r}")
+    return int(value)
+
+
 def read_one_sample_csv(path) -> OneSampleDataset:
     """Read `x1,...,xk,o,d,y` with MISSING spelled `NA`."""
     with open(path, newline="") as fh:
@@ -296,8 +304,8 @@ def read_one_sample_csv(path) -> OneSampleDataset:
             if len(rec) != k + 3:
                 raise DimMismatch(f"{path}, line {lineno}: expected {k + 3} fields")
             x = tuple(_parse_float(t, f"{path}, line {lineno}") for t in rec[:k])
-            o = int(_parse_float(rec[k], f"{path}, line {lineno}"))
-            d = None if rec[k + 1] == MISSING_TOKEN else int(_parse_float(rec[k + 1], f"{path}, line {lineno}"))
+            o = _parse_indicator(rec[k], f"{path}, line {lineno}")
+            d = None if rec[k + 1] == MISSING_TOKEN else _parse_indicator(rec[k + 1], f"{path}, line {lineno}")
             y = None if rec[k + 2] == MISSING_TOKEN else _parse_float(rec[k + 2], f"{path}, line {lineno}")
             rows.append(OneSampleRow(x, o, d, y))
     return validate_one_sample(rows)
@@ -330,7 +338,7 @@ def read_labeled_csv(path):
             if len(rec) != k + 2:
                 raise DimMismatch(f"{path}, line {lineno}: expected {k + 2} fields")
             x = tuple(_parse_float(t, f"{path}, line {lineno}") for t in rec[:k])
-            d = int(_parse_float(rec[k], f"{path}, line {lineno}"))
+            d = _parse_indicator(rec[k], f"{path}, line {lineno}")
             y = _parse_float(rec[k + 1], f"{path}, line {lineno}")
             rows.append(LabeledRow(x, d, y))
     return rows

@@ -8,19 +8,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.stats import norm
 
-from .datamodel import (
-    FoldPlan,
-    OneSampleDataset,
-    OneSampleRow,
-    TwoSampleDataset,
-    make_fold_plan,
-)
+from .datamodel import OneSampleDataset, TwoSampleDataset, make_fold_plan
 from .errors import BadLevel, FoldTooSmall
 from .nuisance import (
     BasisSpec,
-    GModel,
-    OutcomeModel,
-    RieszModel,
     assemble_v_beta,
     fit_density_ratio,
     fit_e_model,
@@ -71,17 +62,7 @@ class EstimateReport:
     diagnostics: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "tau_hat": self.tau_hat,
-            "se": self.se,
-            "ci": list(self.ci),
-            "level": self.level,
-            "method": self.method,
-            "sizes": self.sizes,
-            "folds": self.folds,
-            "seed": self.seed,
-            "diagnostics": self.diagnostics,
-        }
+        return {**vars(self), "ci": list(self.ci)}
 
 
 def ci(tau_hat: float, se: float, level: float) -> Tuple[float, float]:
@@ -94,23 +75,25 @@ def ci(tau_hat: float, se: float, level: float) -> Tuple[float, float]:
     return (tau_hat - z * se, tau_hat + z * se)
 
 
-# ---------------------------------------------------------------------------
-# One-sample scores
-# ---------------------------------------------------------------------------
+def _reporter(level: float, method: str, sizes: dict, folds: int = 1,
+              seed: Optional[int] = None) -> Callable[..., EstimateReport]:
+    """Check ``level`` before any fitting; returns the function that builds
+    the report from (tau_hat, se) and optional per-fold diagnostics."""
+    if not 0.0 < level < 1.0:
+        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
 
-def score_os(row: OneSampleRow, mu: OutcomeModel, g: GModel) -> float:
-    """Efficient one-sample score for a single row."""
-    x = np.atleast_2d(np.asarray(row.x, dtype=float))
-    m1 = float(mu.predict(1, x)[0])
-    m0 = float(mu.predict(0, x)[0])
-    val = m1 - m0
-    if row.o == 1:
-        if row.d == 1:
-            val += (row.y - m1) / float(g.g(1, x)[0])
-        else:
-            val -= (row.y - m0) / float(g.g(0, x)[0])
-    return val
+    def report(tau: float, se: float, diagnostics: Optional[list] = None) -> EstimateReport:
+        return EstimateReport(
+            tau_hat=tau, se=se, ci=ci(tau, se, level), level=level, method=method,
+            sizes=sizes, folds=folds, seed=seed, diagnostics=diagnostics or [],
+        )
 
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Scores and the shared cross-fitting loop
+# ---------------------------------------------------------------------------
 
 def score_os_vec(
     o: np.ndarray,
@@ -121,10 +104,29 @@ def score_os_vec(
     alpha1: np.ndarray,
     alpha0: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized score; alpha1 ~ 1/g(1|x) and alpha0 ~ -1/g(0|x) (signed)."""
+    """Efficient one-sample score; alpha1 ~ 1/g(1|x) and alpha0 ~ -1/g(0|x) (signed)."""
     res = np.where(d == 1, y - mu1x, y - mu0x)
     a = np.where(d == 1, alpha1, alpha0)
     return np.where(o == 1, a * res, 0.0) + mu1x - mu0x
+
+
+def score_ts_vec(
+    d: np.ndarray,
+    y: np.ndarray,
+    mu1x: np.ndarray,
+    mu0x: np.ndarray,
+    v1x: np.ndarray,
+    v0x: np.ndarray,
+) -> np.ndarray:
+    """Weighted-residual score of labeled two-sample rows, v = v_beta(d, x)."""
+    res = np.where(d == 1, y - mu1x, y - mu0x)
+    w = np.where(d == 1, 1.0 / v1x, -1.0 / v0x)
+    return w * res
+
+
+def score_ts_x(x: np.ndarray, mu) -> np.ndarray:
+    """Outcome-model contrast mu(1, x) - mu(0, x)."""
+    return mu(1, x) - mu(0, x)
 
 
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
@@ -134,22 +136,53 @@ def _mean_se(values: np.ndarray) -> Tuple[float, float]:
     return tau, se
 
 
-def _fold_iter(n: int, n_folds: int, seed: int):
-    """(fold_mask, complement_mask) pairs; n_folds=1 means no splitting."""
+def _fold_masks(n: int, n_folds: int, seed: int) -> list:
+    """(fold, complement) mask pairs; n_folds=1 fits and scores on all rows."""
     if n_folds == 1:
         full = np.ones(n, dtype=bool)
-        yield full, full
-        return
-    plan = make_fold_plan(n, n_folds, seed)
-    for b, mask in plan.masks():
-        yield mask, ~mask
+        return [(full, full)]
+    return [(mask, ~mask) for _, mask in make_fold_plan(n, n_folds, seed).masks()]
 
 
-def _subset_one(data: OneSampleDataset, mask: np.ndarray) -> OneSampleDataset:
-    return OneSampleDataset.from_arrays(
-        data.x[mask], data.o[mask], data.d[mask], data.y[mask]
-    )
+def _cross_fit(samples, n_folds: int, train, nuisances, score) -> list:
+    """Fit the nuisances on each fold's complement, then score the fold.
 
+    ``samples`` holds one (size, fold seed, diagnostics key) per sample;
+    each sample gets its own fold plan, and fold b of every plan is handled
+    together. ``train(*complement_masks)`` builds the fold's training data.
+    Each of ``nuisances``, an (override, fit, converged key) triple, is its
+    override, or else ``fit(training data)`` with the fit's ``converged``
+    flag recorded under the key. ``score(fold_masks, models)`` then scores
+    the fold. Returns the per-fold diagnostics.
+    """
+    diagnostics = []
+    for masks in zip(*(_fold_masks(n, n_folds, seed) for n, seed, _ in samples)):
+        folds, comps = zip(*masks)
+        diag = {key: int(comp.sum()) for (_, _, key), comp in zip(samples, comps)}
+        training = train(*comps)
+        models = []
+        for override, fit, key in nuisances:
+            model = override
+            if model is None:
+                model = fit(training)
+                if key:
+                    diag[key] = model.converged
+            models.append(model)
+        score(folds, models)
+        diagnostics.append(diag)
+    return diagnostics
+
+
+def _fit_mu(x: np.ndarray, d: np.ndarray, y: np.ndarray, config: NuisanceConfig):
+    if not (np.any(d == 1) and np.any(d == 0)):
+        raise FoldTooSmall("a fold complement lacks labeled rows in some arm")
+    return fit_outcome_both(x, d, y, basis=config.basis,
+                            ridge_lambda=config.ridge_lambda, clip_c=config.clip_c)
+
+
+# ---------------------------------------------------------------------------
+# One-sample estimators
+# ---------------------------------------------------------------------------
 
 def estimate_os_eff(
     data: OneSampleDataset,
@@ -167,128 +200,62 @@ def estimate_os_eff(
     representer (least-squares or KL generator). Overrides replace the
     corresponding fitted nuisance with a fixed function of (d, x).
     """
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    report = _reporter(level, "OS-eff", {"n": data.n, "n_labeled": data.n_labeled},
+                       n_folds, seed)
+    if g_override is not None or config.riesz_mode == "mle-g":
+        weight = (g_override, lambda comp: fit_gmodel_mle(
+            comp, basis=config.basis, clip_eps=config.clip_eps, opt=config.optimizer),
+            "g_converged")
+        arms = lambda g, x: (1.0 / g(1, x), -1.0 / g(0, x))
+    else:
+        gen = generator("LSIF" if config.riesz_mode == "ls-riesz" else "UKL")
+        weight = (None, lambda comp: fit_riesz(
+            comp, gen=gen, basis=config.basis, opt=config.optimizer), "riesz_converged")
+        arms = lambda riesz, x: (riesz.a1(x), riesz.a0(x))
     scores = np.empty(data.n)
-    diagnostics = []
-    for fold_mask, comp_mask in _fold_iter(data.n, n_folds, seed):
-        comp = _subset_one(data, comp_mask)
-        diag = {"n_train": comp.n}
-        if mu_override is None:
-            xl, dl, yl = comp.labeled_arrays()
-            if not (np.any(dl == 1) and np.any(dl == 0)):
-                raise FoldTooSmall("a fold complement lacks labeled rows in some arm")
-            mu = fit_outcome_both(
-                xl, dl, yl,
-                basis=config.basis,
-                ridge_lambda=config.ridge_lambda,
-                clip_c=config.clip_c,
-            )
-            mu_fn = mu.predict
-        else:
-            mu_fn = mu_override
 
-        xf = data.x[fold_mask]
-        if g_override is not None:
-            alpha1 = 1.0 / g_override(1, xf)
-            alpha0 = -1.0 / g_override(0, xf)
-        elif config.riesz_mode == "mle-g":
-            g = fit_gmodel_mle(comp, basis=config.basis,
-                               clip_eps=config.clip_eps, opt=config.optimizer)
-            diag["g_converged"] = g.converged
-            alpha1 = 1.0 / g.g(1, xf)
-            alpha0 = -1.0 / g.g(0, xf)
-        else:
-            gen = generator("LSIF" if config.riesz_mode == "ls-riesz" else "UKL")
-            riesz = fit_riesz(comp, gen=gen, basis=config.basis, opt=config.optimizer)
-            diag["riesz_converged"] = riesz.converged
-            alpha1 = riesz.a1(xf)
-            alpha0 = riesz.a0(xf)
+    def score(folds, models):
+        (fold,), (mu, w) = folds, models
+        xf = data.x[fold]
+        scores[fold] = score_os_vec(data.o[fold], data.d[fold], data.y[fold],
+                                    mu(1, xf), mu(0, xf), *arms(w, xf))
 
-        scores[fold_mask] = score_os_vec(
-            data.o[fold_mask], data.d[fold_mask], data.y[fold_mask],
-            mu_fn(1, xf), mu_fn(0, xf), alpha1, alpha0,
-        )
-        diagnostics.append(diag)
-    tau, se = _mean_se(scores)
-    return EstimateReport(
-        tau_hat=tau, se=se, ci=ci(tau, se, level), level=level,
-        method="OS-eff", sizes={"n": data.n, "n_labeled": data.n_labeled},
-        folds=n_folds, seed=seed, diagnostics=diagnostics,
+    diagnostics = _cross_fit(
+        [(data.n, seed, "n_train")], n_folds,
+        lambda c: OneSampleDataset.from_arrays(data.x[c], data.o[c], data.d[c], data.y[c]),
+        [(mu_override, lambda comp: _fit_mu(*comp.labeled_arrays(), config), None), weight],
+        score,
     )
-
-
-def _weights_from(g, d: int, x: np.ndarray) -> np.ndarray:
-    """Signed inverse weight for arm d from a GModel, RieszModel or callable."""
-    if isinstance(g, GModel):
-        val = 1.0 / g.g(d, x)
-        return val if d == 1 else -val
-    if isinstance(g, RieszModel):
-        return g.a1(x) if d == 1 else g.a0(x)
-    val = 1.0 / g(d, x)
-    return val if d == 1 else -val
+    return report(*_mean_se(scores), diagnostics)
 
 
 def estimate_os_ipw(
     data: OneSampleDataset,
-    g,
+    g: Callable[[int, np.ndarray], np.ndarray],
     level: float = 0.95,
 ) -> EstimateReport:
-    """Inverse-probability-weighting baseline with a supplied weight model."""
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
-    a = np.where(data.d == 1, _weights_from(g, 1, data.x), _weights_from(g, 0, data.x))
-    terms = np.where(data.o == 1, a * data.y, 0.0)
-    tau, se = _mean_se(terms)
-    return EstimateReport(
-        tau_hat=tau, se=se, ci=ci(tau, se, level), level=level,
-        method="OS-IPW", sizes={"n": data.n, "n_labeled": data.n_labeled},
-        folds=1,
-    )
+    """Inverse-probability-weighting baseline with a supplied g(d, x): a
+    fitted GModel or any callable of the same signature."""
+    report = _reporter(level, "OS-IPW", {"n": data.n, "n_labeled": data.n_labeled})
+    a = np.where(data.d == 1, 1.0 / g(1, data.x), -1.0 / g(0, data.x))
+    return report(*_mean_se(np.where(data.o == 1, a * data.y, 0.0)))
 
 
 def estimate_os_ra(
     data: OneSampleDataset,
-    mu,
+    mu: Callable[[int, np.ndarray], np.ndarray],
     level: float = 0.95,
 ) -> EstimateReport:
     """Regression-adjustment baseline: mean outcome-model contrast over all
     rows, labeled and unlabeled alike. The SE is the naive sample variance
     of the contrast and ignores outcome-model estimation error."""
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
-    mu_fn = mu.predict if isinstance(mu, OutcomeModel) else mu
-    contrast = mu_fn(1, data.x) - mu_fn(0, data.x)
-    tau, se = _mean_se(contrast)
-    return EstimateReport(
-        tau_hat=tau, se=se, ci=ci(tau, se, level), level=level,
-        method="OS-RA", sizes={"n": data.n, "n_labeled": data.n_labeled},
-        folds=1,
-    )
+    report = _reporter(level, "OS-RA", {"n": data.n, "n_labeled": data.n_labeled})
+    return report(*_mean_se(score_ts_x(data.x, mu)))
 
 
 # ---------------------------------------------------------------------------
-# Two-sample scores and estimator
+# Two-sample estimator
 # ---------------------------------------------------------------------------
-
-def score_ts_labeled(row, mu, v) -> float:
-    """Weighted-residual score for a labeled two-sample row."""
-    x = np.atleast_2d(np.asarray(row.x, dtype=float))
-    mu_fn = mu.predict if isinstance(mu, OutcomeModel) else mu
-    if row.d == 1:
-        return float((row.y - mu_fn(1, x)[0]) / v(1, x)[0])
-    return float(-(row.y - mu_fn(0, x)[0]) / v(0, x)[0])
-
-
-def score_ts_x(x: np.ndarray, mu) -> np.ndarray:
-    """Outcome-model contrast mu(1, x) - mu(0, x)."""
-    mu_fn = mu.predict if isinstance(mu, OutcomeModel) else mu
-    return mu_fn(1, x) - mu_fn(0, x)
-
-
-def _child_seeds(seed: int, n: int) -> list:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
-
 
 def estimate_ts_eff(
     data: TwoSampleDataset,
@@ -307,54 +274,33 @@ def estimate_ts_eff(
     samples, preserving their independence. For frozen nuisances
     (all overrides supplied) the point estimate is affine in beta_star.
     """
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    m, l = data.m, data.l
+    report = _reporter(level, "TS-eff", {"m": m, "l": l}, n_folds, seed)
     if not 0.0 <= beta_star <= 1.0:
         raise ValueError("beta_star must lie in [0, 1]")
-    m, l = data.m, data.l
-    seed_m, seed_l = _child_seeds(seed, 2)
-    s_xdy = np.empty(m)
-    s_x_lab = np.empty(m)
-    s_x_unl = np.empty(l)
-    diagnostics = []
-    folds_lab = list(_fold_iter(m, n_folds, seed_m))
-    folds_unl = list(_fold_iter(l, n_folds, seed_l))
-    for (fm, cm), (fu, cu) in zip(folds_lab, folds_unl):
-        diag = {"m_train": int(cm.sum()), "l_train": int(cu.sum())}
-        xc, dc, yc = data.x[cm], data.d[cm], data.y[cm]
-        if mu_override is None:
-            if not (np.any(dc == 1) and np.any(dc == 0)):
-                raise FoldTooSmall("a fold complement lacks labeled rows in some arm")
-            mu = fit_outcome_both(
-                xc, dc, yc, basis=config.basis,
-                ridge_lambda=config.ridge_lambda, clip_c=config.clip_c,
-            )
-            mu_fn = mu.predict
-        else:
-            mu_fn = mu_override
-        if e_override is None:
-            em = fit_e_model(xc, dc, basis=config.basis,
-                             clip_eps=config.clip_eps, opt=config.optimizer)
-            diag["e_converged"] = em.converged
-            e_fn = em.e
-        else:
-            e_fn = e_override
-        if r_override is None:
-            rm = fit_density_ratio(xc, data.z[cu], basis=config.basis,
-                                   clip=config.r_clip, opt=config.optimizer)
-            diag["r_converged"] = rm.converged
-            r_fn = rm.ratio
-        else:
-            r_fn = r_override
-        v = assemble_v_beta(e_fn, r_fn, beta_star)
+    seed_m, seed_l = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    s_xdy, s_x_lab, s_x_unl = np.empty(m), np.empty(m), np.empty(l)
 
-        xf, df, yf = data.x[fm], data.d[fm], data.y[fm]
-        res = np.where(df == 1, yf - mu_fn(1, xf), yf - mu_fn(0, xf))
-        w = np.where(df == 1, 1.0 / v(1, xf), -1.0 / v(0, xf))
-        s_xdy[fm] = w * res
-        s_x_lab[fm] = score_ts_x(xf, mu_fn)
-        s_x_unl[fu] = score_ts_x(data.z[fu], mu_fn)
-        diagnostics.append(diag)
+    def score(folds, models):
+        (fm, fu), (mu, e, r) = folds, models
+        v = assemble_v_beta(e, r, beta_star)
+        xf = data.x[fm]
+        s_xdy[fm] = score_ts_vec(data.d[fm], data.y[fm], mu(1, xf), mu(0, xf), v(1, xf), v(0, xf))
+        s_x_lab[fm] = score_ts_x(xf, mu)
+        s_x_unl[fu] = score_ts_x(data.z[fu], mu)
+
+    diagnostics = _cross_fit(
+        [(m, seed_m, "m_train"), (l, seed_l, "l_train")], n_folds,
+        lambda cm, cu: (data.x[cm], data.d[cm], data.y[cm], data.z[cu]),
+        [(mu_override, lambda t: _fit_mu(t[0], t[1], t[2], config), None),
+         (e_override, lambda t: fit_e_model(t[0], t[1], basis=config.basis,
+                                            clip_eps=config.clip_eps, opt=config.optimizer),
+          "e_converged"),
+         (r_override, lambda t: fit_density_ratio(t[0], t[3], basis=config.basis,
+                                                  clip=config.r_clip, opt=config.optimizer),
+          "r_converged")],
+        score,
+    )
 
     n_total = m + l
     tau = float(
@@ -364,9 +310,4 @@ def estimate_ts_eff(
     lab_combined = s_xdy + beta_star * s_x_lab
     v_hat = (n_total / m) * float(np.var(lab_combined)) \
         + (n_total / l) * (1.0 - beta_star) ** 2 * float(np.var(s_x_unl))
-    se = float(np.sqrt(v_hat / n_total))
-    return EstimateReport(
-        tau_hat=tau, se=se, ci=ci(tau, se, level), level=level,
-        method="TS-eff", sizes={"m": m, "l": l},
-        folds=n_folds, seed=seed, diagnostics=diagnostics,
-    )
+    return report(tau, float(np.sqrt(v_hat / n_total)), diagnostics)

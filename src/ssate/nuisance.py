@@ -79,8 +79,6 @@ class FittedBasis:
             cols.append(np.ones(x.shape[0]))
         for t in range(1, self.spec.degree + 1):
             cols.append(xs**t if t > 1 else xs)
-        if self.spec.intercept:
-            return np.column_stack([cols[0]] + [c for c in cols[1:]])
         return np.column_stack(cols)
 
 
@@ -90,11 +88,12 @@ class FittedBasis:
 
 @dataclass
 class OutcomeModel:
-    """Per-arm ridge regression with bounded predictions.
+    """Per-arm ridge regression with bounded predictions, called as mu(arm, x).
 
     ``fluctuations`` holds (riesz_model, epsilon) pairs appended by the
     TMLE step; fluctuation terms are added after clipping so the score
-    identity from the fluctuation remains exact.
+    identity from the fluctuation remains exact. An arm fitted on no rows
+    has coefficients None, and calling the model for it raises.
     """
 
     basis: FittedBasis
@@ -103,21 +102,17 @@ class OutcomeModel:
     clip_c: float
     fluctuations: tuple = ()
 
-    def base_predict(self, arm: int, x: np.ndarray) -> np.ndarray:
+    def __call__(self, arm: int, x: np.ndarray) -> np.ndarray:
         if self.coef.get(arm) is None:
-            raise InsufficientArmData(f"no fitted coefficients for arm {arm}")
-        phi = self.basis.transform(x)
-        return np.clip(phi @ self.coef[arm], -self.clip_c, self.clip_c)
-
-    def predict(self, arm: int, x: np.ndarray) -> np.ndarray:
-        val = self.base_predict(arm, x)
+            raise InsufficientArmData(f"arm {arm} has 0 rows, need at least {self.basis.dim}")
+        val = np.clip(self.basis.transform(x) @ self.coef[arm], -self.clip_c, self.clip_c)
         for riesz, eps in self.fluctuations:
             val = val + eps * (riesz.a1(x) if arm == 1 else riesz.a0(x))
         return val
 
     def predict_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Arm-matched prediction, row by row."""
-        return np.where(np.asarray(d) == 1, self.predict(1, x), self.predict(0, x))
+        return np.where(np.asarray(d) == 1, self(1, x), self(0, x))
 
 
 def _ridge_solve(phi: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -134,30 +129,6 @@ def default_clip_c(y: np.ndarray) -> float:
     return 100.0 * float(np.max(np.abs(y))) if len(y) else 1.0
 
 
-def fit_outcome(
-    x: np.ndarray,
-    d: np.ndarray,
-    y: np.ndarray,
-    arm: int,
-    basis: BasisSpec = BasisSpec(),
-    ridge_lambda: float = 1e-6,
-    clip_c: Optional[float] = None,
-) -> OutcomeModel:
-    """Closed-form ridge fit of E[Y | X, arm] on the rows with d == arm."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = np.asarray(d)
-    y = np.asarray(y, dtype=float)
-    fb = basis.fit(x)
-    mask = d == arm
-    if int(mask.sum()) < fb.dim:
-        raise InsufficientArmData(
-            f"arm {arm} has {int(mask.sum())} rows, need at least {fb.dim}"
-        )
-    coef = _ridge_solve(fb.transform(x[mask]), y[mask], ridge_lambda)
-    cc = default_clip_c(y) if clip_c is None else float(clip_c)
-    return OutcomeModel(basis=fb, coef={arm: coef, 1 - arm: None}, ridge_lambda=ridge_lambda, clip_c=cc)
-
-
 def fit_outcome_both(
     x: np.ndarray,
     d: np.ndarray,
@@ -166,7 +137,9 @@ def fit_outcome_both(
     ridge_lambda: float = 1e-6,
     clip_c: Optional[float] = None,
 ) -> OutcomeModel:
-    """Fit both arms with a shared feature map."""
+    """Closed-form ridge fit of E[Y | X, arm] for each arm, on a shared
+    feature map. An arm with no rows is left unfitted; one with fewer rows
+    than basis columns raises InsufficientArmData."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.asarray(d)
     y = np.asarray(y, dtype=float)
@@ -174,11 +147,10 @@ def fit_outcome_both(
     coef = {}
     for arm in (1, 0):
         mask = d == arm
-        if int(mask.sum()) < fb.dim:
-            raise InsufficientArmData(
-                f"arm {arm} has {int(mask.sum())} rows, need at least {fb.dim}"
-            )
-        coef[arm] = _ridge_solve(fb.transform(x[mask]), y[mask], ridge_lambda)
+        rows = int(mask.sum())
+        if 0 < rows < fb.dim:
+            raise InsufficientArmData(f"arm {arm} has {rows} rows, need at least {fb.dim}")
+        coef[arm] = _ridge_solve(fb.transform(x[mask]), y[mask], ridge_lambda) if rows else None
     cc = default_clip_c(y) if clip_c is None else float(clip_c)
     return OutcomeModel(basis=fb, coef=coef, ridge_lambda=ridge_lambda, clip_c=cc)
 
@@ -195,23 +167,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GModel:
-    """Multinomial model of the 3 outcomes (o=1,d=1), (o=1,d=0), (o=0)."""
+    """Multinomial model of the 3 outcomes (o=1,d=1), (o=1,d=0), (o=0),
+    called as g(d, x) for the clipped joint probability of (o=1, d)."""
 
     basis: FittedBasis
     weights: np.ndarray  # (3, p); last row pinned at zero
     clip_eps: float
     converged: bool = True
 
-    def class_probs(self, x: np.ndarray) -> np.ndarray:
-        phi = self.basis.transform(x)
-        return _softmax(phi @ self.weights.T)
-
-    def g(self, d: int, x: np.ndarray) -> np.ndarray:
-        raw = self.class_probs(x)[:, 0 if d == 1 else 1]
-        return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps)
-
-    def pi1(self, x: np.ndarray) -> np.ndarray:
-        raw = 1.0 - self.class_probs(x)[:, 2]
+    def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
+        raw = _softmax(self.basis.transform(x) @ self.weights.T)[:, 0 if d == 1 else 1]
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps)
 
 
@@ -256,14 +221,14 @@ def fit_gmodel_mle(
 
 @dataclass
 class EModel:
-    """Binary logistic propensity model for P(D = 1 | X)."""
+    """Binary logistic propensity model, called as e(d, x) = P(D = d | X = x)."""
 
     basis: FittedBasis
     weights: np.ndarray
     clip_eps: float
     converged: bool = True
 
-    def e(self, d: int, x: np.ndarray) -> np.ndarray:
+    def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
         phi = self.basis.transform(x)
         p1 = 1.0 / (1.0 + np.exp(-(phi @ self.weights)))
         p1 = np.clip(p1, self.clip_eps, 1.0 - self.clip_eps)
@@ -307,7 +272,8 @@ def fit_e_model(
 
 @dataclass
 class DensityRatioModel:
-    """Classifier-based estimate of p(x)/q(x) with prior correction l/m."""
+    """Classifier-based estimate of p(x)/q(x) with prior correction l/m,
+    called as r(x)."""
 
     basis: FittedBasis
     weights: np.ndarray
@@ -315,7 +281,7 @@ class DensityRatioModel:
     clip: Tuple[float, float]
     converged: bool = True
 
-    def ratio(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         phi = self.basis.transform(x)
         odds = np.exp(phi @ self.weights)  # P(labeled|x) / P(unlabeled|x)
         return np.clip(odds * self.prior_correction, self.clip[0], self.clip[1])
@@ -640,12 +606,8 @@ class VBeta:
 
 
 def assemble_v_beta(e_model, r_model, beta: float) -> VBeta:
-    """Compose propensity and density-ratio models into v_beta.
-
-    Accepts fitted models or plain callables (e(d, x) and r(x)).
-    """
+    """Compose a propensity e(d, x) and a density ratio r(x), fitted models
+    or plain callables alike, into v_beta."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    e_fn = e_model.e if isinstance(e_model, EModel) else e_model
-    r_fn = r_model.ratio if isinstance(r_model, DensityRatioModel) else r_model
-    return VBeta(e_fn=e_fn, r_fn=r_fn, beta=float(beta))
+    return VBeta(e_fn=e_model, r_fn=r_model, beta=float(beta))

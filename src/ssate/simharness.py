@@ -156,23 +156,7 @@ class McReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "estimator": self.estimator,
-            "sizes": self.sizes,
-            "reps_completed": self.reps_completed,
-            "mean_tau_hat": self.mean_tau_hat,
-            "tau0": self.tau0,
-            "mc_bias": self.mc_bias,
-            "mc_se_of_bias": self.mc_se_of_bias,
-            "scaled_variance": self.scaled_variance,
-            "bound_value": self.bound_value,
-            "coverage": self.coverage,
-            "mean_se": self.mean_se,
-            "level": self.level,
-            "seed": self.seed,
-            "failures": self.failures,
-        }
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------

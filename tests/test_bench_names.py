@@ -1,0 +1,84 @@
+"""The traced benchmark pass finds the package's functions by name.
+
+``perfbench/spans.py`` wraps each function where the calling module bound
+it (``ssate.estimators.fit_outcome_both``, ``ssate.optimize.minimize_gd``,
+``ssate.cli._emit``, ...). A dropped name makes ``install`` raise; a moved
+one, or a call through a reference stored at import time, silently leaves
+its layer unmeasured. These tests catch both.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import ssate
+import ssate.cli
+from ssate import McConfig, dgp_d1, sample_one, sample_two
+from ssate.estimators import NuisanceConfig
+from ssate.oracle import dgp_to_dict
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_then_restore(spans):
+    originals = {
+        (ssate.estimators, "fit_outcome_both"): ssate.nuisance.fit_outcome_both,
+        (ssate.estimators, "make_fold_plan"): ssate.datamodel.make_fold_plan,
+        (ssate.optimize, "minimize_gd"): ssate.optimize.minimize_gd,
+        (ssate.cli, "_emit"): ssate.cli._emit,
+        (ssate.nuisance.FittedBasis, "transform"): ssate.nuisance.FittedBasis.transform,
+    }
+    tracer = spans.Tracer()
+    spans.install(tracer, ssate)
+    try:
+        for (owner, name), original in originals.items():
+            assert getattr(owner, name) is not original, f"{owner.__name__}.{name} not patched"
+    finally:
+        tracer.restore()
+    for (owner, name), original in originals.items():
+        assert getattr(owner, name) is original
+
+
+def test_traced_calls_reach_every_layer(spans, tmp_path):
+    d1 = dgp_d1()
+    one, two = sample_one(d1, 300, 1), sample_two(d1, 200, 150, 2)
+    spec = tmp_path / "d1.json"
+    spec.write_text(json.dumps(dgp_to_dict(d1)))
+    tracer = spans.Tracer()
+    spans.install(tracer, ssate)
+    # entry points are called through their modules, where install patched them
+    estimators, simharness = ssate.estimators, ssate.simharness
+    try:
+        for mode in ("mle-g", "ls-riesz", "kl-riesz"):
+            estimators.estimate_os_eff(one, n_folds=2, seed=3,
+                                       config=NuisanceConfig(riesz_mode=mode))
+        estimators.estimate_ts_eff(two, beta_star=0.5, n_folds=2, seed=4)
+        simharness.run_mc(McConfig(dgp=d1, scenario="one-sample", n=200, reps=2, seed=5),
+                          threads=1)
+        assert ssate.cli.main(["bounds", "--dgp", str(spec), "--output",
+                               str(tmp_path / "b.json")]) == 0
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    expected = {
+        "datamodel.from_arrays", "datamodel.make_fold_plan",
+        "estimators.estimate_os_eff", "estimators.estimate_ts_eff",
+        "nuisance.fit_outcome_both", "nuisance.fit_gmodel_mle", "nuisance.fit_e_model",
+        "nuisance.fit_density_ratio", "nuisance.assemble_v_beta",
+        "nuisance.fit_riesz_lsif", "nuisance.fit_riesz_ukl", "nuisance.transform",
+        "optimize.minimize_newton", "simharness.run_mc", "simharness.sample_one",
+        "oracle.true_ate", "oracle.bound_v_os", "cli.emit",
+    }
+    assert expected <= set(names), sorted(expected - set(names))
+    # one fold plan per one-sample estimate (3 + 2 replications), two per two-sample one
+    assert names.count("datamodel.make_fold_plan") == 7

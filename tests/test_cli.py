@@ -89,6 +89,42 @@ class TestEstimateOs:
         assert doc["config"]["folds"] == 2
 
 
+class TestConfigErrors:
+    """Bad config values are config errors (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("cfg", [{"degree": "two"}, {"degree": 1.5}, {"degree": 0},
+                                     {"riesz_mode": "foo"}, {"ridge_lambda": "x"},
+                                     {"level": "0.9"}, {"seed": 1.5}])
+    def test_bad_config_file_exit_2(self, files, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"input": str(files["os"]), **cfg}))
+        assert main(["estimate-os", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("flags", [["--level", "1.5"], ["--folds", "1000"], ["--folds", "0"]])
+    def test_bad_flag_exit_2(self, files, flags, capsys):
+        assert main(["estimate-os", "--input", str(files["os"])] + flags) == 2
+        assert "estimation failed" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--level", "1.5"], ["--folds", "301"],
+                                       ["--degree", "0"], ["--beta-star", "1.5"]])
+    def test_bad_two_sample_flag_exit_2(self, files, flags):
+        argv = ["estimate-ts", "--labeled", str(files["lab"]), "--unlabeled", str(files["unl"]),
+                "--beta-star", "0.5"]
+        assert main(argv + flags) == 2
+
+    def test_simulate_bad_nuisance_exit_2(self, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 50, "reps": 2,
+                                    "nuisance": {"degree": "two"}}))
+        assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_fractional_indicator_csv_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,o,d,y\n0.0,1.5,1,2.0\n")
+        assert main(["estimate-os", "--input", str(bad)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestEstimateTs:
     def test_missing_beta_star_exit_2(self, files, capsys):
         code = main(["estimate-ts", "--labeled", str(files["lab"]),
@@ -166,6 +202,20 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--output", str(a)])
         main(["simulate", "--config", str(cfg), "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_all_failed_writes_strict_json(self, tmp_path):
+        cfg = self.config(tmp_path, n=3, reps=4)
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 4
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        partial = doc["report"]["partial"]
+        assert partial["reps_completed"] == 0
+        for key in ("coverage", "mc_bias", "mean_tau_hat", "mean_se", "scaled_variance"):
+            assert partial[key] is None
 
     def test_incomplete_exit_4(self, tmp_path):
         cfg = self.config(tmp_path, n=8, reps=20)

@@ -178,3 +178,38 @@ class TestCsvRoundTrip:
         path.write_text("x1,o,d,y\n0.0,1,1,zap\n")
         with pytest.raises(NonfiniteValue, match="line 2"):
             read_one_sample_csv(path)
+
+
+class TestStrictIndicators:
+    """Indicators are checked before the int8 cast, so fractions raise."""
+
+    def test_fractional_observation_indicator(self):
+        with pytest.raises(BadIndicator):
+            OneSampleDataset.from_arrays(np.zeros((2, 1)), [1.5, 0], [1, 0], [1.0, 0.0])
+
+    def test_fractional_treatment_indicator(self):
+        with pytest.raises(BadIndicator):
+            OneSampleDataset.from_arrays(np.zeros((2, 1)), [1, 1], [0.7, 1], [1.0, 0.0])
+
+    def test_fractional_two_sample_treatment(self):
+        from ssate import TwoSampleDataset
+
+        with pytest.raises(BadIndicator):
+            TwoSampleDataset.from_arrays(np.zeros((2, 1)), [1.9, 0], [1.0, 0.0], np.zeros((1, 1)))
+
+    def test_integral_floats_accepted(self):
+        ds = OneSampleDataset.from_arrays(np.zeros((2, 1)), [1.0, 0.0], [1.0, 0.7], [2.0, 0.0])
+        assert ds.o.dtype == np.int8 and list(ds.o) == [1, 0] and list(ds.d) == [1, 0]
+
+    def test_csv_fractional_observation_indicator(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,o,d,y\n0.0,1,1,2.0\n0.0,1.5,1,2.0\n")
+        with pytest.raises(BadIndicator, match="line 3"):
+            read_one_sample_csv(path)
+
+    def test_csv_fractional_treatment(self, tmp_path):
+        lab, unl = tmp_path / "lab.csv", tmp_path / "unl.csv"
+        lab.write_text("x1,d,y\n0.0,0.7,2.0\n")
+        unl.write_text("x1\n0.0\n")
+        with pytest.raises(BadIndicator, match="line 2"):
+            read_two_sample_csv(lab, unl)

@@ -4,9 +4,7 @@ import pytest
 from ssate import (
     BasisSpec,
     GModel,
-    LabeledRow,
     OneSampleDataset,
-    OneSampleRow,
     ci,
     estimate_os_eff,
     estimate_os_ipw,
@@ -14,12 +12,10 @@ from ssate import (
     estimate_ts_eff,
     sample_one,
     sample_two,
-    score_os,
-    score_ts_labeled,
     score_ts_x,
 )
 from ssate.errors import BadLevel
-from ssate.estimators import NuisanceConfig
+from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
 from ssate.nuisance import OutcomeModel
 
 from conftest import random_one_sample, random_two_sample
@@ -54,23 +50,33 @@ class TestCi:
             ci(0.0, 1.0, 1.5)
 
 
+def score_os_row(o, d, y, mu, g):
+    """score_os_vec on the single row (x=0, o, d, y) with fitted mu and g."""
+    x = np.zeros((1, 1))
+    return score_os_vec(np.array([o]), np.array([d]), np.array([y]), mu(1, x), mu(0, x),
+                        1.0 / g(1, x), -1.0 / g(0, x))[0]
+
+
+def score_ts_row(d, y, mu, v):
+    """score_ts_vec on the single labeled row (x=0, d, y)."""
+    x = np.zeros((1, 1))
+    return score_ts_vec(np.array([d]), np.array([y]), mu(1, x), mu(0, x), v(1, x), v(0, x))[0]
+
+
 class TestScoreOs:
     def test_treated_row(self):
         x = np.zeros((1, 1))
-        row = OneSampleRow((0.0,), 1, 1, 3.0)
-        val = score_os(row, const_model(x, 1.0, 0.0), const_gmodel(x, 0.5, 0.25))
+        val = score_os_row(1, 1, 3.0, const_model(x, 1.0, 0.0), const_gmodel(x, 0.5, 0.25))
         assert abs(val - 5.0) <= 1e-9
 
     def test_unlabeled_row(self):
         x = np.zeros((1, 1))
-        row = OneSampleRow((0.0,), 0, None, None)
-        val = score_os(row, const_model(x, 1.0, 0.0), const_gmodel(x, 0.5, 0.25))
+        val = score_os_row(0, 0, 0.0, const_model(x, 1.0, 0.0), const_gmodel(x, 0.5, 0.25))
         assert abs(val - 1.0) <= 1e-12
 
     def test_control_row(self):
         x = np.zeros((1, 1))
-        row = OneSampleRow((0.0,), 1, 0, 2.0)
-        val = score_os(row, const_model(x, 1.0, 0.0), const_gmodel(x, 0.5, 0.25))
+        val = score_os_row(1, 0, 2.0, const_model(x, 1.0, 0.0), const_gmodel(x, 0.5, 0.25))
         assert abs(val - (-7.0)) <= 1e-9
 
 
@@ -163,16 +169,14 @@ class TestOsEff:
 class TestScoreTs:
     def test_hand_value(self):
         x = np.zeros((1, 1))
-        row = LabeledRow((0.0,), 1, 3.0)
         v = lambda d, xx: np.full(len(np.atleast_2d(xx)), 0.5)
-        val = score_ts_labeled(row, const_model(x, 1.0, 0.0), v)
+        val = score_ts_row(1, 3.0, const_model(x, 1.0, 0.0), v)
         assert abs(val - 4.0) <= 1e-12
 
     def test_zero_residual(self):
         x = np.zeros((1, 1))
-        row = LabeledRow((0.0,), 0, 1.0)
         v = lambda d, xx: np.full(len(np.atleast_2d(xx)), 0.123)
-        val = score_ts_labeled(row, const_model(x, 5.0, 1.0), v)
+        val = score_ts_row(0, 1.0, const_model(x, 5.0, 1.0), v)
         assert val == 0.0
 
     def test_contrast(self):

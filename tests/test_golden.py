@@ -1,0 +1,340 @@
+"""Exact estimator outputs, pinned.
+
+Each case below must reproduce its recorded tau_hat, se, ci and
+diagnostics (and, for the Monte Carlo cases, the whole report) with ==,
+not within a tolerance: refactoring the estimators must not move a
+single bit. Regenerate the table only for a change that is meant to
+alter the arithmetic, and say so where the change is logged.
+"""
+
+import numpy as np
+import pytest
+
+from ssate import (
+    McConfig,
+    Misspec,
+    estimate_os_eff,
+    estimate_os_ipw,
+    estimate_os_ra,
+    estimate_ts_eff,
+    fit_gmodel_mle,
+    fit_outcome_both,
+    fit_riesz,
+    run_mc,
+    sample_one,
+    sample_two,
+)
+from ssate.estimators import NuisanceConfig
+from ssate.oracle import GaussianLinearDgp
+
+
+def gaussian_dgp():
+    """k=2 Gaussian-linear process with both a labeling law and a q0."""
+    return GaussianLinearDgp(
+        p_mean=np.array([0.0, 0.5]), p_var=np.array([1.0, 0.8]),
+        mu1_coef=np.array([1.0, 0.5, -0.3]), mu0_coef=np.array([0.0, 0.2, 0.1]),
+        s2_1=1.0, s2_0=1.2,
+        e_coef=np.array([0.1, 0.3, -0.2]), pi_coef=np.array([0.3, 0.2, 0.1]),
+        q_mean=np.array([0.2, 0.4]), q_var=np.array([1.1, 0.9]),
+    )
+
+
+DGP = gaussian_dgp()
+
+
+def true_r(x):
+    return DGP.p_pdf(x) / DGP.q_pdf(x)
+
+
+def _estimate_cases():
+    cases = {}
+    for mode in ("mle-g", "ls-riesz", "kl-riesz"):
+        for folds in (1, 2, 3):
+            cases[f"os-eff/{mode}/{folds}"] = (
+                lambda one, two, mode=mode, folds=folds: estimate_os_eff(
+                    one, n_folds=folds, seed=5, config=NuisanceConfig(riesz_mode=mode)))
+    cases["os-eff/kl-riesz/degree-2"] = lambda one, two: estimate_os_eff(
+        one, n_folds=2, seed=6, config=NuisanceConfig(degree=2, riesz_mode="kl-riesz"))
+    cases["os-eff/mu-override"] = lambda one, two: estimate_os_eff(
+        one, n_folds=2, seed=7, mu_override=DGP.mu)
+    cases["os-eff/g-override"] = lambda one, two: estimate_os_eff(
+        one, n_folds=3, seed=7, config=NuisanceConfig(riesz_mode="ls-riesz"),
+        g_override=DGP.g)
+    cases["os-eff/both-overrides"] = lambda one, two: estimate_os_eff(
+        one, n_folds=2, seed=8, mu_override=DGP.mu, g_override=DGP.g)
+    for folds in (1, 2, 3):
+        cases[f"ts-eff/fitted/{folds}"] = (
+            lambda one, two, folds=folds: estimate_ts_eff(
+                two, beta_star=0.4, n_folds=folds, seed=9))
+    cases["ts-eff/overrides"] = lambda one, two: estimate_ts_eff(
+        two, beta_star=0.4, n_folds=2, seed=9,
+        mu_override=DGP.mu, e_override=DGP.e, r_override=true_r)
+    cases["os-ipw/fitted"] = lambda one, two: estimate_os_ipw(one, fit_gmodel_mle(one))
+    cases["os-ra/fitted"] = lambda one, two: estimate_os_ra(
+        one, fit_outcome_both(*one.labeled_arrays()))
+    return cases
+
+
+def _mc_cases():
+    one = dict(dgp=DGP, scenario="one-sample", n=250, reps=4, seed=11)
+    two = dict(dgp=DGP, scenario="two-sample", estimator="ts-eff", m=200, l=150,
+               beta_star=0.6, reps=4, seed=12)
+    return {
+        "mc/os-eff": McConfig(**one),
+        "mc/os-eff/zero-mu": McConfig(**one, hook=Misspec("zero-mu")),
+        "mc/os-eff/true-g": McConfig(**one, hook=Misspec("true-g")),
+        "mc/os-ipw": McConfig(**one, estimator="os-ipw"),
+        "mc/os-ra": McConfig(**one, estimator="os-ra"),
+        "mc/ts-eff": McConfig(**two),
+        "mc/ts-eff/true-r": McConfig(**two, hook=Misspec("true-r")),
+    }
+
+
+ESTIMATE_CASES = _estimate_cases()
+MC_CASES = _mc_cases()
+
+
+@pytest.fixture(scope="module")
+def samples():
+    return sample_one(DGP, 360, 70), sample_two(DGP, 300, 240, 71)
+
+
+def pinned(rep):
+    d = rep.to_dict()
+    return {key: d[key] for key in ("tau_hat", "se", "ci", "diagnostics")}
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
+def test_estimate_is_pinned(case, samples):
+    assert pinned(ESTIMATE_CASES[case](*samples)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_mc_report_is_pinned(case):
+    assert run_mc(MC_CASES[case], threads=1).to_dict() == GOLDEN[case]
+
+
+def test_riesz_model_is_not_a_probability(samples):
+    one, _ = samples
+    with pytest.raises(TypeError):
+        estimate_os_ipw(one, fit_riesz(one))
+
+
+# recorded before the estimators shared one cross-fitting loop
+GOLDEN = {'os-eff/both-overrides': {'tau_hat': 0.9823852668128906,
+                           'se': 0.16016483061651876,
+                           'ci': [0.6684679672145557, 1.2963025664112255],
+                           'diagnostics': [{'n_train': 180}, {'n_train': 180}]},
+ 'os-eff/g-override': {'tau_hat': 0.9208796395288038,
+                       'se': 0.1672760727601568,
+                       'ci': [0.5930245614435949, 1.2487347176140127],
+                       'diagnostics': [{'n_train': 240},
+                                       {'n_train': 240},
+                                       {'n_train': 240}]},
+ 'os-eff/kl-riesz/1': {'tau_hat': 0.9733325004395835,
+                       'se': 0.17950987679823294,
+                       'ci': [0.6214996070458247, 1.3251653938333423],
+                       'diagnostics': [{'n_train': 360, 'riesz_converged': True}]},
+ 'os-eff/kl-riesz/2': {'tau_hat': 0.9392227784861666,
+                       'se': 0.1891954636496269,
+                       'ci': [0.568406483694541, 1.3100390732777922],
+                       'diagnostics': [{'n_train': 180, 'riesz_converged': True},
+                                       {'n_train': 180, 'riesz_converged': True}]},
+ 'os-eff/kl-riesz/3': {'tau_hat': 0.9576844206697628,
+                       'se': 0.1927630599900453,
+                       'ci': [0.5798757655395401, 1.3354930757999854],
+                       'diagnostics': [{'n_train': 240, 'riesz_converged': True},
+                                       {'n_train': 240, 'riesz_converged': True},
+                                       {'n_train': 240, 'riesz_converged': True}]},
+ 'os-eff/kl-riesz/degree-2': {'tau_hat': 1.2828806514378184,
+                              'se': 0.40012963858185074,
+                              'ci': [0.4986409706703625, 2.067120332205274],
+                              'diagnostics': [{'n_train': 180, 'riesz_converged': True},
+                                              {'n_train': 180,
+                                               'riesz_converged': True}]},
+ 'os-eff/ls-riesz/1': {'tau_hat': 0.9458100039479456,
+                       'se': 0.17108652266454435,
+                       'ci': [0.6104865812852429, 1.2811334266106482],
+                       'diagnostics': [{'n_train': 360, 'riesz_converged': True}]},
+ 'os-eff/ls-riesz/2': {'tau_hat': 0.8851937497031438,
+                       'se': 0.18058434903927598,
+                       'ci': [0.5312549294145525, 1.239132569991735],
+                       'diagnostics': [{'n_train': 180, 'riesz_converged': True},
+                                       {'n_train': 180, 'riesz_converged': True}]},
+ 'os-eff/ls-riesz/3': {'tau_hat': 0.9527801901567137,
+                       'se': 0.1824657885326122,
+                       'ci': [0.5951538162220922, 1.3104065640913352],
+                       'diagnostics': [{'n_train': 240, 'riesz_converged': True},
+                                       {'n_train': 240, 'riesz_converged': True},
+                                       {'n_train': 240, 'riesz_converged': True}]},
+ 'os-eff/mle-g/1': {'tau_hat': 0.9651297416586061,
+                    'se': 0.16743013003047835,
+                    'ci': [0.6369727168720104, 1.2932867664452017],
+                    'diagnostics': [{'n_train': 360, 'g_converged': True}]},
+ 'os-eff/mle-g/2': {'tau_hat': 0.9319959312846188,
+                    'se': 0.17824267898184776,
+                    'ci': [0.5826466999722627, 1.281345162596975],
+                    'diagnostics': [{'n_train': 180, 'g_converged': True},
+                                    {'n_train': 180, 'g_converged': True}]},
+ 'os-eff/mle-g/3': {'tau_hat': 0.9637622640851295,
+                    'se': 0.17883250442060722,
+                    'ci': [0.6132569961556393, 1.3142675320146198],
+                    'diagnostics': [{'n_train': 240, 'g_converged': True},
+                                    {'n_train': 240, 'g_converged': True},
+                                    {'n_train': 240, 'g_converged': True}]},
+ 'os-eff/mu-override': {'tau_hat': 0.989021446692592,
+                        'se': 0.16903177527273147,
+                        'ci': [0.6577252549151702, 1.3203176384700137],
+                        'diagnostics': [{'n_train': 180, 'g_converged': True},
+                                        {'n_train': 180, 'g_converged': True}]},
+ 'os-ipw/fitted': {'tau_hat': 0.9991962366975566,
+                   'se': 0.18063175561789627,
+                   'ci': [0.6451645012222393, 1.353227972172874],
+                   'diagnostics': []},
+ 'os-ra/fitted': {'tau_hat': 0.9458099966862288,
+                  'se': 0.023133799702774613,
+                  'ci': [0.9004685824432271, 0.9911514109292304],
+                  'diagnostics': []},
+ 'ts-eff/fitted/1': {'tau_hat': 0.726400747377497,
+                     'se': 0.12425819170911716,
+                     'ci': [0.4828591668435539, 0.9699423279114402],
+                     'diagnostics': [{'m_train': 300,
+                                      'l_train': 240,
+                                      'e_converged': True,
+                                      'r_converged': True}]},
+ 'ts-eff/fitted/2': {'tau_hat': 0.7051691465326115,
+                     'se': 0.13295939382904007,
+                     'ci': [0.4445735232214159, 0.9657647698438072],
+                     'diagnostics': [{'m_train': 150,
+                                      'l_train': 120,
+                                      'e_converged': True,
+                                      'r_converged': True},
+                                     {'m_train': 150,
+                                      'l_train': 120,
+                                      'e_converged': True,
+                                      'r_converged': True}]},
+ 'ts-eff/fitted/3': {'tau_hat': 0.6797107426520356,
+                     'se': 0.13331758974319036,
+                     'ci': [0.418413068249696, 0.9410084170543751],
+                     'diagnostics': [{'m_train': 200,
+                                      'l_train': 160,
+                                      'e_converged': True,
+                                      'r_converged': True},
+                                     {'m_train': 200,
+                                      'l_train': 160,
+                                      'e_converged': True,
+                                      'r_converged': True},
+                                     {'m_train': 200,
+                                      'l_train': 160,
+                                      'e_converged': True,
+                                      'r_converged': True}]},
+ 'ts-eff/overrides': {'tau_hat': 0.7067718527901266,
+                      'se': 0.125457231375217,
+                      'ci': [0.46088019769459276, 0.9526635078856603],
+                      'diagnostics': [{'m_train': 150, 'l_train': 120},
+                                      {'m_train': 150, 'l_train': 120}]},
+ 'mc/os-eff': {'scenario': 'one-sample',
+               'estimator': 'os-eff',
+               'sizes': {'n': 250},
+               'reps_completed': 4,
+               'mean_tau_hat': 0.7450690560640381,
+               'tau0': 0.8,
+               'mc_bias': -0.054930943935961984,
+               'mc_se_of_bias': 0.04964587480552389,
+               'scaled_variance': 2.4647128852057514,
+               'bound_value': 8.027082627883315,
+               'coverage': 1.0,
+               'mean_se': 0.1964973440877283,
+               'level': 0.95,
+               'seed': 11,
+               'failures': []},
+ 'mc/os-eff/true-g': {'scenario': 'one-sample',
+                      'estimator': 'os-eff',
+                      'sizes': {'n': 250},
+                      'reps_completed': 4,
+                      'mean_tau_hat': 0.7740750268736956,
+                      'tau0': 0.8,
+                      'mc_bias': -0.025924973126304485,
+                      'mc_se_of_bias': 0.049830624747868243,
+                      'scaled_variance': 2.483091162762859,
+                      'bound_value': 8.027082627883315,
+                      'coverage': 1.0,
+                      'mean_se': 0.17252966743590264,
+                      'level': 0.95,
+                      'seed': 11,
+                      'failures': []},
+ 'mc/os-eff/zero-mu': {'scenario': 'one-sample',
+                       'estimator': 'os-eff',
+                       'sizes': {'n': 250},
+                       'reps_completed': 4,
+                       'mean_tau_hat': 0.7903741225746773,
+                       'tau0': 0.8,
+                       'mc_bias': -0.009625877425322726,
+                       'mc_se_of_bias': 0.061936786725067326,
+                       'scaled_variance': 3.8361655498264757,
+                       'bound_value': 8.027082627883315,
+                       'coverage': 1.0,
+                       'mean_se': 0.23019210036332177,
+                       'level': 0.95,
+                       'seed': 11,
+                       'failures': []},
+ 'mc/os-ipw': {'scenario': 'one-sample',
+               'estimator': 'os-ipw',
+               'sizes': {'n': 250},
+               'reps_completed': 4,
+               'mean_tau_hat': 0.7819500980789982,
+               'tau0': 0.8,
+               'mc_bias': -0.018049901921001865,
+               'mc_se_of_bias': 0.05743945250088066,
+               'scaled_variance': 3.2992907036009256,
+               'bound_value': 11.019013879835335,
+               'coverage': 1.0,
+               'mean_se': 0.20833241180701367,
+               'level': 0.95,
+               'seed': 11,
+               'failures': []},
+ 'mc/os-ra': {'scenario': 'one-sample',
+              'estimator': 'os-ra',
+              'sizes': {'n': 250},
+              'reps_completed': 4,
+              'mean_tau_hat': 0.7937223184803146,
+              'tau0': 0.8,
+              'mc_bias': -0.006277681519685441,
+              'mc_se_of_bias': 0.05638776001417399,
+              'scaled_variance': 3.1795794794160788,
+              'bound_value': None,
+              'coverage': 0.5,
+              'mean_se': 0.027784248257439595,
+              'level': 0.95,
+              'seed': 11,
+              'failures': []},
+ 'mc/ts-eff': {'scenario': 'two-sample',
+               'estimator': 'ts-eff',
+               'sizes': {'m': 200, 'l': 150},
+               'reps_completed': 4,
+               'mean_tau_hat': 0.7857543873059266,
+               'tau0': 0.84,
+               'mc_bias': -0.05424561269407335,
+               'mc_se_of_bias': 0.02794527252181436,
+               'scaled_variance': 1.0933135588458618,
+               'bound_value': 8.33394117476774,
+               'coverage': 1.0,
+               'mean_se': 0.15561761378866895,
+               'level': 0.95,
+               'seed': 12,
+               'failures': []},
+ 'mc/ts-eff/true-r': {'scenario': 'two-sample',
+                      'estimator': 'ts-eff',
+                      'sizes': {'m': 200, 'l': 150},
+                      'reps_completed': 4,
+                      'mean_tau_hat': 0.7717921219504603,
+                      'tau0': 0.84,
+                      'mc_bias': -0.06820787804953965,
+                      'mc_se_of_bias': 0.02212789073688339,
+                      'scaled_variance': 0.6855009678488295,
+                      'bound_value': 8.33394117476774,
+                      'coverage': 1.0,
+                      'mean_se': 0.15472943940814368,
+                      'level': 0.95,
+                      'seed': 12,
+                      'failures': []}}

@@ -13,7 +13,6 @@ from ssate import (
     fit_density_ratio,
     fit_e_model,
     fit_gmodel_mle,
-    fit_outcome,
     fit_outcome_both,
     fit_riesz,
     riesz_loss,
@@ -41,16 +40,16 @@ class TestFitOutcome:
         x = np.array([[0.0], [1.0]])
         d = np.array([1, 1])
         y = np.array([0.0, 1.0])
-        m = fit_outcome(x, d, y, arm=1, ridge_lambda=0.0)
+        m = fit_outcome_both(x, d, y, ridge_lambda=0.0)
         grid = np.array([[0.0], [0.5], [1.0]])
-        assert np.allclose(m.predict(1, grid), grid.ravel(), atol=1e-12)
+        assert np.allclose(m(1, grid), grid.ravel(), atol=1e-12)
 
     def test_huge_ridge_shrinks_to_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 1))
         y = rng.normal(size=50) + 3
-        m = fit_outcome(x, np.ones(50), y, arm=1, ridge_lambda=1e12)
-        assert np.max(np.abs(m.predict(1, x))) < 1e-6
+        m = fit_outcome_both(x, np.ones(50), y, ridge_lambda=1e12)
+        assert np.max(np.abs(m(1, x))) < 1e-6
 
     def test_ridge_monotonicity(self):
         rng = np.random.default_rng(1)
@@ -58,26 +57,34 @@ class TestFitOutcome:
         y = rng.normal(size=60) + x[:, 0]
         norms = []
         for lam in (1e-6, 1e-2, 1.0, 100.0):
-            m = fit_outcome(x, np.ones(60), y, arm=1, ridge_lambda=lam)
+            m = fit_outcome_both(x, np.ones(60), y, ridge_lambda=lam)
             norms.append(np.linalg.norm(m.coef[1]))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_consistency_on_reference_dgp(self, d1):
         data = sample_one(d1, 40000, 5)
         xl, dl, yl = data.labeled_arrays()
-        m = fit_outcome(xl, dl, yl, arm=1)
+        m = fit_outcome_both(xl, dl, yl)
         grid = np.array([[0.0], [1.0]])
-        assert np.allclose(m.predict(1, grid), [0.0, 1.0], atol=0.05)
+        assert np.allclose(m(1, grid), [0.0, 1.0], atol=0.05)
 
     def test_insufficient_arm(self):
+        x = np.array([[0.0]])
         with pytest.raises(InsufficientArmData):
-            fit_outcome(np.array([[0.0]]), np.array([0]), np.array([1.0]), arm=1)
+            fit_outcome_both(x, np.array([0]), np.array([1.0]))(1, x)
+
+    def test_arm_without_rows_is_unfitted(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        m = fit_outcome_both(x, np.zeros(3), np.array([1.0, 2.0, 3.0]), ridge_lambda=0.0)
+        assert np.allclose(m(0, x), [1.0, 2.0, 3.0], atol=1e-12)
+        with pytest.raises(InsufficientArmData, match="arm 1 has 0 rows"):
+            m(1, x)
 
     def test_clipping(self):
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0.0, 100.0, 200.0])
-        m = fit_outcome(x, np.ones(3), y, arm=1, ridge_lambda=0.0, clip_c=50.0)
-        assert np.all(np.abs(m.predict(1, np.array([[10.0]]))) <= 50.0)
+        m = fit_outcome_both(x, np.ones(3), y, ridge_lambda=0.0, clip_c=50.0)
+        assert np.all(np.abs(m(1, np.array([[10.0]]))) <= 50.0)
 
 
 class TestGModel:
@@ -88,22 +95,22 @@ class TestGModel:
         y = np.zeros(40)
         data = OneSampleDataset.from_arrays(x, o, d, y)
         g = fit_gmodel_mle(data, clip_eps=0.001)
-        assert np.allclose(g.g(1, x[:1]), 0.25, atol=1e-4)
-        assert np.allclose(g.g(0, x[:1]), 0.25, atol=1e-4)
+        assert np.allclose(g(1, x[:1]), 0.25, atol=1e-4)
+        assert np.allclose(g(0, x[:1]), 0.25, atol=1e-4)
 
     def test_reference_dgp_fit(self, d1):
         data = sample_one(d1, 20000, 6)
         g = fit_gmodel_mle(data)
         grid = np.array([[0.0], [1.0]])
-        assert np.allclose(g.g(1, grid), 0.25, atol=0.03)
-        assert np.allclose(g.g(0, grid), 0.25, atol=0.03)
+        assert np.allclose(g(1, grid), 0.25, atol=0.03)
+        assert np.allclose(g(0, grid), 0.25, atol=0.03)
 
     def test_clamp(self):
         basis = BasisSpec().fit(np.zeros((1, 1)))
         # weights force a tiny raw probability for class (o=1, d=1)
         weights = np.array([[-10.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         g = GModel(basis=basis, weights=weights, clip_eps=0.05)
-        assert np.allclose(g.g(1, np.zeros((1, 1))), 0.05)
+        assert np.allclose(g(1, np.zeros((1, 1))), 0.05)
 
     def test_class_absent(self):
         x = np.zeros((4, 1))
@@ -302,7 +309,7 @@ class TestTmle:
                            theta1=np.array([1.0, 0.0]), theta0=np.zeros(2))
         out = tmle_fluctuate(mu, alpha, x, d, y)
         r_bar = float(np.mean(y[d == 1]))
-        assert np.allclose(out.predict(1, x) - mu.predict(1, x), r_bar)
+        assert np.allclose(out(1, x) - mu(1, x), r_bar)
         av = np.where(d == 1, alpha.a1(x), alpha.a0(x))
         assert abs(np.sum(av * (y - out.predict_rows(d, x)))) <= 1e-8 * len(y)
 
@@ -315,7 +322,7 @@ class TestTmle:
                            theta1=np.array([1.0, 0.0]), theta0=np.zeros(2))
         out = tmle_fluctuate(mu, alpha, x, d, y)
         assert out.fluctuations[-1][1] == 0.0
-        assert np.array_equal(out.predict(1, x), mu.predict(1, x))
+        assert np.array_equal(out(1, x), mu(1, x))
 
     def test_zero_denominator(self):
         x = np.array([[0.0]])
@@ -360,7 +367,7 @@ class TestDdml:
         mu, alpha, _ = ddml_iterate(data, n_steps=3)
         av = alpha.alpha(data.o, data.d, data.x)
         res = np.where(data.o == 1, data.y - mu.predict_rows(data.d, data.x), 0.0)
-        tau = np.mean(av * res + mu.predict(1, data.x) - mu.predict(0, data.x))
+        tau = np.mean(av * res + mu(1, data.x) - mu(0, data.x))
         assert abs(tau - 0.5) < 0.1
 
 
@@ -369,13 +376,13 @@ class TestEModel:
         x = np.zeros((10, 1))
         d = np.array([1] * 4 + [0] * 6)
         m = fit_e_model(x, d)
-        assert np.allclose(m.e(1, x[:1]), 0.4, atol=1e-6)
+        assert np.allclose(m(1, x[:1]), 0.4, atol=1e-6)
 
     def test_reference_dgp(self, d2):
         ts = sample_two(d2, 20000, 10, 21)
         m = fit_e_model(ts.x, ts.d)
         grid = np.array([[0.0], [1.0]])
-        assert np.allclose(m.e(1, grid), 0.5, atol=0.03)
+        assert np.allclose(m(1, grid), 0.5, atol=0.03)
 
     def test_all_treated(self):
         with pytest.raises(ClassAbsent):
@@ -389,7 +396,7 @@ class TestDensityRatio:
         xb = rng.normal(size=(10000, 1))
         m = fit_density_ratio(xa, xb)
         grid = np.array([[-1.0], [0.0], [1.0]])
-        assert np.allclose(m.ratio(grid), 1.0, atol=0.1)
+        assert np.allclose(m(grid), 1.0, atol=0.1)
 
     def test_trivial_classifier_exact_one(self):
         from ssate.nuisance import DensityRatioModel
@@ -397,7 +404,7 @@ class TestDensityRatio:
         basis = BasisSpec().fit(np.zeros((1, 1)))
         m = DensityRatioModel(basis=basis, weights=np.zeros(2),
                               prior_correction=1.0, clip=(0.01, 100.0))
-        assert np.allclose(m.ratio(np.array([[5.0]])), 1.0)
+        assert np.allclose(m(np.array([[5.0]])), 1.0)
 
     def test_clip(self):
         from ssate.nuisance import DensityRatioModel
@@ -405,7 +412,7 @@ class TestDensityRatio:
         basis = BasisSpec().fit(np.zeros((1, 1)))
         m = DensityRatioModel(basis=basis, weights=np.array([0.0, 10.0]),
                               prior_correction=1.0, clip=(0.5, 2.0))
-        vals = m.ratio(np.array([[-5.0], [5.0]]))
+        vals = m(np.array([[-5.0], [5.0]]))
         assert vals[0] == 0.5 and vals[1] == 2.0
 
 
