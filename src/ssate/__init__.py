@@ -8,15 +8,11 @@ __version__ = "0.1.0"
 
 from .datamodel import (
     FoldPlan,
-    LabeledRow,
     OneSampleDataset,
-    OneSampleRow,
     TwoSampleDataset,
     make_fold_plan,
     read_one_sample_csv,
     read_two_sample_csv,
-    validate_one_sample,
-    validate_two_sample,
     write_one_sample_csv,
 )
 from .errors import SsateError

@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import __version__
 from .datamodel import read_one_sample_csv, read_two_sample_csv
-from .errors import BadFoldCount, BadLevel, ReportIncomplete, SsateError
-from .estimators import NuisanceConfig, estimate_os_eff, estimate_ts_eff
+from .errors import ReportIncomplete, SsateError
+from .estimators import NuisanceConfig, check_run_args, estimate_os_eff, estimate_ts_eff
 from .oracle import (
     dgp_from_dict,
     oracle_bounds,
@@ -111,10 +111,7 @@ def _run_args(cfg: dict, n: int):
     """Checked (folds, seed, level); ``n`` is the size of the smallest sample."""
     folds, seed, level = (_number(cfg, "folds", True), _number(cfg, "seed", True),
                           _number(cfg, "level"))
-    if not 1 <= folds <= n:
-        raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {folds}")
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    check_run_args(folds, level, n)
     return folds, seed, level
 
 

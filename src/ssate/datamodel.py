@@ -1,16 +1,18 @@
-"""Dataset containers, missing-value validation, fold plans and CSV I/O.
+"""Dataset containers, validation, fold plans and CSV I/O.
 
 One-sample data couple the observation indicator ``o`` with the presence
-of treatment and outcome: ``o == 1`` iff both are present. Missing values
-are represented internally by ``None`` (never by NaN sentinels) and in
-CSV files by the literal token ``NA``.
+of treatment and outcome: ``o == 1`` iff both are present. The arrays
+hold 0 in the ``d`` and ``y`` slots of unlabeled rows; only CSV files
+spell a missing value, as the literal token ``NA``. Every dataset, read
+from a file or built in memory, is validated once, by ``from_arrays``.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -21,29 +23,33 @@ from .errors import (
     EmptyDataset,
     NaCouplingViolation,
     NonfiniteValue,
+    SsateError,
 )
 
 MISSING_TOKEN = "NA"
 
 
-@dataclass(frozen=True)
-class OneSampleRow:
-    x: tuple
-    o: int
-    d: Optional[int]
-    y: Optional[float]
+def _is_indicator(a: np.ndarray) -> np.ndarray:
+    """Elementwise: the value is exactly 0 or 1, checked before any integer cast."""
+    return (a == 0) | (a == 1)
 
 
-@dataclass(frozen=True)
-class LabeledRow:
-    x: tuple
-    d: int
-    y: float
+def _check_rows(ok: np.ndarray, error, message: str, sample: str = "") -> None:
+    """Raise ``error`` naming the first row where ``ok`` is false.
+
+    The error carries that row and ``sample`` as ``row`` and ``sample``,
+    so a CSV reader can name the file line instead.
+    """
+    if not ok.all():
+        row = int(np.argmin(ok))
+        exc = error(f"{sample}row {row}: {message}")
+        exc.row, exc.sample = row, sample
+        raise exc
 
 
-def _is_indicator(a: np.ndarray) -> bool:
-    """Every value is exactly 0 or 1, checked before any integer cast."""
-    return bool(np.all((a == 0) | (a == 1)))
+def _covariates(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -90,34 +96,21 @@ class OneSampleDataset:
         m = self.labeled_mask
         return self.x[m], self.d[m], self.y[m]
 
-    def rows(self) -> Iterator[OneSampleRow]:
-        for i in range(self.n):
-            if self.o[i] == 1:
-                yield OneSampleRow(tuple(self.x[i]), 1, int(self.d[i]), float(self.y[i]))
-            else:
-                yield OneSampleRow(tuple(self.x[i]), 0, None, None)
-
     @staticmethod
     def from_arrays(x, o, d, y) -> "OneSampleDataset":
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        o = np.asarray(o)
-        d = np.asarray(d)
-        y = np.asarray(y, dtype=float)
+        """Validate and freeze the arrays; ``d`` and ``y`` are read only where o == 1."""
+        x = _covariates(x)
+        o, d, y = np.asarray(o), np.asarray(d), np.asarray(y, dtype=float)
         if x.shape[0] == 0:
             raise EmptyDataset("dataset must contain at least one row")
         if not (x.shape[0] == o.shape[0] == d.shape[0] == y.shape[0]):
             raise DimMismatch("array lengths disagree")
-        if not np.all(np.isfinite(x)):
-            raise NonfiniteValue("covariates must be finite")
-        if not _is_indicator(o):
-            raise BadIndicator("observation indicator must be 0 or 1")
+        _check_rows(np.isfinite(x).all(axis=1), NonfiniteValue, "covariates must be finite")
+        _check_rows(_is_indicator(o), BadIndicator, "observation indicator must be 0 or 1")
         lab = o == 1
-        if not _is_indicator(d[lab]):
-            raise BadIndicator("treatment indicator must be 0 or 1 on labeled rows")
-        if not np.all(np.isfinite(y[lab])):
-            raise NonfiniteValue("labeled outcomes must be finite")
+        _check_rows(~lab | _is_indicator(d), BadIndicator,
+                    "treatment indicator must be 0 or 1 on labeled rows")
+        _check_rows(~lab | np.isfinite(y), NonfiniteValue, "labeled outcomes must be finite")
         o = o.astype(np.int8)
         d = np.where(lab, d, 0).astype(np.int8)
         y = np.where(lab, y, 0.0)
@@ -147,20 +140,11 @@ class TwoSampleDataset:
     def n_total(self) -> int:
         return self.m + self.l
 
-    def labeled_rows(self) -> Iterator[LabeledRow]:
-        for j in range(self.m):
-            yield LabeledRow(tuple(self.x[j]), int(self.d[j]), float(self.y[j]))
-
     @staticmethod
     def from_arrays(x, d, y, z) -> "TwoSampleDataset":
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if z.ndim == 1:
-            z = z[:, None]
-        d = np.asarray(d)
-        y = np.asarray(y, dtype=float)
+        """Validate and freeze the labeled (x, d, y) and unlabeled z arrays."""
+        x, z = _covariates(x), _covariates(z)
+        d, y = np.asarray(d), np.asarray(y, dtype=float)
         if x.shape[0] == 0 or z.shape[0] == 0:
             raise EmptyDataset("both labeled and unlabeled samples must be nonempty")
         if x.shape[1] != z.shape[1]:
@@ -169,72 +153,15 @@ class TwoSampleDataset:
             )
         if not (x.shape[0] == d.shape[0] == y.shape[0]):
             raise DimMismatch("labeled array lengths disagree")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-            raise NonfiniteValue("covariates must be finite")
-        if not np.all(np.isfinite(y)):
-            raise NonfiniteValue("outcomes must be finite")
-        if not _is_indicator(d):
-            raise BadIndicator("treatment indicator must be 0 or 1")
+        _check_rows(np.isfinite(x).all(axis=1), NonfiniteValue, "covariates must be finite",
+                    "labeled ")
+        _check_rows(np.isfinite(z).all(axis=1), NonfiniteValue, "covariates must be finite",
+                    "unlabeled ")
+        _check_rows(np.isfinite(y), NonfiniteValue, "outcome must be finite", "labeled ")
+        _check_rows(_is_indicator(d), BadIndicator, "treatment indicator must be 0 or 1",
+                    "labeled ")
         return TwoSampleDataset(_as_readonly(x), _as_readonly(d.astype(np.int8)), _as_readonly(y),
                                 _as_readonly(z))
-
-
-def validate_one_sample(rows: Sequence[OneSampleRow]) -> OneSampleDataset:
-    """Check the NA coupling and dimension invariants row by row."""
-    if len(rows) == 0:
-        raise EmptyDataset("dataset must contain at least one row")
-    k = len(rows[0].x)
-    n = len(rows)
-    x = np.empty((n, k))
-    o = np.empty(n, dtype=np.int8)
-    d = np.zeros(n, dtype=np.int8)
-    y = np.zeros(n)
-    for i, row in enumerate(rows):
-        if len(row.x) != k:
-            raise DimMismatch(f"row {i}: covariate dimension {len(row.x)} != {k}")
-        if row.o not in (0, 1):
-            raise BadIndicator(f"row {i}: observation indicator must be 0 or 1, got {row.o!r}")
-        if row.o == 1:
-            if row.d is None or row.y is None:
-                raise NaCouplingViolation(f"row {i}: o=1 requires both d and y to be present")
-            if row.d not in (0, 1):
-                raise BadIndicator(f"row {i}: treatment must be 0 or 1, got {row.d!r}")
-            if not np.isfinite(row.y):
-                raise NonfiniteValue(f"row {i}: outcome must be finite")
-            d[i] = row.d
-            y[i] = row.y
-        else:
-            if row.d is not None or row.y is not None:
-                raise NaCouplingViolation(f"row {i}: o=0 forbids present d or y")
-        xi = np.asarray(row.x, dtype=float)
-        if not np.all(np.isfinite(xi)):
-            raise NonfiniteValue(f"row {i}: covariates must be finite")
-        x[i] = xi
-        o[i] = row.o
-    return OneSampleDataset.from_arrays(x, o, d, y)
-
-
-def validate_two_sample(
-    labeled: Sequence[LabeledRow], unlabeled: Sequence[Sequence[float]]
-) -> TwoSampleDataset:
-    if len(labeled) == 0 or len(unlabeled) == 0:
-        raise EmptyDataset("both labeled and unlabeled samples must be nonempty")
-    k = len(labeled[0].x)
-    for j, row in enumerate(labeled):
-        if len(row.x) != k:
-            raise DimMismatch(f"labeled row {j}: covariate dimension {len(row.x)} != {k}")
-        if row.d not in (0, 1):
-            raise BadIndicator(f"labeled row {j}: treatment must be 0 or 1, got {row.d!r}")
-        if row.y is None or not np.isfinite(row.y):
-            raise NonfiniteValue(f"labeled row {j}: outcome must be finite")
-    for kk, zrow in enumerate(unlabeled):
-        if len(zrow) != k:
-            raise DimMismatch(f"unlabeled row {kk}: covariate dimension {len(zrow)} != {k}")
-    x = np.asarray([row.x for row in labeled], dtype=float)
-    d = np.asarray([row.d for row in labeled], dtype=np.int8)
-    y = np.asarray([row.y for row in labeled], dtype=float)
-    z = np.asarray([list(zrow) for zrow in unlabeled], dtype=float)
-    return TwoSampleDataset.from_arrays(x, d, y, z)
 
 
 @dataclass(frozen=True)
@@ -266,115 +193,110 @@ def make_fold_plan(n: int, n_folds: int, seed: int) -> FoldPlan:
 
 
 # ---------------------------------------------------------------------------
-# CSV schemas
+# CSV schemas: x1,...,xk followed by each schema's own columns. Readers
+# stream every token through float() into flat buffers, then hand the
+# columns to from_arrays; writers format one row at a time.
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    # repr round-trips doubles exactly
-    return repr(float(v))
+def _stream(path, tail: tuple, take) -> int:
+    """Check the header ``x1,...,xk`` + ``tail`` of the CSV at ``path``, then
+    hand each data line's fields to ``take``; returns k.
+
+    Every line must have the header's field count, and a token ``float``
+    rejects is a NonfiniteValue naming its line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataset(f"{path}: empty file")
+        k = len(header) - len(tail)
+        if k < 1 or header[k:] != list(tail):
+            raise DimMismatch(f"{path}, line 1: header must be {','.join(['x1,...,xk', *tail])}")
+        for lineno, fields in enumerate(reader, start=2):
+            if len(fields) != len(header):
+                raise DimMismatch(f"{path}, line {lineno}: expected {len(header)} fields")
+            try:
+                take(fields)
+            except ValueError as exc:
+                raise NonfiniteValue(f"{path}, line {lineno}: {exc}") from None
+    return k
 
 
-def _parse_float(token: str, where: str) -> float:
+@contextmanager
+def _at_lines(paths: dict):
+    """Re-raise a row error from ``from_arrays`` as the same class naming the
+    file and line of that row; ``paths`` maps each sample prefix to its file."""
     try:
-        return float(token)
-    except ValueError:
-        raise NonfiniteValue(f"{where}: cannot parse {token!r} as a number") from None
+        yield
+    except SsateError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise type(exc)(f"{paths[exc.sample]}, line {exc.row + 2}: {exc}") from None
 
 
-def _parse_indicator(token: str, where: str) -> int:
-    """Indicators must read exactly 0 or 1; 1.5 is rejected, not truncated."""
-    value = _parse_float(token, where)
-    if value not in (0.0, 1.0):
-        raise BadIndicator(f"{where}: indicator must be 0 or 1, got {token!r}")
-    return int(value)
+def _write(path, k: int, tail: tuple, rows) -> None:
+    """Write the header and ``rows``, taken one at a time; floats are written
+    with repr, which round-trips them exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(k)] + list(tail))
+        writer.writerows(rows)
 
 
 def read_one_sample_csv(path) -> OneSampleDataset:
-    """Read `x1,...,xk,o,d,y` with MISSING spelled `NA`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path}: empty file")
-        k = len(header) - 3
-        if k < 1 or header[k:] != ["o", "d", "y"]:
-            raise DimMismatch(f"{path}: header must be x1,...,xk,o,d,y")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != k + 3:
-                raise DimMismatch(f"{path}, line {lineno}: expected {k + 3} fields")
-            x = tuple(_parse_float(t, f"{path}, line {lineno}") for t in rec[:k])
-            o = _parse_indicator(rec[k], f"{path}, line {lineno}")
-            d = None if rec[k + 1] == MISSING_TOKEN else _parse_indicator(rec[k + 1], f"{path}, line {lineno}")
-            y = None if rec[k + 2] == MISSING_TOKEN else _parse_float(rec[k + 2], f"{path}, line {lineno}")
-            rows.append(OneSampleRow(x, o, d, y))
-    return validate_one_sample(rows)
+    """Read `x1,...,xk,o,d,y`, where `d` and `y` are `NA` exactly when o=0."""
+    x, o, d, y, n_missing = array("d"), array("d"), array("d"), array("d"), array("b")
+
+    def take(fields):
+        x.extend(map(float, fields[:-3]))
+        o.append(float(fields[-3]))
+        d_missing, y_missing = fields[-2] == MISSING_TOKEN, fields[-1] == MISSING_TOKEN
+        d.append(0.0 if d_missing else float(fields[-2]))
+        y.append(0.0 if y_missing else float(fields[-1]))
+        n_missing.append(d_missing + y_missing)
+
+    k = _stream(path, ("o", "d", "y"), take)
+    obs, n_na = np.asarray(o), np.asarray(n_missing)
+    with _at_lines({"": path}):
+        # the NA token is the one rule of the file itself; rows whose o is
+        # not an indicator are left to from_arrays
+        _check_rows((obs != 1) | (n_na == 0), NaCouplingViolation,
+                    "o=1 requires both d and y to be present")
+        _check_rows((obs != 0) | (n_na == 2), NaCouplingViolation, "o=0 forbids present d or y")
+        return OneSampleDataset.from_arrays(np.reshape(x, (-1, k)), obs, d, y)
 
 
 def write_one_sample_csv(data: OneSampleDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(data.k)] + ["o", "d", "y"])
-        for row in data.rows():
-            rec = [_fmt(v) for v in row.x]
-            rec.append(str(row.o))
-            rec.append(MISSING_TOKEN if row.d is None else str(row.d))
-            rec.append(MISSING_TOKEN if row.y is None else _fmt(row.y))
-            writer.writerow(rec)
-
-
-def read_labeled_csv(path):
-    """Read `x1,...,xk,d,y` into (x, d, y) arrays of LabeledRow values."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path}: empty file")
-        k = len(header) - 2
-        if k < 1 or header[k:] != ["d", "y"]:
-            raise DimMismatch(f"{path}: header must be x1,...,xk,d,y")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != k + 2:
-                raise DimMismatch(f"{path}, line {lineno}: expected {k + 2} fields")
-            x = tuple(_parse_float(t, f"{path}, line {lineno}") for t in rec[:k])
-            d = _parse_indicator(rec[k], f"{path}, line {lineno}")
-            y = _parse_float(rec[k + 1], f"{path}, line {lineno}")
-            rows.append(LabeledRow(x, d, y))
-    return rows
-
-
-def read_unlabeled_csv(path):
-    """Read `x1,...,xk` into a list of covariate tuples."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path}: empty file")
-        k = len(header)
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != k:
-                raise DimMismatch(f"{path}, line {lineno}: expected {k} fields")
-            rows.append(tuple(_parse_float(t, f"{path}, line {lineno}") for t in rec))
-    return rows
+    missing = (MISSING_TOKEN, MISSING_TOKEN)
+    x_rows = map(np.ndarray.tolist, data.x)
+    _write(path, data.k, ("o", "d", "y"), (
+        [*map(repr, xi), "1", str(di), repr(yi)] if oi == 1 else [*map(repr, xi), "0", *missing]
+        for xi, oi, di, yi in zip(x_rows, memoryview(data.o), memoryview(data.d),
+                                  memoryview(data.y))))
 
 
 def read_two_sample_csv(labeled_path, unlabeled_path) -> TwoSampleDataset:
-    return validate_two_sample(read_labeled_csv(labeled_path), read_unlabeled_csv(unlabeled_path))
+    """Read a labeled `x1,...,xk,d,y` CSV and an unlabeled `x1,...,xk` CSV."""
+    x, d, y, z = array("d"), array("d"), array("d"), array("d")
+
+    def take_labeled(fields):
+        x.extend(map(float, fields[:-2]))
+        d.append(float(fields[-2]))
+        y.append(float(fields[-1]))
+
+    k = _stream(labeled_path, ("d", "y"), take_labeled)
+    k_z = _stream(unlabeled_path, (), lambda fields: z.extend(map(float, fields)))
+    with _at_lines({"labeled ": labeled_path, "unlabeled ": unlabeled_path}):
+        return TwoSampleDataset.from_arrays(np.reshape(x, (-1, k)), d, y, np.reshape(z, (-1, k_z)))
 
 
 def write_labeled_csv(data: TwoSampleDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(data.k)] + ["d", "y"])
-        for row in data.labeled_rows():
-            writer.writerow([_fmt(v) for v in row.x] + [str(row.d), _fmt(row.y)])
+    x_rows = map(np.ndarray.tolist, data.x)
+    _write(path, data.k, ("d", "y"), (
+        [*map(repr, xi), str(di), repr(yi)]
+        for xi, di, yi in zip(x_rows, memoryview(data.d), memoryview(data.y))))
 
 
 def write_unlabeled_csv(data: TwoSampleDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(data.k)])
-        for zrow in data.z:
-            writer.writerow([_fmt(v) for v in zrow])
+    _write(path, data.k, (), (map(repr, zi) for zi in map(np.ndarray.tolist, data.z)))

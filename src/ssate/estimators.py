@@ -9,7 +9,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .datamodel import OneSampleDataset, TwoSampleDataset, make_fold_plan
-from .errors import BadLevel, FoldTooSmall
+from .errors import BadFoldCount, BadLevel, DomainViolation, FoldTooSmall
 from .nuisance import (
     BasisSpec,
     assemble_v_beta,
@@ -73,6 +73,14 @@ def ci(tau_hat: float, se: float, level: float) -> Tuple[float, float]:
         raise ValueError("se must be nonnegative")
     z = float(norm.ppf(0.5 * (1.0 + level)))
     return (tau_hat - z * se, tau_hat + z * se)
+
+
+def check_run_args(n_folds: int, level: float, n: int) -> None:
+    """Reject a fold count outside 1..n, ``n`` the smallest sample, or a level outside (0, 1)."""
+    if not 1 <= n_folds <= n:
+        raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {n_folds}")
+    if not 0.0 < level < 1.0:
+        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
 
 
 def _reporter(level: float, method: str, sizes: dict, folds: int = 1,
@@ -277,7 +285,7 @@ def estimate_ts_eff(
     m, l = data.m, data.l
     report = _reporter(level, "TS-eff", {"m": m, "l": l}, n_folds, seed)
     if not 0.0 <= beta_star <= 1.0:
-        raise ValueError("beta_star must lie in [0, 1]")
+        raise DomainViolation(f"beta_star must lie in [0, 1], got {beta_star}")
     seed_m, seed_l = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     s_xdy, s_x_lab, s_x_unl = np.empty(m), np.empty(m), np.empty(l)
 

@@ -10,9 +10,10 @@ from typing import Optional
 import numpy as np
 
 from .datamodel import OneSampleDataset, TwoSampleDataset
-from .errors import ReportIncomplete, SsateError
+from .errors import DomainViolation, ReportIncomplete, SsateError
 from .estimators import (
     NuisanceConfig,
+    check_run_args,
     estimate_os_eff,
     estimate_os_ipw,
     estimate_os_ra,
@@ -135,6 +136,10 @@ class McConfig:
                 raise ValueError("two-sample studies need m, l >= 1")
             if self.beta_star is None:
                 raise ValueError("two-sample studies need beta_star")
+            if not 0.0 <= self.beta_star <= 1.0:
+                raise DomainViolation(f"beta_star must lie in [0, 1], got {self.beta_star}")
+        check_run_args(self.n_folds, self.level,
+                       self.n if self.scenario == "one-sample" else min(self.m, self.l))
 
 
 @dataclass

@@ -4,9 +4,12 @@
 it (``ssate.estimators.fit_outcome_both``, ``ssate.optimize.minimize_gd``,
 ``ssate.cli._emit``, ...). A dropped name makes ``install`` raise; a moved
 one, or a call through a reference stored at import time, silently leaves
-its layer unmeasured. These tests catch both.
+its layer unmeasured. ``perfbench/run.py`` calls the CSV readers and
+writers through ``ssate.datamodel`` by name as well. These tests catch
+both.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -16,10 +19,12 @@ import pytest
 import ssate
 import ssate.cli
 from ssate import McConfig, dgp_d1, sample_one, sample_two
+from ssate.datamodel import write_one_sample_csv
 from ssate.estimators import NuisanceConfig
 from ssate.oracle import dgp_to_dict
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +87,30 @@ def test_traced_calls_reach_every_layer(spans, tmp_path):
     assert expected <= set(names), sorted(expected - set(names))
     # one fold plan per one-sample estimate (3 + 2 replications), two per two-sample one
     assert names.count("datamodel.make_fold_plan") == 7
+
+
+def test_run_py_datamodel_names_exist():
+    """Every ``datamodel.<name>`` that perfbench/run.py uses is in ssate.datamodel."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and (getattr(node.value, "id", None) == "datamodel"
+                  or getattr(node.value, "attr", None) == "datamodel")}
+    assert {"read_one_sample_csv", "write_one_sample_csv", "write_labeled_csv"} <= names
+    missing = sorted(name for name in names if not hasattr(ssate.datamodel, name))
+    assert not missing, missing
+
+
+def test_traced_cli_reads_through_datamodel(spans, tmp_path):
+    path = tmp_path / "os.csv"
+    write_one_sample_csv(sample_one(dgp_d1(), 300, 1), path)
+    tracer = spans.Tracer()
+    spans.install(tracer, ssate)
+    try:
+        assert ssate.cli.main(["estimate-os", "--input", str(path),
+                               "--output", str(tmp_path / "r.json")]) == 0
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert "datamodel.read_one_sample_csv" in names
+    assert "datamodel.from_arrays" in names

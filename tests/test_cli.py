@@ -118,6 +118,18 @@ class TestConfigErrors:
                                     "nuisance": {"degree": "two"}}))
         assert main(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        {"folds": 1000}, {"folds": 0}, {"level": 1.5},
+        {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": 1.5},
+        {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "folds": 1000},
+    ])
+    def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 3,
+                                    **extra}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "replications failed" not in capsys.readouterr().err
+
     def test_fractional_indicator_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,o,d,y\n0.0,1.5,1,2.0\n")

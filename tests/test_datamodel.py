@@ -1,19 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssate import (
-    OneSampleDataset,
-    OneSampleRow,
-    LabeledRow,
-    make_fold_plan,
-    validate_one_sample,
-    validate_two_sample,
-)
+from ssate import OneSampleDataset, TwoSampleDataset, make_fold_plan
 from ssate.datamodel import (
     read_one_sample_csv,
-    read_labeled_csv,
     read_two_sample_csv,
     write_labeled_csv,
     write_one_sample_csv,
@@ -29,74 +23,103 @@ from ssate.errors import (
 )
 
 
+def one_sample_csv(tmp_path, text):
+    path = tmp_path / "os.csv"
+    path.write_text(text)
+    return path
+
+
+def two_sample_csvs(tmp_path, labeled, unlabeled):
+    lab, unl = tmp_path / "lab.csv", tmp_path / "unl.csv"
+    lab.write_text(labeled)
+    unl.write_text(unlabeled)
+    return lab, unl
+
+
 class TestValidateOneSample:
     def test_counts(self):
-        rows = [
-            OneSampleRow((0.0,), 1, 1, 2.0),
-            OneSampleRow((1.0,), 0, None, None),
-        ]
-        ds = validate_one_sample(rows)
+        ds = OneSampleDataset.from_arrays([[0.0], [1.0]], [1, 0], [1, 0], [2.0, 0.0])
         assert ds.n == 2 and ds.n_labeled == 1 and ds.n_unlabeled == 1
 
-    def test_na_coupling_unobserved_with_treatment(self):
+    def test_na_coupling_unobserved_with_treatment(self, tmp_path):
         with pytest.raises(NaCouplingViolation):
-            validate_one_sample([OneSampleRow((0.0,), 0, 1, None)])
+            read_one_sample_csv(one_sample_csv(tmp_path, "x1,o,d,y\n0.0,0,1,NA\n"))
 
-    def test_na_coupling_observed_missing_outcome(self):
+    def test_na_coupling_observed_missing_outcome(self, tmp_path):
         with pytest.raises(NaCouplingViolation):
-            validate_one_sample([OneSampleRow((0.0,), 1, 1, None)])
+            read_one_sample_csv(one_sample_csv(tmp_path, "x1,o,d,y\n0.0,1,1,NA\n"))
 
-    def test_dim_mismatch(self):
-        rows = [
-            OneSampleRow((0.0, 1.0), 1, 0, 1.0),
-            OneSampleRow((3.0,), 1, 0, 1.0),
-        ]
+    def test_dim_mismatch(self, tmp_path):
+        path = one_sample_csv(tmp_path, "x1,x2,o,d,y\n0.0,1.0,1,0,1.0\n3.0,1,0,1.0\n")
         with pytest.raises(DimMismatch):
-            validate_one_sample(rows)
+            read_one_sample_csv(path)
 
     def test_nonfinite_covariate(self):
         with pytest.raises(NonfiniteValue):
-            validate_one_sample([OneSampleRow((float("nan"),), 1, 1, 0.0)])
+            OneSampleDataset.from_arrays([[float("nan")]], [1], [1], [0.0])
 
     def test_bad_indicator(self):
         with pytest.raises(BadIndicator):
-            validate_one_sample([OneSampleRow((0.0,), 1, 2, 0.0)])
+            OneSampleDataset.from_arrays([[0.0]], [1], [2], [0.0])
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            validate_one_sample([])
+            OneSampleDataset.from_arrays(np.empty((0, 1)), [], [], [])
 
     def test_idempotent(self):
-        rows = [
-            OneSampleRow((0.0,), 1, 1, 2.0),
-            OneSampleRow((1.0,), 0, None, None),
-        ]
-        ds = validate_one_sample(rows)
-        ds2 = validate_one_sample(list(ds.rows()))
+        ds = OneSampleDataset.from_arrays([[0.0], [1.0]], [1, 0], [1, 0], [2.0, 0.0])
+        ds2 = OneSampleDataset.from_arrays(ds.x, ds.o, ds.d, ds.y)
         assert np.array_equal(ds.x, ds2.x)
         assert np.array_equal(ds.o, ds2.o)
         assert np.array_equal(ds.d, ds2.d)
         assert np.array_equal(ds.y, ds2.y)
 
+    @pytest.mark.parametrize("o, d, y, error, row", [
+        ([1, 0, 1.5, 2], [1, 0, 1, 1], [1.0, 0.0, 1.0, 1.0], BadIndicator, 2),
+        ([1, 0, 1, 1], [1, 5, 1, 0.5], [1.0, 0.0, 1.0, 1.0], BadIndicator, 3),
+        ([1, 0, 1, 1], [1, 0, 1, 1], [1.0, np.nan, np.inf, np.nan], NonfiniteValue, 2),
+    ])
+    def test_error_names_first_bad_row(self, o, d, y, error, row):
+        with pytest.raises(error, match=f"^row {row}: "):
+            OneSampleDataset.from_arrays(np.zeros((4, 1)), o, d, y)
+
+    def test_nonfinite_covariate_names_first_bad_row(self):
+        x = np.zeros((4, 2))
+        x[3, 0], x[1, 1] = np.nan, -np.inf
+        with pytest.raises(NonfiniteValue, match="^row 1: "):
+            OneSampleDataset.from_arrays(x, [1, 1, 1, 1], [1, 0, 1, 0], np.zeros(4))
+
 
 class TestValidateTwoSample:
     def test_counts(self):
-        ds = validate_two_sample(
-            [LabeledRow((0.0,), 1, 1.0)], [(1.0,), (2.0,)]
-        )
+        ds = TwoSampleDataset.from_arrays([[0.0]], [1], [1.0], [[1.0], [2.0]])
         assert ds.m == 1 and ds.l == 2 and ds.k == 1
 
     def test_empty_labeled(self):
         with pytest.raises(EmptyDataset):
-            validate_two_sample([], [(1.0,)])
+            TwoSampleDataset.from_arrays(np.empty((0, 1)), [], [], [[1.0]])
 
     def test_nonfinite_outcome(self):
         with pytest.raises(NonfiniteValue):
-            validate_two_sample([LabeledRow((0.0,), 1, float("nan"))], [(1.0,)])
+            TwoSampleDataset.from_arrays([[0.0]], [1], [float("nan")], [[1.0]])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            validate_two_sample([LabeledRow((0.0,), 1, 1.0)], [(1.0, 2.0)])
+            TwoSampleDataset.from_arrays([[0.0]], [1], [1.0], [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("x, d, y, z, error, where", [
+        ([[0.0], [np.nan], [np.inf]], [1, 0, 1], [1.0, 2.0, 3.0], [[0.0]], NonfiniteValue,
+         "labeled row 1"),
+        ([[0.0], [1.0], [2.0]], [1, 0, 1], [1.0, 2.0, 3.0], [[0.0], [0.0], [np.nan]],
+         NonfiniteValue, "unlabeled row 2"),
+        ([[0.0], [1.0], [2.0]], [1, 0, 1], [1.0, 2.0, -np.inf], [[0.0]], NonfiniteValue,
+         "labeled row 2"),
+        ([[0.0], [1.0], [2.0]], [1, 0.5, 2], [1.0, 2.0, 3.0], [[0.0]], BadIndicator,
+         "labeled row 1"),
+    ])
+    def test_error_names_first_bad_row(self, x, d, y, z, error, where):
+        with pytest.raises(error, match=f"^{where}: "):
+            TwoSampleDataset.from_arrays(x, d, y, z)
 
 
 class TestFoldPlan:
@@ -172,11 +195,75 @@ class TestCsvRoundTrip:
         path.write_text("x1,o,d,y\n0.0,1,1,2.0\n0.0,0,1,NA\n")
         with pytest.raises(NaCouplingViolation, match="row 1"):
             read_one_sample_csv(path)
+        with pytest.raises(NaCouplingViolation, match="line 3"):
+            read_one_sample_csv(path)
 
     def test_unparseable_token_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,o,d,y\n0.0,1,1,zap\n")
         with pytest.raises(NonfiniteValue, match="line 2"):
+            read_one_sample_csv(path)
+
+
+class TestCsvErrors:
+    """Each CSV error names the file and line; from_arrays errors also name the row."""
+
+    @pytest.mark.parametrize("line, token", [("zap,1,1,2.0", "zap"), ("0.0,1,1,zap", "zap"),
+                                             ("0.0,y,1,2.0", "y"), ("0.0,1,?,2.0", "?"),
+                                             ("NA,0,NA,NA", "NA")])
+    def test_one_sample_unparseable_token(self, tmp_path, line, token):
+        path = one_sample_csv(tmp_path, f"x1,o,d,y\n0.0,1,1,2.0\n{line}\n")
+        at = re.escape(f"{path}, line 3: ") + f".*'{re.escape(token)}'"
+        with pytest.raises(NonfiniteValue, match=at):
+            read_one_sample_csv(path)
+
+    @pytest.mark.parametrize("line, token", [("zap,1,2.0", "zap"), ("0.0,1,zap", "zap"),
+                                             ("0.0,NA,2.0", "NA"), ("0.0,1,NA", "NA")])
+    def test_labeled_unparseable_token(self, tmp_path, line, token):
+        lab, unl = two_sample_csvs(tmp_path, f"x1,d,y\n0.0,1,2.0\n{line}\n", "x1\n0.0\n")
+        with pytest.raises(NonfiniteValue, match=re.escape(f"{lab}, line 3: ") + f".*'{token}'"):
+            read_two_sample_csv(lab, unl)
+
+    def test_unlabeled_unparseable_token(self, tmp_path):
+        lab, unl = two_sample_csvs(tmp_path, "x1,d,y\n0.0,1,2.0\n", "x1\n0.0\n1.0\nzap\n")
+        with pytest.raises(NonfiniteValue, match=re.escape(f"{unl}, line 4: ") + ".*'zap'"):
+            read_two_sample_csv(lab, unl)
+
+    def test_unlabeled_short_line(self, tmp_path):
+        lab, unl = two_sample_csvs(tmp_path, "x1,x2,d,y\n0.0,1.0,1,2.0\n",
+                                   "x1,x2\n0.0,1.0\n0.0\n")
+        with pytest.raises(DimMismatch, match=re.escape(f"{unl}, line 3: expected 2 fields")):
+            read_two_sample_csv(lab, unl)
+
+    def test_labeled_unlabeled_dimension_mismatch(self, tmp_path):
+        lab, unl = two_sample_csvs(tmp_path, "x1,d,y\n0.0,1,2.0\n", "x1,x2\n0.0,1.0\n")
+        with pytest.raises(DimMismatch, match="dimension 1 != unlabeled dimension 2"):
+            read_two_sample_csv(lab, unl)
+
+    @pytest.mark.parametrize("text, error", [
+        ("x1,o,d,y\n0.0,1,1,2.0\n0.0,1,1,2.0\nnan,1,1,2.0\n", NonfiniteValue),
+        ("x1,o,d,y\n0.0,1,1,2.0\n0.0,1,1,2.0\n0.0,1,1,inf\n", NonfiniteValue),
+        ("x1,o,d,y\n0.0,1,1,2.0\n0.0,1,1,2.0\n0.0,1,2,2.0\n", BadIndicator),
+        ("x1,o,d,y\n0.0,1,1,2.0\n0.0,1,1,2.0\n0.0,1.5,NA,NA\n", BadIndicator),
+    ])
+    def test_value_error_names_row_and_line(self, tmp_path, text, error):
+        path = one_sample_csv(tmp_path, text)
+        with pytest.raises(error, match=re.escape(f"{path}, line 4: row 2: ")):
+            read_one_sample_csv(path)
+
+    @pytest.mark.parametrize("labeled, unlabeled, at", [
+        ("x1,d,y\n0.0,1,2.0\nnan,1,2.0\n", "x1\n0.0\n", "lab.csv, line 3: labeled row 1"),
+        ("x1,d,y\n0.0,1,2.0\n0.0,1,nan\n", "x1\n0.0\n", "lab.csv, line 3: labeled row 1"),
+        ("x1,d,y\n0.0,1,2.0\n", "x1\n0.0\n0.0\ninf\n", "unl.csv, line 4: unlabeled row 2"),
+    ])
+    def test_two_sample_value_error_names_file_and_line(self, tmp_path, labeled, unlabeled, at):
+        lab, unl = two_sample_csvs(tmp_path, labeled, unlabeled)
+        with pytest.raises(NonfiniteValue, match=at):
+            read_two_sample_csv(lab, unl)
+
+    def test_bad_header(self, tmp_path):
+        path = one_sample_csv(tmp_path, "x1,o,y,d\n0.0,1,2.0,1\n")
+        with pytest.raises(DimMismatch, match=re.escape("line 1: header must be x1,...,xk,o,d,y")):
             read_one_sample_csv(path)
 
 

@@ -14,7 +14,7 @@ from ssate import (
     sample_two,
     score_ts_x,
 )
-from ssate.errors import BadLevel
+from ssate.errors import BadLevel, DomainViolation
 from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
 from ssate.nuisance import OutcomeModel
 
@@ -209,6 +209,13 @@ class TestTsEff:
                 for b in (0.0, 0.5, 1.0)
             ]
             assert abs(taus[1] - 0.5 * (taus[0] + taus[2])) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5])
+    def test_beta_star_outside_unit_interval(self, d2, beta):
+        ts = sample_two(d2, 60, 40, 62)
+        with pytest.raises(DomainViolation, match="beta_star") as err:
+            estimate_ts_eff(ts, beta_star=beta, n_folds=2, seed=5)
+        assert err.value.code == "DOMAIN-VIOLATION"
 
     def test_close_to_truth_across_seeds(self, d2):
         hits = 0

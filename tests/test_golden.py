@@ -4,8 +4,11 @@ Each case below must reproduce its recorded tau_hat, se, ci and
 diagnostics (and, for the Monte Carlo cases, the whole report) with ==,
 not within a tolerance: refactoring the estimators must not move a
 single bit. Regenerate the table only for a change that is meant to
-alter the arithmetic, and say so where the change is logged.
+alter the arithmetic, and say so where the change is logged. The CSV
+writers' output is pinned the same way, by the sha256 of its bytes.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from ssate import (
     sample_one,
     sample_two,
 )
+from ssate.datamodel import write_labeled_csv, write_one_sample_csv, write_unlabeled_csv
 from ssate.estimators import NuisanceConfig
 from ssate.oracle import GaussianLinearDgp
 
@@ -118,6 +122,25 @@ def test_riesz_model_is_not_a_probability(samples):
     one, _ = samples
     with pytest.raises(TypeError):
         estimate_os_ipw(one, fit_riesz(one))
+
+
+# recorded with the row-object CSV writers, before the columnar ones
+CSV_SHA256 = {
+    "one-sample": "767b5e06437106c3eddc0ba6aadc9e767e83fcc3a6f09ae1c26881c17376d3b2",
+    "labeled": "9a19d11e1c50b1969b3e0e0abf35fc0aaaf5d86ff59c4417737ccc21288da1e9",
+    "unlabeled": "c12fbb4d1e6d2fcf95c54777ea2ad269d8d407163a8901c30b09704c51e009f6",
+}
+
+
+def test_csv_bytes_are_pinned(tmp_path, d1, d2):
+    one, two = sample_one(d1, 200, 3), sample_two(d2, 50, 40, 4)
+    writes = {"one-sample": lambda path: write_one_sample_csv(one, path),
+              "labeled": lambda path: write_labeled_csv(two, path),
+              "unlabeled": lambda path: write_unlabeled_csv(two, path)}
+    for name, write in writes.items():
+        path = tmp_path / f"{name}.csv"
+        write(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[name], name
 
 
 # recorded before the estimators shared one cross-fitting loop

@@ -9,7 +9,7 @@ from ssate import (
     sample_one,
     sample_two,
 )
-from ssate.errors import ReportIncomplete
+from ssate.errors import BadFoldCount, BadLevel, DomainViolation, ReportIncomplete
 from ssate.oracle import bound_v_tilde_os
 from ssate.simharness import resolve_threads
 
@@ -96,6 +96,39 @@ class TestRunMc:
                        hook=Misspec("true-nuisance"))
         rep = run_mc(cfg)
         assert abs(rep.mc_bias) <= 3 * rep.mc_se_of_bias
+
+
+class TestMcConfigChecks:
+    """A bad fold count, level or beta_star is rejected when the study is
+    configured, not once per replication."""
+
+    def test_fold_count(self, d1):
+        for folds in (0, 101):
+            with pytest.raises(BadFoldCount):
+                McConfig(dgp=d1, scenario="one-sample", n=100, reps=3, n_folds=folds)
+        with pytest.raises(BadFoldCount):
+            McConfig(dgp=d1, scenario="two-sample", estimator="ts-eff", m=100, l=40,
+                     beta_star=0.5, reps=3, n_folds=41)
+        McConfig(dgp=d1, scenario="one-sample", n=100, reps=3, n_folds=100)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_level(self, d1, level):
+        with pytest.raises(BadLevel):
+            McConfig(dgp=d1, scenario="one-sample", n=100, reps=3, level=level)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5])
+    def test_beta_star(self, d1, beta):
+        with pytest.raises(DomainViolation) as err:
+            McConfig(dgp=d1, scenario="two-sample", estimator="ts-eff", m=50, l=50,
+                     beta_star=beta, reps=2)
+        assert err.value.code == "DOMAIN-VIOLATION"
+
+    def test_infinite_unlabeled_study_is_checked(self, d1):
+        with pytest.raises(BadFoldCount):
+            run_infinite_unlabeled_study(d1, n_labeled=20, ratio=10, reps=2, n_folds=1000)
+        with pytest.raises(DomainViolation):
+            run_infinite_unlabeled_study(d1, n_labeled=20, ratio=10, reps=2,
+                                         scenario="two-sample", beta_star=1.5)
 
 
 class TestInfiniteUnlabeled:
