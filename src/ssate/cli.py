@@ -221,38 +221,33 @@ def cmd_simulate(args) -> int:
             hook = Misspec(kind=h["kind"], c=float(h.get("c", 0.5)))
         nuisance = _nuisance_from(cfg.get("nuisance", {}))
         study = cfg.get("study", "mc")
-        threads = cfg.get("threads")
+        threads = None if cfg.get("threads") is None else int(cfg["threads"])
+        sizes = {key: _number(cfg, key, key != "beta_star")
+                 for key in ("n", "m", "l", "beta_star") if cfg.get(key) is not None}
+        run = {"nuisance": nuisance, "seed": int(cfg.get("seed", 0)),
+               "n_folds": int(cfg.get("folds", 2)), "level": float(cfg.get("level", 0.95))}
         if study == "infinite-unlabeled":
             report = run_infinite_unlabeled_study(
                 dgp,
                 n_labeled=int(cfg["n_labeled"]),
                 ratio=int(cfg.get("ratio", 100)),
                 reps=int(cfg.get("reps", 200)),
-                seed=int(cfg.get("seed", 0)),
                 scenario=cfg.get("scenario", "one-sample"),
-                beta_star=cfg.get("beta_star"),
-                nuisance=nuisance,
-                n_folds=int(cfg.get("folds", 2)),
-                level=float(cfg.get("level", 0.95)),
-                threads=int(threads) if threads is not None else None,
+                beta_star=sizes.get("beta_star"),
+                threads=threads,
+                **run,
             )
         elif study == "mc":
             mc = McConfig(
                 dgp=dgp,
                 scenario=cfg.get("scenario", "one-sample"),
                 estimator=cfg.get("estimator", "os-eff"),
-                n=cfg.get("n"),
-                m=cfg.get("m"),
-                l=cfg.get("l"),
                 reps=int(cfg.get("reps", 100)),
-                n_folds=int(cfg.get("folds", 2)),
-                beta_star=cfg.get("beta_star"),
-                nuisance=nuisance,
                 hook=hook,
-                seed=int(cfg.get("seed", 0)),
-                level=float(cfg.get("level", 0.95)),
+                **run,
+                **sizes,
             )
-            report = run_mc(mc, threads=int(threads) if threads is not None else None)
+            report = run_mc(mc, threads=threads)
         else:
             print(f"simulate: unknown study {study!r}", file=sys.stderr)
             return EXIT_CONFIG

@@ -144,13 +144,14 @@ def fit_outcome_both(
     d = np.asarray(d)
     y = np.asarray(y, dtype=float)
     fb = basis.fit(x)
+    phi = fb.transform(x)  # row by row, so phi[mask] is the arm's own transform
     coef = {}
     for arm in (1, 0):
         mask = d == arm
         rows = int(mask.sum())
         if 0 < rows < fb.dim:
             raise InsufficientArmData(f"arm {arm} has {rows} rows, need at least {fb.dim}")
-        coef[arm] = _ridge_solve(fb.transform(x[mask]), y[mask], ridge_lambda) if rows else None
+        coef[arm] = _ridge_solve(phi[mask], y[mask], ridge_lambda) if rows else None
     cc = default_clip_c(y) if clip_c is None else float(clip_c)
     return OutcomeModel(basis=fb, coef=coef, ridge_lambda=ridge_lambda, clip_c=cc)
 
@@ -205,12 +206,13 @@ def fit_gmodel_mle(
         ll = np.sum(np.log(probs[np.arange(n), labels]))
         resid = probs[:, :2] - onehot[:, :2]  # (n, 2)
         grad = (resid.T @ phi).ravel() / n
-        # block Hessian of the multinomial NLL for the two free classes
-        hess = np.empty((2 * p, 2 * p))
-        for a in range(2):
-            for b in range(2):
-                wgt = probs[:, a] * ((a == b) - probs[:, b])
-                hess[a * p:(a + 1) * p, b * p:(b + 1) * p] = (phi * wgt[:, None]).T @ phi / n
+        def hess():  # block Hessian of the multinomial NLL for the two free classes
+            out = np.empty((2 * p, 2 * p))
+            for a in range(2):
+                for b in range(2):
+                    wgt = probs[:, a] * ((a == b) - probs[:, b])
+                    out[a * p:(a + 1) * p, b * p:(b + 1) * p] = (phi * wgt[:, None]).T @ phi / n
+            return out
         return -ll / n, grad, hess
 
     res = minimize_newton(nll_grad_hess, np.zeros(2 * p), opt)
@@ -246,9 +248,7 @@ def _fit_logistic(
         ll = np.sum(target * eta - np.logaddexp(0.0, eta))
         prob = 1.0 / (1.0 + np.exp(-eta))
         grad = phi.T @ (prob - target) / n
-        wgt = prob * (1.0 - prob)
-        hess = (phi * wgt[:, None]).T @ phi / n
-        return -ll / n, grad, hess
+        return -ll / n, grad, lambda: (phi * (prob * (1.0 - prob))[:, None]).T @ phi / n
 
     res = minimize_newton(nll_grad_hess, np.zeros(p), opt)
     return res.x, res.converged
@@ -400,9 +400,9 @@ def _riesz_arm_objectives(
 ) -> list:
     """The empirical divergence objective, split into its two arm terms.
 
-    Returns [arm 1, arm 0] objectives theta -> (loss, grad, hess), each
+    Returns [arm 1, arm 0] objectives in ``minimize_newton``'s form, with loss
     (sum over the arm's labeled rows of w_lab * h(phi @ theta) - b @ theta) / n
-    with mom = sum over all rows of w_mom * phi. LSIF: h(u) = u^2 and
+    where mom = sum over all rows of w_mom * phi. LSIF: h(u) = u^2 and
     b = +-2 mom; UKL: h(u) = u + 1 + e^u and b = mom. The two losses sum to
     the expanded per-generator form of ``riesz_loss``; additive constants
     relative to the generic f-based form do not affect the minimizer.
@@ -429,8 +429,7 @@ def _riesz_arm_objectives(
                 h, dh, d2h = u + 1.0 + eu, 1.0 + eu, eu
             loss = (w_a @ h - b @ theta) / n
             grad = (phi_a.T @ (w_a * dh) - b) / n
-            hess = (phi_a * (w_a * d2h)[:, None]).T @ phi_a / n
-            return float(loss), grad, hess
+            return float(loss), grad, lambda: (phi_a * (w_a * d2h)[:, None]).T @ phi_a / n
 
         objectives.append(fun_grad_hess)
     return objectives
@@ -504,7 +503,7 @@ def fit_riesz(
     objectives = _riesz_arm_objectives(data, gen, fb, residuals)
     for arm, fun_grad_hess in zip((1, 0), objectives):
         _, grad, hess = fun_grad_hess(np.zeros(p))
-        evals, evecs = np.linalg.eigh(hess)
+        evals, evecs = np.linalg.eigh(hess())
         keep = evals > evals.max() * p * np.finfo(float).eps
         span, evals = evecs[:, keep], evals[keep]
         g_span = span.T @ grad
@@ -521,7 +520,7 @@ def fit_riesz(
         else:
             def on_span(z, fun_grad_hess=fun_grad_hess, span=span):
                 arm_loss, g, h = fun_grad_hess(span @ z)
-                return arm_loss, span.T @ g, span.T @ h @ span
+                return arm_loss, span.T @ g, lambda: span.T @ h() @ span
 
             res = minimize_newton(on_span, np.zeros(span.shape[1]), opt)
             theta, arm_loss, ok = span @ res.x, res.loss, res.converged

@@ -58,7 +58,7 @@ def minimize_gd(
 
 
 def minimize_newton(
-    fun_grad_hess: Callable[[np.ndarray], Tuple[float, np.ndarray, np.ndarray]],
+    fun_grad_hess: Callable[[np.ndarray], Tuple[float, np.ndarray, Callable[[], np.ndarray]]],
     x0: np.ndarray,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> OptResult:
@@ -68,6 +68,10 @@ def minimize_newton(
     UKL representer), where the exact Hessian is cheap and the problem may
     be badly conditioned for plain gradient descent. Falls back to the gradient
     direction when the Hessian solve fails.
+
+    ``fun_grad_hess(x)`` returns ``(loss, grad, hess)``, ``hess`` a zero-argument
+    callable for the Hessian at ``x``, called once per iteration for its direction:
+    the converged point and rejected line-search trials never build it.
     """
     x = np.asarray(x0, dtype=float).copy()
     loss, grad, hess = fun_grad_hess(x)
@@ -75,11 +79,10 @@ def minimize_newton(
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.tol:
             return OptResult(x, loss, gnorm, True, it)
+        # small ridge keeps the direction well-defined near flat regions
+        h = hess() + 1e-12 * np.eye(len(x))
         try:
-            # small ridge keeps the direction well-defined near flat regions
-            direction = np.linalg.solve(
-                hess + 1e-12 * np.eye(len(x)), grad
-            )
+            direction = np.linalg.solve(h, grad)
         except np.linalg.LinAlgError:
             direction = grad
         slope = float(grad @ direction)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -239,22 +242,45 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
+# (worker count, executor): the process's worker pool, reused by run_mc
+_pool = (0, None)
+_pool_lock = threading.Lock()
+
+
+def _map_reps(config: McConfig, workers: int) -> list:
+    """Replication records from the pool, (re)built for ``workers``, in chunks of a
+    quarter of a worker's share. A broken pool is replaced once: reps are pure."""
+    global _pool
+    with _pool_lock:
+        for retry in (False, True):
+            if _pool[0] != workers:
+                if _pool[1] is not None:
+                    _pool[1].shutdown()
+                _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+            try:
+                return list(_pool[1].map(_rep_record, repeat(config), range(1, config.reps + 1),
+                                         chunksize=-(-config.reps // (4 * workers))))
+            except BrokenProcessPool:
+                _pool = (0, _pool[1])  # no call asks for 0 workers, so the next pass rebuilds
+                if retry:
+                    raise
+
+
 def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
     """Replicated study: sample, estimate, aggregate against the oracle bound.
 
     Per-rep failures are recorded, not fatal; the run aborts with a partial
     report attached only when more than 5% of replications fail.
     Aggregation folds over the rep index, so the report is identical for
-    any thread count.
+    any thread count. Workers are capped at the CPUs this process may use.
+    The pool is built at the first parallel call and reused while the worker
+    count stays the same; its workers are forked then, so module state the
+    parent changes afterwards does not reach them.
     """
-    n_threads = resolve_threads(threads)
-    reps = range(1, config.reps + 1)
-    if n_threads > 1:
-        with ProcessPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(_rep_record, [config] * config.reps, reps))
-    else:
-        records = [_rep_record(config, r) for r in reps]
-    records.sort(key=lambda rec: rec[0])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(resolve_threads(threads), cpus or 1)
+    records = (_map_reps(config, workers) if workers > 1
+               else [_rep_record(config, r) for r in range(1, config.reps + 1)])
 
     tau0 = oracle.true_ate(config.dgp, config.beta_star if config.beta_star is not None else 1.0)
     taus, ses, covers, failures = [], [], [], []
@@ -265,12 +291,8 @@ def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
             taus.append(tau)
             ses.append(se)
             covers.append(1.0 if lo <= tau0 <= hi else 0.0)
-    if config.scenario == "one-sample":
-        sizes = {"n": config.n}
-        scale = config.n
-    else:
-        sizes = {"m": config.m, "l": config.l}
-        scale = config.m + config.l
+    sizes = {"n": config.n} if config.scenario == "one-sample" else {"m": config.m, "l": config.l}
+    scale = sum(sizes.values())
 
     taus_a = np.asarray(taus)
     report = McReport(

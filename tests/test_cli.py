@@ -122,6 +122,10 @@ class TestConfigErrors:
         {"folds": 1000}, {"folds": 0}, {"level": 1.5},
         {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": 1.5},
         {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "folds": 1000},
+        {"n": "100"},
+        {"scenario": "two-sample", "estimator": "ts-eff", "m": "100", "l": 100, "beta_star": 0.5},
+        {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": "100", "beta_star": 0.5},
+        {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": "0.5"},
     ])
     def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, capsys):
         path = tmp_path / "sim.json"

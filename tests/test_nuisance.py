@@ -20,6 +20,7 @@ from ssate import (
     sample_two,
     tmle_fluctuate,
 )
+from ssate import nuisance
 from ssate.datamodel import OneSampleDataset
 from ssate.errors import ClassAbsent, InsufficientArmData, SingularSystem, ZeroDenominator
 from ssate.nuisance import _riesz_arm_objectives, riesz_loss_grad
@@ -295,6 +296,36 @@ class TestMinimizeNewton:
         res = minimize_newton(fun_grad_hess, np.zeros(2))
         assert res.converged
         assert res.n_iter < 20
+
+    def test_hessian_built_only_for_a_direction(self, d2, monkeypatch):
+        # a logistic propensity fit whose full Newton steps are all accepted:
+        # one Hessian per iteration, none at the converged point
+        runs = []
+
+        def counting(objective, x0, config=OptimizerConfig()):
+            counts = {"fun": 0, "hess": 0}
+
+            def counted(x):
+                counts["fun"] += 1
+                loss, grad, hess = objective(x)
+
+                def built():
+                    counts["hess"] += 1
+                    return hess()
+
+                return loss, grad, built
+
+            res = minimize_newton(counted, x0, config)
+            runs.append((res, counts))
+            return res
+
+        monkeypatch.setattr(nuisance, "minimize_newton", counting)
+        ts = sample_two(d2, 2000, 10, 36)
+        fit_e_model(ts.x, ts.d)
+        (res, counts), = runs
+        assert res.converged and res.n_iter > 1
+        assert counts["fun"] == res.n_iter + 1  # no rejected line-search trial
+        assert counts["hess"] == res.n_iter
 
 
 class TestTmle:

@@ -1,3 +1,7 @@
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from ssate import (
     sample_one,
     sample_two,
 )
+from ssate import simharness
 from ssate.errors import BadFoldCount, BadLevel, DomainViolation, ReportIncomplete
 from ssate.oracle import bound_v_tilde_os
 from ssate.simharness import resolve_threads
@@ -171,3 +176,76 @@ class TestThreads:
     def test_env_honored(self, monkeypatch):
         monkeypatch.setenv("SSATE_THREADS", "5")
         assert resolve_threads(None) == 5
+
+
+def _report(cfg, threads):
+    """run_mc's report, or the partial report of a study with too many failures."""
+    try:
+        return run_mc(cfg, threads=threads).to_dict()
+    except ReportIncomplete as err:
+        return err.partial_report.to_dict()
+
+
+needs_two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2,
+    reason="run_mc starts a pool only where two CPUs are usable")
+
+
+@needs_two_cpus
+class TestPool:
+    """run_mc reuses one chunked worker pool per process; reports equal the
+    one-process reports whatever the chunking, the order of calls or a pool
+    that broke in between."""
+
+    @pytest.mark.parametrize("reps", [7, 11])
+    def test_uneven_chunks_with_failures(self, d1, reps):
+        # n=24 misses an arm in some fold complements: failures and
+        # completed replications land in different chunks
+        cfg = McConfig(dgp=d1, scenario="one-sample", n=24, reps=reps, seed=83)
+        serial = _report(cfg, 1)
+        assert serial["failures"] and serial["reps_completed"]
+        assert _report(cfg, 2) == serial
+
+    def test_consecutive_configs(self, d1, d2):
+        os_cfg = McConfig(dgp=d1, scenario="one-sample", n=400, reps=9, seed=91)
+        ts_cfg = McConfig(dgp=d2, scenario="two-sample", estimator="ts-eff",
+                          m=300, l=300, beta_star=0.5, reps=9, seed=92)
+        assert run_mc(os_cfg, threads=2).to_dict() == run_mc(os_cfg, threads=1).to_dict()
+        assert run_mc(ts_cfg, threads=2).to_dict() == run_mc(ts_cfg, threads=1).to_dict()
+
+    def test_concurrent_calls_with_different_worker_counts(self, d1, monkeypatch):
+        # threads asking for 2 and 3 workers take turns rebuilding the one
+        # pool; a call must never see it shut down under it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = McConfig(dgp=d1, scenario="one-sample", n=200, reps=6, seed=95)
+        expected = run_mc(cfg, threads=1).to_dict()
+        results = []
+
+        def call(workers):
+            for _ in range(3):
+                results.append(run_mc(cfg, threads=workers).to_dict() == expected)
+
+        callers = [threading.Thread(target=call, args=(w,)) for w in (2, 3, 2, 3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [True] * 12
+
+    def test_broken_pool_is_replaced(self, d1):
+        cfg = McConfig(dgp=d1, scenario="one-sample", n=300, reps=6, seed=93)
+        run_mc(cfg, threads=2)
+        killed = simharness._pool[1].submit(os._exit, 1)
+        assert isinstance(killed.exception(timeout=60), BrokenProcessPool)
+        assert run_mc(cfg, threads=2).to_dict() == run_mc(cfg, threads=1).to_dict()
+
+
+def test_workers_capped_at_usable_cpus(d1, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU process must not start a worker pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(simharness, "ProcessPoolExecutor", no_pool)
+    cfg = McConfig(dgp=d1, scenario="one-sample", n=300, reps=3, seed=94)
+    assert run_mc(cfg, threads=64).reps_completed == 3
