@@ -17,10 +17,7 @@ from . import __version__
 from .datamodel import read_one_sample_csv, read_two_sample_csv
 from .errors import ReportIncomplete, SsateError
 from .estimators import NuisanceConfig, check_run_args, estimate_os_eff, estimate_ts_eff
-from .oracle import (
-    dgp_from_dict,
-    oracle_bounds,
-)
+from .oracle import dgp_from_dict, oracle_bounds
 from .simharness import (
     McConfig,
     Misspec,
@@ -66,8 +63,11 @@ def _finite(obj):
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SsateError(f"config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise SsateError("config file must hold a JSON object")
     return cfg
@@ -75,7 +75,7 @@ def _load_config_file(path: Optional[str]) -> dict:
 
 def _merged(args: argparse.Namespace, keys: list) -> dict:
     """File config first, then any explicitly supplied flags on top."""
-    cfg = _load_config_file(getattr(args, "config", None))
+    cfg = dict(args.file_config)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -83,14 +83,25 @@ def _merged(args: argparse.Namespace, keys: list) -> dict:
     return cfg
 
 
-def _number(cfg: dict, key: str, integral: bool = False):
-    """cfg[key] as an int or float; bools, strings and fractions for an
-    integral field are config errors rather than being coerced."""
-    val = cfg[key]
+def _number(cfg: dict, key: str, integral: bool = False, default=None):
+    """cfg[key] as an int or float, or ``default``, if one is given, when the
+    key is absent or null; bools, strings and fractions for an integral
+    field are config errors rather than being coerced."""
+    val = cfg.get(key)
+    if val is None and default is not None:
+        return default
     if type(val) not in (int, float) or (integral and not float(val).is_integer()):
         kind = "an integer" if integral else "a number"
         raise SsateError(f"config {key!r} must be {kind}, got {val!r}")
     return int(val) if integral else float(val)
+
+
+def _object(cfg: dict, key: str) -> dict:
+    """cfg[key], which must be a JSON object; {} when absent or null."""
+    val = cfg.get(key)
+    if val is not None and not isinstance(val, dict):
+        raise SsateError(f"config {key!r} must be a JSON object, got {val!r}")
+    return val or {}
 
 
 def _nuisance_from(cfg: dict) -> NuisanceConfig:
@@ -160,6 +171,8 @@ def cmd_estimate_ts(args) -> int:
     try:
         data = read_two_sample_csv(cfg["labeled"], cfg["unlabeled"])
         nuisance = _nuisance_from(cfg)
+        if nuisance.riesz_mode != "mle-g":  # the two-sample estimator has no Riesz mode
+            raise SsateError(f"estimate-ts needs riesz_mode 'mle-g', got {nuisance.riesz_mode!r}")
         folds, seed, level = _run_args(cfg, min(data.m, data.l))
         beta = _number(cfg, "beta-star")
         if not 0.0 <= beta <= 1.0:
@@ -186,11 +199,10 @@ def cmd_bounds(args) -> int:
     try:
         with open(cfg["dgp"]) as fh:
             spec = json.load(fh)
-        dgp = dgp_from_dict(spec)
-        alpha = cfg.get("alpha")
-        report = oracle_bounds(dgp, alpha=float(alpha) if alpha is not None else None,
-                               grid_step=float(cfg["grid_step"]))
-    except (SsateError, OSError, json.JSONDecodeError, TypeError) as exc:
+        alpha = None if cfg.get("alpha") is None else _number(cfg, "alpha")
+        report = oracle_bounds(dgp_from_dict(spec), alpha=alpha,
+                               grid_step=_number(cfg, "grid_step"))
+    except (ValueError, OSError, TypeError) as exc:
         print(f"bounds: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = {
@@ -215,23 +227,22 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
     try:
         dgp = dgp_from_dict(cfg["dgp"])
-        hook = None
-        if cfg.get("hook"):
-            h = cfg["hook"]
-            hook = Misspec(kind=h["kind"], c=float(h.get("c", 0.5)))
-        nuisance = _nuisance_from(cfg.get("nuisance", {}))
+        h = _object(cfg, "hook")
+        hook = Misspec(kind=h["kind"], c=_number(h, "c", default=0.5)) if h else None
+        nuisance = _nuisance_from(_object(cfg, "nuisance"))
         study = cfg.get("study", "mc")
-        threads = None if cfg.get("threads") is None else int(cfg["threads"])
+        threads = None if cfg.get("threads") is None else _number(cfg, "threads", True)
         sizes = {key: _number(cfg, key, key != "beta_star")
                  for key in ("n", "m", "l", "beta_star") if cfg.get(key) is not None}
-        run = {"nuisance": nuisance, "seed": int(cfg.get("seed", 0)),
-               "n_folds": int(cfg.get("folds", 2)), "level": float(cfg.get("level", 0.95))}
+        run = {"nuisance": nuisance, "seed": _number(cfg, "seed", True, 0),
+               "n_folds": _number(cfg, "folds", True, 2),
+               "level": _number(cfg, "level", default=0.95)}
         if study == "infinite-unlabeled":
             report = run_infinite_unlabeled_study(
                 dgp,
-                n_labeled=int(cfg["n_labeled"]),
-                ratio=int(cfg.get("ratio", 100)),
-                reps=int(cfg.get("reps", 200)),
+                n_labeled=_number(cfg, "n_labeled", True),
+                ratio=_number(cfg, "ratio", True, 100),
+                reps=_number(cfg, "reps", True, 200),
                 scenario=cfg.get("scenario", "one-sample"),
                 beta_star=sizes.get("beta_star"),
                 threads=threads,
@@ -242,7 +253,7 @@ def cmd_simulate(args) -> int:
                 dgp=dgp,
                 scenario=cfg.get("scenario", "one-sample"),
                 estimator=cfg.get("estimator", "os-eff"),
-                reps=int(cfg.get("reps", 100)),
+                reps=_number(cfg, "reps", True, 100),
                 hook=hook,
                 **run,
                 **sizes,
@@ -324,8 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        args.file_config = _load_config_file(args.config)
+    except SsateError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return args.func(args)
 
 

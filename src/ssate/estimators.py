@@ -12,6 +12,8 @@ from scipy.stats import norm
 from .datamodel import OneSampleDataset, TwoSampleDataset, make_fold_plan
 from .errors import BadFoldCount, BadLevel, DomainViolation, FoldTooSmall
 from .nuisance import (
+    LSIF,
+    UKL,
     BasisSpec,
     assemble_v_beta,
     fit_density_ratio,
@@ -19,9 +21,7 @@ from .nuisance import (
     fit_gmodel_mle,
     fit_outcome_both,
     fit_riesz,
-    generator,
 )
-from .optimize import OptimizerConfig
 
 RIESZ_MODES = ("mle-g", "ls-riesz", "kl-riesz")
 
@@ -31,14 +31,10 @@ class NuisanceConfig:
     """Shared nuisance-fitting options for the cross-fitted estimators."""
 
     degree: int = 1
-    intercept: bool = True
-    standardize: bool = False
     ridge_lambda: float = 1e-6
     clip_eps: float = 0.01
     clip_c: Optional[float] = None
-    r_clip: Tuple[float, float] = (0.01, 100.0)
     riesz_mode: str = "mle-g"
-    optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
         if self.riesz_mode not in RIESZ_MODES:
@@ -46,8 +42,7 @@ class NuisanceConfig:
 
     @property
     def basis(self) -> BasisSpec:
-        return BasisSpec(degree=self.degree, intercept=self.intercept,
-                         standardize=self.standardize)
+        return BasisSpec(degree=self.degree)
 
 
 @dataclass
@@ -219,13 +214,12 @@ def estimate_os_eff(
                        n_folds, seed)
     if g_override is not None or config.riesz_mode == "mle-g":
         weight = (g_override, lambda comp: fit_gmodel_mle(
-            comp, basis=config.basis, clip_eps=config.clip_eps, opt=config.optimizer),
-            "g_converged")
+            comp, basis=config.basis, clip_eps=config.clip_eps), "g_converged")
         arms = lambda g, x: (1.0 / g(1, x), -1.0 / g(0, x))
     else:
-        gen = generator("LSIF" if config.riesz_mode == "ls-riesz" else "UKL")
-        weight = (None, lambda comp: fit_riesz(
-            comp, gen=gen, basis=config.basis, opt=config.optimizer), "riesz_converged")
+        gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
+        weight = (None, lambda comp: fit_riesz(comp, gen=gen, basis=config.basis),
+                  "riesz_converged")
         arms = lambda riesz, x: (riesz.a1(x), riesz.a0(x))
     scores = np.empty(data.n)
 
@@ -288,7 +282,10 @@ def estimate_ts_eff(
     Fold plans are drawn independently for the labeled and unlabeled
     samples, preserving their independence. For frozen nuisances
     (all overrides supplied) the point estimate is affine in beta_star.
+    Only ``riesz_mode`` "mle-g" applies: the weights come from fitted e and r.
     """
+    if config.riesz_mode != "mle-g":
+        raise ValueError(f"estimate_ts_eff has no riesz_mode {config.riesz_mode!r}; use 'mle-g'")
     m, l = data.m, data.l
     report = _reporter(level, "TS-eff", {"m": m, "l": l}, n_folds, seed)
     if not 0.0 <= beta_star <= 1.0:
@@ -309,10 +306,8 @@ def estimate_ts_eff(
         lambda cm, cu: (data.x[cm], data.d[cm], data.y[cm], data.z[cu]),
         [(mu_override, lambda t: _fit_mu(t[0], t[1], t[2], config), None),
          (e_override, lambda t: fit_e_model(t[0], t[1], basis=config.basis,
-                                            clip_eps=config.clip_eps, opt=config.optimizer),
-          "e_converged"),
-         (r_override, lambda t: fit_density_ratio(t[0], t[3], basis=config.basis,
-                                                  clip=config.r_clip, opt=config.optimizer),
+                                            clip_eps=config.clip_eps), "e_converged"),
+         (r_override, lambda t: fit_density_ratio(t[0], t[3], basis=config.basis),
           "r_converged")],
         score,
     )

@@ -11,7 +11,7 @@ fits with fluctuations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -36,50 +36,33 @@ DEFAULT_R_CLIP = (0.01, 100.0)
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Polynomial-in-each-coordinate feature map configuration."""
+    """Feature map: an intercept plus the powers 1..degree of each coordinate."""
 
     degree: int = 1
-    intercept: bool = True
-    standardize: bool = False
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
     def fit(self, x: np.ndarray) -> "FittedBasis":
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.standardize:
-            mean = x.mean(axis=0)
-            scale = x.std(axis=0)
-            scale = np.where(scale > 0, scale, 1.0)
-        else:
-            mean = np.zeros(x.shape[1])
-            scale = np.ones(x.shape[1])
-        return FittedBasis(spec=self, mean=mean, scale=scale, k=x.shape[1])
+        return FittedBasis(spec=self, k=np.atleast_2d(np.asarray(x, dtype=float)).shape[1])
 
 
 @dataclass(frozen=True)
 class FittedBasis:
-    """BasisSpec with standardization statistics frozen at fit time."""
+    """BasisSpec bound to the covariate dimension k."""
 
     spec: BasisSpec
-    mean: np.ndarray
-    scale: np.ndarray
     k: int
 
     @property
     def dim(self) -> int:
-        return int(self.spec.intercept) + self.k * self.spec.degree
+        return 1 + self.k * self.spec.degree
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        xs = (x - self.mean) / self.scale
-        cols = []
-        if self.spec.intercept:
-            cols.append(np.ones(x.shape[0]))
-        for t in range(1, self.spec.degree + 1):
-            cols.append(xs**t if t > 1 else xs)
-        return np.column_stack(cols)
+        powers = [x**t if t > 1 else x for t in range(1, self.spec.degree + 1)]
+        return np.column_stack([np.ones(x.shape[0])] + powers)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +81,6 @@ class OutcomeModel:
 
     basis: FittedBasis
     coef: dict
-    ridge_lambda: float
     clip_c: float
     fluctuations: tuple = ()
 
@@ -153,7 +135,7 @@ def fit_outcome_both(
             raise InsufficientArmData(f"arm {arm} has {rows} rows, need at least {fb.dim}")
         coef[arm] = _ridge_solve(phi[mask], y[mask], ridge_lambda) if rows else None
     cc = default_clip_c(y) if clip_c is None else float(clip_c)
-    return OutcomeModel(basis=fb, coef=coef, ridge_lambda=ridge_lambda, clip_c=cc)
+    return OutcomeModel(basis=fb, coef=coef, clip_c=cc)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +167,6 @@ def fit_gmodel_mle(
     data: OneSampleDataset,
     basis: BasisSpec = BasisSpec(),
     clip_eps: float = DEFAULT_CLIP_EPS,
-    opt: OptimizerConfig = OptimizerConfig(),
 ) -> GModel:
     """Full-batch multinomial maximum likelihood for the joint class label."""
     labels = np.where(data.o == 0, 2, np.where(data.d == 1, 0, 1))
@@ -215,10 +196,9 @@ def fit_gmodel_mle(
             return out
         return -ll / n, grad, hess
 
-    res = minimize_newton(nll_grad_hess, np.zeros(2 * p), opt)
+    res = minimize_newton(nll_grad_hess, np.zeros(2 * p))
     weights = np.vstack([res.x.reshape(2, p), np.zeros(p)])
-    model = GModel(basis=fb, weights=weights, clip_eps=clip_eps, converged=res.converged)
-    return model
+    return GModel(basis=fb, weights=weights, clip_eps=clip_eps, converged=res.converged)
 
 
 @dataclass
@@ -237,9 +217,7 @@ class EModel:
         return p1 if d == 1 else 1.0 - p1
 
 
-def _fit_logistic(
-    phi: np.ndarray, target: np.ndarray, opt: OptimizerConfig
-) -> Tuple[np.ndarray, bool]:
+def _fit_logistic(phi: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, bool]:
     n, p = phi.shape
 
     def nll_grad_hess(w: np.ndarray):
@@ -250,7 +228,7 @@ def _fit_logistic(
         grad = phi.T @ (prob - target) / n
         return -ll / n, grad, lambda: (phi * (prob * (1.0 - prob))[:, None]).T @ phi / n
 
-    res = minimize_newton(nll_grad_hess, np.zeros(p), opt)
+    res = minimize_newton(nll_grad_hess, np.zeros(p))
     return res.x, res.converged
 
 
@@ -259,14 +237,13 @@ def fit_e_model(
     d: np.ndarray,
     basis: BasisSpec = BasisSpec(),
     clip_eps: float = DEFAULT_CLIP_EPS,
-    opt: OptimizerConfig = OptimizerConfig(),
 ) -> EModel:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.asarray(d)
     if not (np.any(d == 1) and np.any(d == 0)):
         raise ClassAbsent("both treatment arms must be present")
     fb = basis.fit(x)
-    weights, converged = _fit_logistic(fb.transform(x), (d == 1).astype(float), opt)
+    weights, converged = _fit_logistic(fb.transform(x), (d == 1).astype(float))
     return EModel(basis=fb, weights=weights, clip_eps=clip_eps, converged=converged)
 
 
@@ -291,20 +268,18 @@ def fit_density_ratio(
     labeled_x: np.ndarray,
     unlabeled_z: np.ndarray,
     basis: BasisSpec = BasisSpec(),
-    clip: Tuple[float, float] = DEFAULT_R_CLIP,
-    opt: OptimizerConfig = OptimizerConfig(),
 ) -> DensityRatioModel:
     labeled_x = np.atleast_2d(np.asarray(labeled_x, dtype=float))
     unlabeled_z = np.atleast_2d(np.asarray(unlabeled_z, dtype=float))
     pooled = np.vstack([labeled_x, unlabeled_z])
     source = np.concatenate([np.ones(len(labeled_x)), np.zeros(len(unlabeled_z))])
     fb = basis.fit(pooled)
-    weights, converged = _fit_logistic(fb.transform(pooled), source, opt)
+    weights, converged = _fit_logistic(fb.transform(pooled), source)
     return DensityRatioModel(
         basis=fb,
         weights=weights,
         prior_correction=len(unlabeled_z) / len(labeled_x),
-        clip=clip,
+        clip=DEFAULT_R_CLIP,
         converged=converged,
     )
 
@@ -318,23 +293,18 @@ class BregmanGenerator:
     """Convex generator of the divergence used for representer fitting.
 
     Objectives, representer links and the brute-force oracle dispatch on
-    ``tag``.
+    ``tag``, so an unknown tag is rejected here, once.
     """
 
     tag: str  # "LSIF" or "UKL"
 
+    def __post_init__(self):
+        if self.tag not in ("LSIF", "UKL"):
+            raise ValueError(f"unknown generator {self.tag!r}; expected LSIF or UKL")
+
 
 LSIF = BregmanGenerator("LSIF")
 UKL = BregmanGenerator("UKL")
-
-_GENERATORS = {"LSIF": LSIF, "UKL": UKL}
-
-
-def generator(tag: str) -> BregmanGenerator:
-    try:
-        return _GENERATORS[tag.upper()]
-    except KeyError:
-        raise ValueError(f"unknown generator {tag!r}; expected LSIF or UKL") from None
 
 
 @dataclass
@@ -349,7 +319,6 @@ class RieszModel:
     basis: FittedBasis
     theta1: np.ndarray
     theta0: np.ndarray
-    loss: float = math.nan
     converged: bool = True
 
     def a1(self, x: np.ndarray) -> np.ndarray:
@@ -407,8 +376,6 @@ def _riesz_arm_objectives(
     the expanded per-generator form of ``riesz_loss``; additive constants
     relative to the generic f-based form do not affect the minimizer.
     """
-    if gen.tag not in _GENERATORS:
-        raise ValueError(f"unknown generator {gen.tag!r}")
     lsif = gen.tag == "LSIF"
     phi = fb.transform(data.x)
     n = data.n
@@ -478,7 +445,6 @@ def fit_riesz(
     data: OneSampleDataset,
     gen: BregmanGenerator = LSIF,
     basis: BasisSpec = BasisSpec(),
-    opt: OptimizerConfig = OptimizerConfig(),
     residuals: Optional[np.ndarray] = None,
 ) -> RieszModel:
     """Minimize the empirical divergence exactly, one arm at a time.
@@ -492,14 +458,14 @@ def fit_riesz(
     ``_riesz_weights``. If the moment leaves that range (default basis: an
     arm's labeled rows share one x, other rows do not) the objective is
     unbounded below and SingularSystem is raised. LSIF ``converged`` means
-    a finite solve whose gradient is within ``opt.tol`` relative to
+    a finite solve whose gradient is within ``OptimizerConfig.tol`` relative to
     |grad(0)| + |H| |theta| (its backward error); UKL uses Newton's flag.
     """
     if data.n_labeled < 1:
         raise InsufficientArmData("representer fitting needs at least one labeled row")
     fb = basis.fit(data.x)
     p = fb.dim
-    thetas, loss, converged = [], 0.0, True
+    thetas, converged = [], True
     objectives = _riesz_arm_objectives(data, gen, fb, residuals)
     for arm, fun_grad_hess in zip((1, 0), objectives):
         _, grad, hess = fun_grad_hess(np.zeros(p))
@@ -516,18 +482,17 @@ def fit_riesz(
             theta = span @ (-g_span / evals)
             arm_loss, g, _ = fun_grad_hess(theta)
             scale = np.linalg.norm(grad) + evals.max() * np.linalg.norm(theta)
-            ok = bool(np.isfinite(arm_loss) and np.linalg.norm(g) <= opt.tol * scale)
+            ok = bool(np.isfinite(arm_loss) and np.linalg.norm(g) <= OptimizerConfig.tol * scale)
         else:
             def on_span(z, fun_grad_hess=fun_grad_hess, span=span):
                 arm_loss, g, h = fun_grad_hess(span @ z)
                 return arm_loss, span.T @ g, lambda: span.T @ h() @ span
 
-            res = minimize_newton(on_span, np.zeros(span.shape[1]), opt)
-            theta, arm_loss, ok = span @ res.x, res.loss, res.converged
+            res = minimize_newton(on_span, np.zeros(span.shape[1]))
+            theta, ok = span @ res.x, res.converged
         thetas.append(theta)
-        loss += arm_loss
         converged = converged and ok
-    return RieszModel(gen, fb, thetas[0], thetas[1], loss, converged)
+    return RieszModel(gen, fb, thetas[0], thetas[1], converged)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +528,6 @@ def ddml_iterate(
     n_steps: int,
     gen: BregmanGenerator = LSIF,
     basis: BasisSpec = BasisSpec(),
-    opt: OptimizerConfig = OptimizerConfig(),
     ridge_lambda: float = 1e-6,
     clip_c: Optional[float] = None,
 ) -> Tuple[OutcomeModel, RieszModel, list]:
@@ -580,7 +544,7 @@ def ddml_iterate(
     trace = []
     for _ in range(n_steps):
         res = yl - mu.predict_rows(dl, xl)
-        alpha = fit_riesz(data, gen, basis, opt, residuals=res)
+        alpha = fit_riesz(data, gen, basis, residuals=res)
         mu = tmle_fluctuate(mu, alpha, xl, dl, yl)
         av = np.where(dl == 1, alpha.a1(xl), alpha.a0(xl))
         score = float(np.sum(av * (yl - mu.predict_rows(dl, xl)))) / data.n

@@ -8,15 +8,23 @@ carry no Monte Carlo noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadAlpha, DomainViolation, GridExcludesMinimum
+from .errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum
 from .nuisance import BregmanGenerator
 
 _GH_NODES = 64
+
+
+def _set_vector(dgp, name: str, size: int):
+    """Store field ``name`` of a frozen DGP as a float array of length ``size``."""
+    v = np.asarray(getattr(dgp, name), dtype=float)
+    if v.shape != (size,):
+        raise DimMismatch(f"{name} must have length {size}, got shape {v.shape}")
+    object.__setattr__(dgp, name, v)
 
 
 def _check_prob(name: str, p: np.ndarray):
@@ -56,9 +64,8 @@ class DiscreteXDgp:
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
         object.__setattr__(self, "xs", xs)
         for name in ("p", "e1", "mu1", "mu0", "s2_1", "s2_0", "pi1", "q"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
+            if getattr(self, name) is not None:
+                _set_vector(self, name, len(xs))  # one entry per support point
         if abs(float(np.sum(self.p)) - 1.0) > 1e-9:
             raise DomainViolation("p masses must sum to 1")
         if self.q is not None and abs(float(np.sum(self.q)) - 1.0) > 1e-9:
@@ -147,11 +154,11 @@ class GaussianLinearDgp:
     family = "GaussianLinear"
 
     def __post_init__(self):
+        k = np.size(self.p_mean)
         for name in ("p_mean", "p_var", "mu1_coef", "mu0_coef", "e_coef",
                      "pi_coef", "q_mean", "q_var"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
+            if getattr(self, name) is not None:  # coefficients are intercept-first
+                _set_vector(self, name, k + name.endswith("_coef"))
         if self.k > 3:
             raise DomainViolation("quadrature supports covariate dimension <= 3")
         if np.any(self.p_var <= 0.0):
@@ -394,7 +401,7 @@ def brute_force_riesz(
         if gen.tag == "LSIF":
             obj1 = g1[c] * grid**2 - 2.0 * grid
             obj0 = g0[c] * grid**2 + 2.0 * grid
-        elif gen.tag == "UKL":
+        else:
             obj1 = np.where(grid > 1.0,
                             g1[c] * (np.log(np.maximum(grid - 1.0, 1e-300)) + grid)
                             - np.log(np.maximum(grid - 1.0, 1e-300)),
@@ -403,8 +410,6 @@ def brute_force_riesz(
                             g0[c] * (np.log(np.maximum(-grid - 1.0, 1e-300)) - grid)
                             - np.log(np.maximum(-grid - 1.0, 1e-300)),
                             np.inf)
-        else:
-            raise ValueError(f"unknown generator {gen.tag!r}")
         for obj, out in ((obj1, a1_star), (obj0, a0_star)):
             finite = np.isfinite(obj)
             idx = int(np.argmin(np.where(finite, obj, np.inf)))
@@ -422,45 +427,22 @@ def brute_force_riesz(
 # ---------------------------------------------------------------------------
 
 def dgp_to_dict(dgp) -> dict:
-    if dgp.family == "DiscreteX":
-        out = {
-            "family": "DiscreteX",
-            "xs": dgp.xs.tolist(),
-            "p": dgp.p.tolist(),
-            "e1": dgp.e1.tolist(),
-            "mu1": dgp.mu1.tolist(),
-            "mu0": dgp.mu0.tolist(),
-            "s2_1": dgp.s2_1.tolist(),
-            "s2_0": dgp.s2_0.tolist(),
-        }
-        if dgp.pi1 is not None:
-            out["pi1"] = dgp.pi1.tolist()
-        if dgp.q is not None:
-            out["q"] = dgp.q.tolist()
-        return out
-    out = {
-        "family": "GaussianLinear",
-        "p_mean": dgp.p_mean.tolist(),
-        "p_var": dgp.p_var.tolist(),
-        "mu1_coef": dgp.mu1_coef.tolist(),
-        "mu0_coef": dgp.mu0_coef.tolist(),
-        "s2_1": dgp.s2_1,
-        "s2_0": dgp.s2_0,
-        "e_coef": dgp.e_coef.tolist(),
-    }
-    if dgp.pi_coef is not None:
-        out["pi_coef"] = dgp.pi_coef.tolist()
-    if dgp.q_mean is not None:
-        out["q_mean"] = dgp.q_mean.tolist()
-        out["q_var"] = dgp.q_var.tolist()
+    """The DGP's family and its set fields in declaration order, arrays as lists."""
+    out = {"family": dgp.family}
+    for f in fields(dgp):
+        val = getattr(dgp, f.name)
+        if val is not None:
+            out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
     return out
 
 
 def dgp_from_dict(spec: dict):
-    family = spec.get("family")
-    fields = {k: v for k, v in spec.items() if k != "family"}
-    if family == "DiscreteX":
-        return DiscreteXDgp(**fields)
-    if family == "GaussianLinear":
-        return GaussianLinearDgp(**fields)
-    raise DomainViolation(f"unknown DGP family {family!r}")
+    if not isinstance(spec, dict):
+        raise DomainViolation(f"a DGP spec must be a JSON object, got {type(spec).__name__}")
+    cls = {"DiscreteX": DiscreteXDgp, "GaussianLinear": GaussianLinearDgp}.get(spec.get("family"))
+    if cls is None:
+        raise DomainViolation(f"unknown DGP family {spec.get('family')!r}")
+    try:
+        return cls(**{k: v for k, v in spec.items() if k != "family"})
+    except TypeError as exc:  # a missing or unknown field, or a value of the wrong type
+        raise DomainViolation(f"bad {cls.family} spec: {exc}") from None

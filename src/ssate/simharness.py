@@ -187,8 +187,7 @@ def _one_rep(config: McConfig, r: int):
             g = overrides.get("g_override")
             if g is None:
                 g = fit_gmodel_mle(data, basis=config.nuisance.basis,
-                                   clip_eps=config.nuisance.clip_eps,
-                                   opt=config.nuisance.optimizer)
+                                   clip_eps=config.nuisance.clip_eps)
             return estimate_os_ipw(data, g, level=config.level)
         if config.estimator == "os-ra":
             mu = overrides.get("mu_override")

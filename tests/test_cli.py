@@ -1,15 +1,17 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ssate import dgp_d1, sample_one, sample_two
-from ssate.cli import main
+from ssate.cli import _nuisance_from, main
 from ssate.datamodel import (
     write_labeled_csv,
     write_one_sample_csv,
     write_unlabeled_csv,
 )
+from ssate.estimators import NuisanceConfig
 from ssate.oracle import dgp_to_dict
 
 
@@ -134,11 +136,60 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "replications failed" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate-os", "estimate-ts", "bounds", "simulate"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "bad-json", "list"])
+    def test_unreadable_config_file_exit_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{command}: ")
+
+    @pytest.mark.parametrize("extra", [
+        {"folds": 2.7}, {"reps": "3"}, {"seed": "5"}, {"level": "0.9"}, {"threads": "2"},
+        {"hook": "zero-mu"}, {"hook": {"kind": "constant-g", "c": "0.5"}},
+        {"nuisance": "degree-2"}, {"dgp": "d1"}, {"dgp": {"family": "DiscreteX", "xs": [[0.0]]}},
+        {"study": "infinite-unlabeled", "n_labeled": "20", "ratio": 10},
+        {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10.5},
+    ])
+    def test_simulate_uncoerced_values_exit_2(self, tmp_path, extra):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 3,
+                                    **extra}))
+        assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("extra", [{"alpha": "0.5"}, {"grid_step": "0.01"},
+                                       {"grid_step": -0.01}])
+    def test_bounds_uncoerced_values_exit_2(self, files, tmp_path, extra):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dgp": str(files["spec"]), "alpha": 0.5, **extra}))
+        assert main(["bounds", "--config", str(path)]) == 2
+
+    def test_estimate_ts_riesz_mode_exit_2(self, files, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"riesz_mode": "kl-riesz"}))
+        argv = ["estimate-ts", "--labeled", str(files["lab"]), "--unlabeled", str(files["unl"]),
+                "--beta-star", "0.5", "--config", str(path)]
+        assert main(argv) == 2
+        assert "riesz_mode" in capsys.readouterr().err
+
     def test_fractional_indicator_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,o,d,y\n0.0,1.5,1,2.0\n")
         assert main(["estimate-os", "--input", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def test_nuisance_options_are_the_config_fields():
+    # every NuisanceConfig field is settable from a config, and nothing else is
+    values = {"degree": 2, "ridge_lambda": 0.5, "clip_eps": 0.05, "clip_c": 7.0,
+              "riesz_mode": "kl-riesz"}
+    assert set(values) == {f.name for f in fields(NuisanceConfig)}
+    together = _nuisance_from(values)
+    for key, val in values.items():
+        assert getattr(_nuisance_from({key: val}), key) == val
+        assert getattr(together, key) == val
 
 
 class TestEstimateTs:
@@ -176,6 +227,14 @@ class TestBounds:
         assert rep["beta_star"] == 0.5
         assert rep["v_ts"]["0.5"] == 8.25
         assert rep["v_tilde_ts"] == 4.0
+
+    def test_mismatched_spec_lengths_exit_2(self, tmp_path, capsys):
+        spec = dgp_to_dict(dgp_d1())
+        spec["p"] = [0.25, 0.25, 0.5]  # three masses, two support points
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["bounds", "--dgp", str(path)]) == 2
+        assert "length 2" in capsys.readouterr().err
 
     def test_no_support_spec_exit_2(self, tmp_path, capsys):
         spec = dgp_to_dict(dgp_d1())

@@ -24,8 +24,7 @@ from conftest import random_one_sample, random_two_sample
 def const_model(x, m1, m0, clip_c=1e6):
     basis = BasisSpec().fit(x)
     return OutcomeModel(basis=basis,
-                        coef={1: np.array([m1, 0.0]), 0: np.array([m0, 0.0])},
-                        ridge_lambda=0.0, clip_c=clip_c)
+                        coef={1: np.array([m1, 0.0]), 0: np.array([m0, 0.0])}, clip_c=clip_c)
 
 
 def const_gmodel(x, g1, g0):
@@ -164,6 +163,13 @@ class TestOsEff:
         }
         taus = [r.tau_hat for r in reps.values()]
         assert max(taus) - min(taus) <= 0.02
+
+
+def test_ts_rejects_riesz_mode(d2_sample_2k):
+    # the two-sample weights come from fitted e and r; no Riesz mode exists yet
+    with pytest.raises(ValueError, match="riesz_mode"):
+        estimate_ts_eff(d2_sample_2k, beta_star=0.5,
+                        config=NuisanceConfig(riesz_mode="kl-riesz"))
 
 
 class TestScoreTs:

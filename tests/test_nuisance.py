@@ -5,6 +5,7 @@ from ssate import (
     LSIF,
     UKL,
     BasisSpec,
+    BregmanGenerator,
     GModel,
     OutcomeModel,
     RieszModel,
@@ -32,8 +33,7 @@ from conftest import random_one_sample
 def zero_outcome_model(x):
     basis = BasisSpec().fit(x)
     p = basis.dim
-    return OutcomeModel(basis=basis, coef={1: np.zeros(p), 0: np.zeros(p)},
-                        ridge_lambda=0.0, clip_c=1e6)
+    return OutcomeModel(basis=basis, coef={1: np.zeros(p), 0: np.zeros(p)}, clip_c=1e6)
 
 
 class TestFitOutcome:
@@ -238,11 +238,11 @@ class TestFitRiesz:
     def test_ukl_fit_converged_flag_is_honest(self, d1):
         data = sample_one(d1, 400, 3)
         opt = OptimizerConfig()
-        model = fit_riesz(data, gen=UKL, opt=opt)
+        model = fit_riesz(data, gen=UKL)
         g1, g0 = riesz_loss_grad(model, data)
         assert model.converged
         assert np.linalg.norm(np.concatenate([g1, g0])) <= opt.tol
-        refit = fit_riesz(data, gen=UKL, opt=opt)
+        refit = fit_riesz(data, gen=UKL)
         assert np.array_equal(model.theta1, refit.theta1)
         assert np.array_equal(model.theta0, refit.theta0)
 
@@ -269,6 +269,11 @@ class TestFitRiesz:
         data = OneSampleDataset.from_arrays(x, o, d, np.zeros(7))
         with pytest.raises(SingularSystem):
             fit_riesz(data, gen=gen)
+
+
+def test_unknown_generator_tag_rejected():
+    with pytest.raises(ValueError, match="unknown generator"):
+        BregmanGenerator("foo")
 
 
 class TestMinimizeGd:
@@ -476,13 +481,3 @@ class TestProperties:
             model = fit_riesz(data, gen=UKL)
             assert np.all(model.a1(data.x) > 1.0)
             assert np.all(model.a0(data.x) < -1.0)
-
-    def test_basis_standardization_frozen(self):
-        rng = np.random.default_rng(24)
-        x = rng.normal(loc=5.0, scale=2.0, size=(100, 2))
-        fb = BasisSpec(standardize=True).fit(x)
-        phi_at_fit = fb.transform(x)
-        # transform of new data reuses the frozen statistics
-        phi_new = fb.transform(x[:10] + 100.0)
-        assert np.allclose(phi_at_fit[:, 1].mean(), 0.0, atol=1e-12)
-        assert phi_new[:, 1].mean() > 10.0

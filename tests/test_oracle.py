@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,9 +21,9 @@ from ssate import (
     sample_one,
     true_ate,
 )
-from ssate.errors import BadAlpha, DomainViolation, GridExcludesMinimum
+from ssate.errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum
 from ssate.estimators import score_os_vec
-from ssate.oracle import dgp_from_dict, dgp_to_dict
+from ssate.oracle import dgp_from_dict, dgp_to_dict, oracle_bounds
 
 
 def random_discrete_dgp(rng, two_sample=False):
@@ -215,6 +219,49 @@ class TestGaussianFamily:
     def test_discrete_round_trip(self, d1):
         back = dgp_from_dict(dgp_to_dict(d1))
         assert abs(bound_v_os(back) - 8.25) <= 1e-12
+
+
+class TestSpecLengths:
+    """Every tabulated or coefficient array must match the covariate layout."""
+
+    @pytest.mark.parametrize("name", ["p", "e1", "mu1", "mu0", "s2_1", "s2_0", "pi1", "q"])
+    def test_discrete_array_per_support_point(self, d1, name):
+        spec = dgp_to_dict(d1)
+        spec[name] = [0.25, 0.25, 0.5]  # three entries for two support points
+        with pytest.raises(DimMismatch, match=name):
+            dgp_from_dict(spec)
+
+    @pytest.mark.parametrize("name, value", [
+        ("p_var", [1.0, 1.0]), ("q_mean", [0.5, 0.5]), ("q_var", [[1.5]]),
+        ("mu1_coef", [1.0]), ("mu0_coef", [0.2, 0.3, 0.1]), ("e_coef", [0.0]),
+        ("pi_coef", [0.0, 0.0, 0.0]),
+    ])
+    def test_gaussian_vector_lengths(self, name, value):
+        spec = dgp_to_dict(TestGaussianFamily().make())
+        spec[name] = value
+        with pytest.raises(DimMismatch, match=name):
+            dgp_from_dict(spec)
+
+    @pytest.mark.parametrize("change", ["list", "missing", "unknown"])
+    def test_malformed_spec_rejected(self, d1, change):
+        spec = dgp_to_dict(d1)
+        if change == "list":
+            spec = list(spec)
+        elif change == "missing":
+            del spec["mu0"]
+        else:
+            spec["mu2"] = spec["mu1"]
+        with pytest.raises(DomainViolation):
+            dgp_from_dict(spec)
+
+
+def test_readme_dgp_specs_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    specs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert {spec["family"] for spec in specs} == {"DiscreteX", "GaussianLinear"}
+    for spec in specs:
+        report = oracle_bounds(dgp_from_dict(spec), alpha=0.5)
+        assert np.isfinite(report.v_os) and np.isfinite(report.v_tilde_ts)
 
 
 class TestMonteCarloAgreement:
