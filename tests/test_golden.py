@@ -29,6 +29,7 @@ from ssate import (
 )
 from ssate.datamodel import write_labeled_csv, write_one_sample_csv, write_unlabeled_csv
 from ssate.estimators import NuisanceConfig
+from ssate.nuisance import LSIF, UKL, ddml_iterate, tmle_fluctuate
 from ssate.oracle import GaussianLinearDgp
 
 
@@ -94,6 +95,38 @@ def _mc_cases():
     }
 
 
+def _digest(*arrays):
+    return hashlib.sha256(np.stack(arrays).tobytes()).hexdigest()
+
+
+def _outcome_pins(mu, data):
+    """Both arms of a fitted outcome model and its arm-matched predictions
+    on every row, as sha256 digests of the float64 bytes."""
+    return {"arms_sha256": _digest(mu(1, data.x), mu(0, data.x)),
+            "predict_rows_sha256": _digest(mu.predict_rows(data.d, data.x))}
+
+
+def _ddml(one, gen):
+    mu, alpha, trace = ddml_iterate(one, n_steps=3, gen=gen)
+    return {"trace": trace, "theta1": alpha.theta1.tolist(),
+            "theta0": alpha.theta0.tolist(), **_outcome_pins(mu, one)}
+
+
+def _tmle_stacked(one):
+    """Two fluctuations, LSIF then UKL, on the labeled ridge fit."""
+    xl, dl, yl = one.labeled_arrays()
+    mu = fit_outcome_both(xl, dl, yl)
+    for gen in (LSIF, UKL):
+        mu = tmle_fluctuate(mu, fit_riesz(one, gen=gen), xl, dl, yl)
+    return {"eps": [eps for _, eps in mu.fluctuations], **_outcome_pins(mu, one)}
+
+
+# the fitted-model paths that no estimator reaches
+FIT_CASES = {
+    "ddml/LSIF/3": lambda one: _ddml(one, LSIF),
+    "ddml/UKL/3": lambda one: _ddml(one, UKL),
+    "tmle/LSIF+UKL": _tmle_stacked,
+}
 ESTIMATE_CASES = _estimate_cases()
 MC_CASES = _mc_cases()
 
@@ -111,6 +144,11 @@ def pinned(rep):
 @pytest.mark.parametrize("case", sorted(ESTIMATE_CASES))
 def test_estimate_is_pinned(case, samples):
     assert pinned(ESTIMATE_CASES[case](*samples)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fit_is_pinned(case, samples):
+    assert FIT_CASES[case](samples[0]) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(MC_CASES))
@@ -361,3 +399,29 @@ GOLDEN = {'os-eff/both-overrides': {'tau_hat': 0.9823852668128906,
                       'level': 0.95,
                       'seed': 12,
                       'failures': []}}
+
+
+# recorded before the fitted models evaluated both arms from one transform
+GOLDEN.update({
+    'ddml/LSIF/3': {'trace': [1.973729821555834e-17, 9.86864910777917e-18,
+                              9.86864910777917e-18],
+                    'theta1': [2.982066133205793, -0.5618642848050727, 0.603224003233667],
+                    'theta0': [-4.037108428033801, 0.010876713587654662, 0.8421371895191598],
+                    'arms_sha256':
+                        '526282754c6c3430e947ab024d042ab75175e9b492f695ac133e8b471451062d',
+                    'predict_rows_sha256':
+                        'd0db6bff19d9c8b11df56248c70d62b114ff49195a1d2dbc025010fffe087d29'},
+    'ddml/UKL/3': {'trace': [3.947459643111668e-17, 9.86864910777917e-18,
+                             1.973729821555834e-17],
+                   'theta1': [0.6171748521298673, -0.2817979844812866, 0.3049434383751175],
+                   'theta0': [1.0859253032410592, -0.004108719507600337, -0.33723620632231766],
+                   'arms_sha256':
+                       '376d5da802a25b17b93c2b0eb2571126b5495e222c5156746ee0bd25a8a3ebea',
+                   'predict_rows_sha256':
+                       '18bd5edc5d13d41981e1286326a911ac13acf317cda5cb0dfadac2757823a424'},
+    'tmle/LSIF+UKL': {'eps': [9.710393359631247e-10, 0.0036155918255764115],
+                      'arms_sha256':
+                          'c2d3c5bb561931cec3f4fc78334697a7d2eb2db825e3d8e198cebdd6f1876de5',
+                      'predict_rows_sha256':
+                          'f0852526677155b82aba852eb0ccefcc87953cb074017ee8e1b0af5565391bea'},
+})
