@@ -111,11 +111,9 @@ def _nuisance_from(cfg: dict) -> NuisanceConfig:
     if cfg.get("riesz_mode") is not None:
         kwargs["riesz_mode"] = cfg["riesz_mode"]
     try:
-        config = NuisanceConfig(**kwargs)
-        config.basis  # BasisSpec rejects a degree below 1
+        return NuisanceConfig(**kwargs)
     except ValueError as exc:
         raise SsateError(f"bad nuisance config: {exc}") from None
-    return config
 
 
 def _run_args(cfg: dict, n: int):

@@ -96,6 +96,11 @@ class OneSampleDataset:
         m = self.labeled_mask
         return self.x[m], self.d[m], self.y[m]
 
+    def rows(self, mask: np.ndarray) -> "OneSampleDataset":
+        """The rows under ``mask`` as a read-only dataset. They were validated
+        with this one, so ``from_arrays`` is not run again."""
+        return OneSampleDataset(*(_as_readonly(a[mask]) for a in (self.x, self.o, self.d, self.y)))
+
     @staticmethod
     def from_arrays(x, o, d, y) -> "OneSampleDataset":
         """Validate and freeze the arrays; ``d`` and ``y`` are read only where o == 1."""

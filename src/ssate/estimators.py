@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -15,6 +16,7 @@ from .nuisance import (
     LSIF,
     UKL,
     BasisSpec,
+    arms,
     assemble_v_beta,
     fit_density_ratio,
     fit_e_model,
@@ -37,6 +39,15 @@ class NuisanceConfig:
     riesz_mode: str = "mle-g"
 
     def __post_init__(self):
+        # each check is written so that NaN fails it: JSON configs may hold NaN
+        if not self.degree >= 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise ValueError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
+        if not 0.0 < self.clip_eps < 0.5:
+            raise ValueError(f"clip_eps must lie in (0, 0.5), got {self.clip_eps}")
+        if self.clip_c is not None and not self.clip_c > 0.0:
+            raise ValueError(f"clip_c must be > 0, got {self.clip_c}")
         if self.riesz_mode not in RIESZ_MODES:
             raise ValueError(f"riesz_mode must be one of {RIESZ_MODES}")
 
@@ -136,7 +147,8 @@ def score_ts_vec(
 
 def score_ts_x(x: np.ndarray, mu) -> np.ndarray:
     """Outcome-model contrast mu(1, x) - mu(0, x)."""
-    return mu(1, x) - mu(0, x)
+    mu1, mu0 = arms(mu, x)
+    return mu1 - mu0
 
 
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
@@ -215,23 +227,26 @@ def estimate_os_eff(
     if g_override is not None or config.riesz_mode == "mle-g":
         weight = (g_override, lambda comp: fit_gmodel_mle(
             comp, basis=config.basis, clip_eps=config.clip_eps), "g_converged")
-        arms = lambda g, x: (1.0 / g(1, x), -1.0 / g(0, x))
+
+        def signed_weights(g, x):
+            g1, g0 = arms(g, x)
+            return 1.0 / g1, -1.0 / g0
     else:
         gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
         weight = (None, lambda comp: fit_riesz(comp, gen=gen, basis=config.basis),
                   "riesz_converged")
-        arms = lambda riesz, x: (riesz.a1(x), riesz.a0(x))
+        signed_weights = lambda riesz, x: riesz.a1_a0(x)
     scores = np.empty(data.n)
 
     def score(folds, models):
         (fold,), (mu, w) = folds, models
         xf = data.x[fold]
         scores[fold] = score_os_vec(data.o[fold], data.d[fold], data.y[fold],
-                                    mu(1, xf), mu(0, xf), *arms(w, xf))
+                                    *arms(mu, xf), *signed_weights(w, xf))
 
     diagnostics = _cross_fit(
         [(data.n, seed, "n_train")], n_folds,
-        lambda c: OneSampleDataset.from_arrays(data.x[c], data.o[c], data.d[c], data.y[c]),
+        data.rows,
         [(mu_override, lambda comp: _fit_mu(*comp.labeled_arrays(), config), None), weight],
         score,
     )
@@ -246,7 +261,8 @@ def estimate_os_ipw(
     """Inverse-probability-weighting baseline with a supplied g(d, x): a
     fitted GModel or any callable of the same signature."""
     report = _reporter(level, "OS-IPW", {"n": data.n, "n_labeled": data.n_labeled})
-    a = np.where(data.d == 1, 1.0 / g(1, data.x), -1.0 / g(0, data.x))
+    g1, g0 = arms(g, data.x)
+    a = np.where(data.d == 1, 1.0 / g1, -1.0 / g0)
     return report(*_mean_se(np.where(data.o == 1, a * data.y, 0.0)))
 
 
@@ -297,8 +313,9 @@ def estimate_ts_eff(
         (fm, fu), (mu, e, r) = folds, models
         v = assemble_v_beta(e, r, beta_star)
         xf = data.x[fm]
-        s_xdy[fm] = score_ts_vec(data.d[fm], data.y[fm], mu(1, xf), mu(0, xf), v(1, xf), v(0, xf))
-        s_x_lab[fm] = score_ts_x(xf, mu)
+        mu1, mu0 = arms(mu, xf)
+        s_xdy[fm] = score_ts_vec(data.d[fm], data.y[fm], mu1, mu0, *v.arms(xf))
+        s_x_lab[fm] = mu1 - mu0
         s_x_unl[fu] = score_ts_x(data.z[fu], mu)
 
     diagnostics = _cross_fit(

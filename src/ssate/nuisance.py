@@ -6,6 +6,10 @@ estimation, Riesz-representer estimation via Bregman-divergence
 minimization (least-squares and KL variants), the TMLE fluctuation step
 and the iterative debiasing loop that alternates weighted representer
 fits with fluctuations.
+
+Every fitted model that takes an arm also has ``arms(x)``, which returns
+``(f(1, x), f(0, x))`` from one basis transform; ``arms(f, x)`` below
+calls it, or falls back to two calls for a plain callable.
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ class FittedBasis:
         return np.column_stack([np.ones(x.shape[0])] + powers)
 
 
+def arms(f, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(f(1, x), f(0, x)) for a fitted model or any callable of (arm, x)."""
+    pair = getattr(f, "arms", None)
+    return pair(x) if pair is not None else (f(1, x), f(0, x))
+
+
 # ---------------------------------------------------------------------------
 # Outcome regression
 # ---------------------------------------------------------------------------
@@ -84,17 +94,28 @@ class OutcomeModel:
     clip_c: float
     fluctuations: tuple = ()
 
-    def __call__(self, arm: int, x: np.ndarray) -> np.ndarray:
+    def _clipped(self, arm: int, phi: np.ndarray) -> np.ndarray:
         if self.coef.get(arm) is None:
             raise InsufficientArmData(f"arm {arm} has 0 rows, need at least {self.basis.dim}")
-        val = np.clip(self.basis.transform(x) @ self.coef[arm], -self.clip_c, self.clip_c)
+        return np.clip(phi @ self.coef[arm], -self.clip_c, self.clip_c)
+
+    def __call__(self, arm: int, x: np.ndarray) -> np.ndarray:
+        val = self._clipped(arm, self.basis.transform(x))
         for riesz, eps in self.fluctuations:
             val = val + eps * (riesz.a1(x) if arm == 1 else riesz.a0(x))
         return val
 
+    def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        phi = self.basis.transform(x)
+        val1, val0 = self._clipped(1, phi), self._clipped(0, phi)
+        for riesz, eps in self.fluctuations:
+            a1, a0 = riesz.a1_a0(x)
+            val1, val0 = val1 + eps * a1, val0 + eps * a0
+        return val1, val0
+
     def predict_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Arm-matched prediction, row by row."""
-        return np.where(np.asarray(d) == 1, self(1, x), self(0, x))
+        return np.where(np.asarray(d) == 1, *self.arms(x))
 
 
 def _ridge_solve(phi: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -159,8 +180,12 @@ class GModel:
     converged: bool = True
 
     def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
-        raw = _softmax(self.basis.transform(x) @ self.weights.T)[:, 0 if d == 1 else 1]
-        return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps)
+        return self.arms(x)[0 if d == 1 else 1]
+
+    def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        probs = _softmax(self.basis.transform(x) @ self.weights.T)
+        lo, hi = self.clip_eps, 1.0 - self.clip_eps
+        return np.clip(probs[:, 0], lo, hi), np.clip(probs[:, 1], lo, hi)
 
 
 def fit_gmodel_mle(
@@ -177,22 +202,23 @@ def fit_gmodel_mle(
     fb = basis.fit(data.x)
     phi = fb.transform(data.x)
     n, p = phi.shape
-    onehot = np.zeros((n, 3))
-    onehot[np.arange(n), labels] = 1.0
+    rows = np.arange(n)
+    onehot = (labels[:, None] == np.arange(2)).astype(float)  # the two free classes
+    w = np.zeros((3, p))  # last row pinned at zero; the free rows are set per call
 
     def nll_grad_hess(w_free: np.ndarray):
-        w = np.vstack([w_free.reshape(2, p), np.zeros(p)])
-        logits = phi @ w.T
-        probs = _softmax(logits)
-        ll = np.sum(np.log(probs[np.arange(n), labels]))
-        resid = probs[:, :2] - onehot[:, :2]  # (n, 2)
+        w[:2] = w_free.reshape(2, p)
+        probs = _softmax(phi @ w.T)
+        ll = np.sum(np.log(probs[rows, labels]))
+        resid = probs[:, :2] - onehot
         grad = (resid.T @ phi).ravel() / n
         def hess():  # block Hessian of the multinomial NLL for the two free classes
             out = np.empty((2 * p, 2 * p))
-            for a in range(2):
-                for b in range(2):
-                    wgt = probs[:, a] * ((a == b) - probs[:, b])
-                    out[a * p:(a + 1) * p, b * p:(b + 1) * p] = (phi * wgt[:, None]).T @ phi / n
+            for a, b in ((0, 0), (0, 1), (1, 1)):
+                wgt = probs[:, a] * ((a == b) - probs[:, b])
+                out[a * p:(a + 1) * p, b * p:(b + 1) * p] = (phi * wgt[:, None]).T @ phi / n
+            # p0 * (0 - p1) and p1 * (0 - p0) are the same float, so block (1, 0) is (0, 1)
+            out[p:, :p] = out[:p, p:]
             return out
         return -ll / n, grad, hess
 
@@ -211,10 +237,12 @@ class EModel:
     converged: bool = True
 
     def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
-        phi = self.basis.transform(x)
-        p1 = 1.0 / (1.0 + np.exp(-(phi @ self.weights)))
+        return self.arms(x)[0 if d == 1 else 1]
+
+    def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        p1 = 1.0 / (1.0 + np.exp(-(self.basis.transform(x) @ self.weights)))
         p1 = np.clip(p1, self.clip_eps, 1.0 - self.clip_eps)
-        return p1 if d == 1 else 1.0 - p1
+        return p1, 1.0 - p1
 
 
 def _fit_logistic(phi: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -322,17 +350,24 @@ class RieszModel:
     converged: bool = True
 
     def a1(self, x: np.ndarray) -> np.ndarray:
-        u = self.basis.transform(x) @ self.theta1
-        return u if self.generator.tag == "LSIF" else 1.0 + np.exp(u)
+        return self.a1_a0(x)[0]
 
     def a0(self, x: np.ndarray) -> np.ndarray:
-        u = self.basis.transform(x) @ self.theta0
-        return u if self.generator.tag == "LSIF" else -1.0 - np.exp(u)
+        return self.a1_a0(x)[1]
+
+    def a1_a0(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(a1(x), a0(x)) from one transform. Not named ``arms``: a representer
+        is not a probability, so ``arms`` must not accept it as a g."""
+        phi = self.basis.transform(x)
+        u1, u0 = phi @ self.theta1, phi @ self.theta0
+        if self.generator.tag == "LSIF":
+            return u1, u0
+        return 1.0 + np.exp(u1), -1.0 - np.exp(u0)
 
     def alpha(self, o: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         o = np.asarray(o)
         d = np.asarray(d)
-        out = np.where(d == 1, self.a1(x), self.a0(x))
+        out = np.where(d == 1, *self.a1_a0(x))
         return np.where(o == 1, out, 0.0)
 
 
@@ -420,8 +455,7 @@ def riesz_loss(
     term is averaged over all rows, labeled and unlabeled alike.
     """
     if model.generator.tag == "UKL":
-        a1 = model.a1(data.x)
-        a0 = model.a0(data.x)
+        a1, a0 = model.a1_a0(data.x)
         if np.any(a1 <= 1.0) or np.any(a0 >= -1.0):
             raise DomainViolation("UKL representer must satisfy a1 > 1 and a0 < -1")
     return float(sum(loss for loss, _, _ in _riesz_arm_terms(model, data, residuals)))
@@ -514,7 +548,7 @@ def tmle_fluctuate(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.asarray(d)
     y = np.asarray(y, dtype=float)
-    av = np.where(d == 1, alpha_model.a1(x), alpha_model.a0(x))
+    av = np.where(d == 1, *alpha_model.a1_a0(x))
     denom = float(np.sum(av**2))
     if denom == 0.0:
         raise ZeroDenominator("representer vanishes on every labeled row")
@@ -546,7 +580,7 @@ def ddml_iterate(
         res = yl - mu.predict_rows(dl, xl)
         alpha = fit_riesz(data, gen, basis, residuals=res)
         mu = tmle_fluctuate(mu, alpha, xl, dl, yl)
-        av = np.where(dl == 1, alpha.a1(xl), alpha.a0(xl))
+        av = np.where(dl == 1, *alpha.a1_a0(xl))
         score = float(np.sum(av * (yl - mu.predict_rows(dl, xl)))) / data.n
         trace.append(abs(score))
     return mu, alpha, trace
@@ -565,7 +599,12 @@ class VBeta:
     beta: float
 
     def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self.e_fn(d, x) / (self.beta + (1.0 - self.beta) / self.r_fn(x))
+        return self.arms(x)[0 if d == 1 else 1]
+
+    def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        e1, e0 = arms(self.e_fn, x)
+        den = self.beta + (1.0 - self.beta) / self.r_fn(x)
+        return e1 / den, e0 / den
 
 
 def assemble_v_beta(e_model, r_model, beta: float) -> VBeta:

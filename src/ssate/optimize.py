@@ -75,14 +75,13 @@ def minimize_newton(
     """
     x = np.asarray(x0, dtype=float).copy()
     loss, grad, hess = fun_grad_hess(x)
+    ridge = 1e-12 * np.eye(len(x))  # keeps the direction well-defined near flat regions
     for it in range(config.max_iter):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.tol:
             return OptResult(x, loss, gnorm, True, it)
-        # small ridge keeps the direction well-defined near flat regions
-        h = hess() + 1e-12 * np.eye(len(x))
         try:
-            direction = np.linalg.solve(h, grad)
+            direction = np.linalg.solve(hess() + ridge, grad)
         except np.linalg.LinAlgError:
             direction = grad
         slope = float(grad @ direction)

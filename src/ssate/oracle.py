@@ -62,6 +62,8 @@ class DiscreteXDgp:
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
+        if len(np.unique(xs, axis=0)) < len(xs):
+            raise DomainViolation("support points must be distinct")
         object.__setattr__(self, "xs", xs)
         for name in ("p", "e1", "mu1", "mu0", "s2_1", "s2_0", "pi1", "q"):
             if getattr(self, name) is not None:

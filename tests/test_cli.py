@@ -91,12 +91,21 @@ class TestEstimateOs:
         assert doc["config"]["folds"] == 2
 
 
+# nuisance options out of range; json.dumps writes float("nan") as the bare
+# NaN token, which json.load accepts
+BAD_NUISANCE = [{"degree": 0}, {"ridge_lambda": -1}, {"ridge_lambda": float("nan")},
+                {"clip_eps": 0.7}, {"clip_eps": 0.5}, {"clip_eps": -0.1},
+                {"clip_eps": float("nan")}, {"clip_c": -5}, {"clip_c": 0},
+                {"clip_c": float("nan")}]
+BAD_NUISANCE_IDS = ["-".join(map(str, *bad.items())) for bad in BAD_NUISANCE]
+
+
 class TestConfigErrors:
     """Bad config values are config errors (exit 2), never a traceback."""
 
     @pytest.mark.parametrize("cfg", [{"degree": "two"}, {"degree": 1.5}, {"degree": 0},
                                      {"riesz_mode": "foo"}, {"ridge_lambda": "x"},
-                                     {"level": "0.9"}, {"seed": 1.5}])
+                                     {"level": "0.9"}, {"seed": 1.5}, *BAD_NUISANCE[1:]])
     def test_bad_config_file_exit_2(self, files, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"input": str(files["os"]), **cfg}))
@@ -119,6 +128,21 @@ class TestConfigErrors:
         path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 50, "reps": 2,
                                     "nuisance": {"degree": "two"}}))
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("bad", BAD_NUISANCE, ids=BAD_NUISANCE_IDS)
+    def test_estimate_ts_nuisance_out_of_range_exit_2(self, files, tmp_path, bad):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"labeled": str(files["lab"]),
+                                    "unlabeled": str(files["unl"]), "beta-star": 0.5, **bad}))
+        assert main(["estimate-ts", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("bad", BAD_NUISANCE, ids=BAD_NUISANCE_IDS)
+    def test_simulate_nuisance_out_of_range_exit_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 50, "reps": 2,
+                                    "nuisance": bad}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "bad nuisance config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         {"folds": 1000}, {"folds": 0}, {"level": 1.5},
@@ -235,6 +259,14 @@ class TestBounds:
         path.write_text(json.dumps(spec))
         assert main(["bounds", "--dgp", str(path)]) == 2
         assert "length 2" in capsys.readouterr().err
+
+    def test_repeated_support_point_exit_2(self, tmp_path, capsys):
+        spec = dgp_to_dict(dgp_d1())
+        spec["xs"] = [[0.0], [0.0]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["bounds", "--dgp", str(path)]) == 2
+        assert "distinct" in capsys.readouterr().err
 
     def test_no_support_spec_exit_2(self, tmp_path, capsys):
         spec = dgp_to_dict(dgp_d1())

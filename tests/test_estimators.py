@@ -16,7 +16,7 @@ from ssate import (
 )
 from ssate.errors import BadLevel, DomainViolation
 from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
-from ssate.nuisance import OutcomeModel
+from ssate.nuisance import FittedBasis, OutcomeModel, fit_riesz
 
 from conftest import random_one_sample, random_two_sample
 
@@ -231,3 +231,73 @@ class TestTsEff:
             if abs(rep.tau_hat - 0.5) <= 4 * rep.se:
                 hits += 1
         assert hits >= 27
+
+
+BAD_NUISANCE = [
+    {"degree": 0}, {"ridge_lambda": -1.0}, {"ridge_lambda": float("inf")},
+    {"ridge_lambda": float("nan")}, {"clip_eps": 0.7}, {"clip_eps": 0.5}, {"clip_eps": 0.0},
+    {"clip_eps": -0.1}, {"clip_eps": float("nan")}, {"clip_c": -5.0}, {"clip_c": 0.0},
+    {"clip_c": float("nan")},
+]
+
+
+class TestNuisanceConfig:
+    @pytest.mark.parametrize("bad", BAD_NUISANCE, ids=lambda b: "-".join(map(str, *b.items())))
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            NuisanceConfig(**bad)
+
+    def test_edges_accepted(self):
+        NuisanceConfig(degree=3, ridge_lambda=0.0, clip_eps=1e-9, clip_c=1e-9)
+        NuisanceConfig(clip_eps=0.4999, clip_c=float("inf"))
+
+
+def test_riesz_model_is_not_a_g_override(d1):
+    data = sample_one(d1, 300, 42)
+    with pytest.raises(TypeError):
+        estimate_os_eff(data, g_override=fit_riesz(data))
+
+
+class TestEvaluationCounts:
+    """Each cross-fitted nuisance is evaluated once per fold, on one transform."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        calls = []
+        transform = FittedBasis.transform
+
+        def counted(self, x):
+            calls.append(len(x))
+            return transform(self, x)
+
+        monkeypatch.setattr(FittedBasis, "transform", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["mle-g", "ls-riesz", "kl-riesz"])
+    def test_os_eff(self, d1, transforms, mode):
+        data = sample_one(d1, 400, 43)
+        estimate_os_eff(data, n_folds=2, seed=1, config=NuisanceConfig(riesz_mode=mode))
+        # per fold: the mu and weight fits, then one evaluation of each on the fold
+        assert len(transforms) == 8
+
+    def test_ts_eff(self, d2, transforms):
+        data = sample_two(d2, 400, 400, 44)
+        estimate_ts_eff(data, beta_star=0.5, n_folds=2, seed=1)
+        # per fold: the mu, e and r fits; mu on the fold and on the unlabeled
+        # fold; e and r on the fold, once each for both arms of v
+        assert len(transforms) == 14
+
+    @pytest.mark.parametrize("folds", [1, 2, 3])
+    def test_os_eff_validates_once(self, d1, monkeypatch, folds):
+        data = sample_one(d1, 400, 45)
+        calls = []
+        from_arrays = OneSampleDataset.from_arrays
+
+        def counted(*args):
+            calls.append(1)
+            return from_arrays(*args)
+
+        monkeypatch.setattr(OneSampleDataset, "from_arrays", staticmethod(counted))
+        built = OneSampleDataset.from_arrays(data.x, data.o, data.d, data.y)
+        estimate_os_eff(built, n_folds=folds, seed=1)
+        assert len(calls) == 1  # the fold complements are sliced, not re-validated

@@ -473,6 +473,100 @@ class TestAssembleVBeta:
         assert np.allclose(v(1, np.zeros((2, 1))), 1.2)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def continuous():
+    """k=2 continuous covariates, so every row has its own features."""
+    rng = np.random.default_rng(41)
+    n = 300
+    x = rng.normal(size=(n, 2))
+    o = (rng.random(n) < 0.7).astype(np.int8)
+    d = np.where(o == 1, rng.random(n) < 0.5, 0).astype(np.int8)
+    y = np.where(o == 1, x[:, 0] + d * (1.0 + x[:, 1]) + rng.normal(size=n), 0.0)
+    return OneSampleDataset.from_arrays(x, o, d, y)
+
+
+def count_transforms(monkeypatch):
+    calls = []
+    transform = nuisance.FittedBasis.transform
+
+    def counted(self, x):
+        calls.append(len(x))
+        return transform(self, x)
+
+    monkeypatch.setattr(nuisance.FittedBasis, "transform", counted)
+    return calls
+
+
+class TestArms:
+    """``arms(f, x)`` is ``(f(1, x), f(0, x))`` to the bit, from one transform."""
+
+    def models(self, data):
+        xl, dl, yl = data.labeled_arrays()
+        mu = fit_outcome_both(xl, dl, yl, basis=BasisSpec(degree=2))
+        fluctuated = mu
+        for gen in (LSIF, UKL):
+            fluctuated = tmle_fluctuate(fluctuated, fit_riesz(data, gen=gen), xl, dl, yl)
+        e = fit_e_model(xl, dl)
+        r = fit_density_ratio(xl, data.x[data.o == 0])
+        plain_e = lambda d, x: np.full(len(x), 0.3 if d == 1 else 0.7)
+        plain_r = lambda x: 1.0 + x[:, 0] ** 2
+        return {
+            "mu": (mu, 1), "mu-fluctuated": (fluctuated, 3),
+            "g": (fit_gmodel_mle(data), 1), "e": (e, 1),
+            "v-fitted": (assemble_v_beta(e, r, 0.3), 2),
+            "v-plain-e": (assemble_v_beta(plain_e, r, 0.3), 1),
+            "v-plain-r": (assemble_v_beta(e, plain_r, 0.3), 1),
+            "v-plain": (assemble_v_beta(plain_e, plain_r, 0.3), 0),
+        }
+
+    def test_fitted_kinds_match_two_calls(self, continuous, monkeypatch):
+        x = continuous.x
+        for name, (model, transforms) in self.models(continuous).items():
+            one, zero = model(1, x), model(0, x)
+            calls = count_transforms(monkeypatch)
+            pair = nuisance.arms(model, x)
+            monkeypatch.undo()
+            assert same_bits(pair[0], one) and same_bits(pair[1], zero), name
+            assert len(calls) == transforms, name
+
+    def test_predict_rows_is_arm_matched(self, continuous):
+        mu = self.models(continuous)["mu-fluctuated"][0]
+        x, d = continuous.x, continuous.d
+        assert same_bits(mu.predict_rows(d, x), np.where(d == 1, mu(1, x), mu(0, x)))
+
+    def test_plain_callable(self):
+        f = lambda d, x: np.full(len(x), float(d) + 0.5)
+        one, zero = nuisance.arms(f, np.zeros((3, 1)))
+        assert np.array_equal(one, [1.5] * 3) and np.array_equal(zero, [0.5] * 3)
+
+    @pytest.mark.parametrize("gen", [LSIF, UKL], ids=["LSIF", "UKL"])
+    def test_riesz_pair(self, continuous, gen):
+        model = fit_riesz(continuous, gen=gen, basis=BasisSpec(degree=2))
+        a1, a0 = model.a1_a0(continuous.x)
+        assert same_bits(a1, model.a1(continuous.x))
+        assert same_bits(a0, model.a0(continuous.x))
+
+    def test_riesz_model_has_no_arms(self, continuous):
+        model = fit_riesz(continuous)
+        with pytest.raises(TypeError):
+            nuisance.arms(model, continuous.x)
+
+    def test_unfitted_arm_raises(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        mu = fit_outcome_both(x, np.ones(3, dtype=int), np.array([0.0, 1.0, 2.0]), ridge_lambda=0.0)
+        assert np.allclose(mu(1, x), [0.0, 1.0, 2.0])  # the fitted arm still evaluates
+        with pytest.raises(InsufficientArmData):
+            mu(0, x)
+        with pytest.raises(InsufficientArmData):
+            nuisance.arms(mu, x)
+        with pytest.raises(InsufficientArmData):
+            mu.predict_rows(np.ones(3, dtype=int), x)
+
+
 class TestProperties:
     def test_ukl_domain_random_datasets(self):
         rng = np.random.default_rng(23)

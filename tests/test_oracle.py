@@ -255,6 +255,17 @@ class TestSpecLengths:
             dgp_from_dict(spec)
 
 
+def test_repeated_support_point_rejected():
+    # a lookup would map the repeated point to one table row, so true_ate
+    # would read 1.8 where the tables give 0.3 * 1 + 0.3 * 3 = 1.2
+    spec = dict(xs=[[0.0], [0.0], [1.0]], p=[0.3, 0.3, 0.4], e1=[0.5] * 3,
+                mu1=[1.0, 3.0, 0.0], mu0=[0.0] * 3, s2_1=[1.0] * 3, s2_0=[1.0] * 3)
+    with pytest.raises(DomainViolation, match="distinct"):
+        DiscreteXDgp(**spec)
+    spec["xs"] = [[0.0], [0.5], [1.0]]
+    assert abs(true_ate(DiscreteXDgp(**spec)) - 1.2) <= 1e-12
+
+
 def test_readme_dgp_specs_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     specs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
