@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -40,8 +41,8 @@ class NuisanceConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it: JSON configs may hold NaN
-        if not self.degree >= 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if not (isinstance(self.degree, numbers.Integral) and self.degree >= 1):
+            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
         if not 0.0 <= self.ridge_lambda < math.inf:
             raise ValueError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
         if not 0.0 < self.clip_eps < 0.5:

@@ -234,7 +234,7 @@ class TestTsEff:
 
 
 BAD_NUISANCE = [
-    {"degree": 0}, {"ridge_lambda": -1.0}, {"ridge_lambda": float("inf")},
+    {"degree": 0}, {"degree": 1.5}, {"degree": 2.0}, {"ridge_lambda": -1.0}, {"ridge_lambda": float("inf")},
     {"ridge_lambda": float("nan")}, {"clip_eps": 0.7}, {"clip_eps": 0.5}, {"clip_eps": 0.0},
     {"clip_eps": -0.1}, {"clip_eps": float("nan")}, {"clip_c": -5.0}, {"clip_c": 0.0},
     {"clip_c": float("nan")},
@@ -248,7 +248,7 @@ class TestNuisanceConfig:
             NuisanceConfig(**bad)
 
     def test_edges_accepted(self):
-        NuisanceConfig(degree=3, ridge_lambda=0.0, clip_eps=1e-9, clip_c=1e-9)
+        NuisanceConfig(degree=np.int64(3), ridge_lambda=0.0, clip_eps=1e-9, clip_c=1e-9)
         NuisanceConfig(clip_eps=0.4999, clip_c=float("inf"))
 
 
