@@ -43,8 +43,11 @@ def _emit(command: str, config: dict, report: dict, output: Optional[str]):
     }
     text = json.dumps(_finite(envelope), sort_keys=True, indent=2, allow_nan=False)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SsateError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(text + "\n")
 
@@ -336,10 +339,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.file_config = _load_config_file(args.config)
-    except SsateError as exc:
+        return args.func(args)
+    except SsateError as exc:  # a bad --config or an unwritable --output
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ from a file or built in memory, is validated once, by ``from_arrays``.
 from __future__ import annotations
 
 import csv
+import io
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -198,34 +200,128 @@ def make_fold_plan(n: int, n_folds: int, seed: int) -> FoldPlan:
 
 
 # ---------------------------------------------------------------------------
-# CSV schemas: x1,...,xk followed by each schema's own columns. Readers
-# stream every token through float() into flat buffers, then hand the
-# columns to from_arrays; writers format one row at a time.
+# CSV schemas: x1,...,xk followed by each schema's own columns. A reader
+# parses a file in the plain dialect in bulk (``_bulk``) and streams any
+# other file, or any file the bulk path cannot vouch for, through float()
+# (``_stream``); either way it hands the columns to from_arrays. Writers
+# format a fixed number of rows at a time, column by column.
 # ---------------------------------------------------------------------------
 
-def _stream(path, tail: tuple, take) -> int:
-    """Check the header ``x1,...,xk`` + ``tail`` of the CSV at ``path``, then
-    hand each data line's fields to ``take``; returns k.
+# The plain dialect, in which every writer here writes: a header of
+# printable ASCII without quotes, then data lines of these bytes only, each
+# ending in \r\n or \n (the last line may end the file instead).
+_PLAIN_HEADER = re.compile(rb'[ !#-~]*\r?\n')
+_PLAIN_BYTES = b"0123456789.,+-eENA\r\n"
+_CHUNK_ROWS = 512
+
+
+def _check_header(path, header: list, tail: tuple) -> None:
+    """Raise DimMismatch unless ``header`` is ``x1,...,xk`` + ``tail`` for some k >= 1."""
+    k = len(header) - len(tail)
+    if k < 1 or header[k:] != list(tail):
+        raise DimMismatch(f"{path}, line 1: header must be {','.join(['x1,...,xk', *tail])}")
+
+
+def _undecodable(fields) -> bool:
+    """Whether a field held bytes that are not UTF-8 (read as lone surrogates)."""
+    try:
+        "".join(fields).encode()
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _stream(path, tail: tuple, na_tail: int = 0):
+    """Read the CSV at ``path``, with header ``x1,...,xk`` + ``tail``, line
+    by line through float(); returns its (rows, fields) table and the mask
+    of ``NA`` tokens in its last ``na_tail`` columns, which read as 0.
 
     Every line must have the header's field count, and a token ``float``
     rejects is a NonfiniteValue naming its line.
     """
-    with open(path, newline="") as fh:
+    values, missing = array("d"), array("b")
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path}: empty file")
-        k = len(header) - len(tail)
-        if k < 1 or header[k:] != list(tail):
-            raise DimMismatch(f"{path}, line 1: header must be {','.join(['x1,...,xk', *tail])}")
-        for lineno, fields in enumerate(reader, start=2):
-            if len(fields) != len(header):
-                raise DimMismatch(f"{path}, line {lineno}: expected {len(header)} fields")
-            try:
-                take(fields)
-            except ValueError as exc:
-                raise NonfiniteValue(f"{path}, line {lineno}: {exc}") from None
-    return k
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDataset(f"{path}: empty file")
+            if _undecodable(header):
+                raise SsateError(f"{path}, line 1: not UTF-8 text")
+            _check_header(path, header, tail)
+            na_from = len(header) - na_tail
+            for lineno, fields in enumerate(reader, start=2):
+                if len(fields) != len(header):
+                    raise DimMismatch(f"{path}, line {lineno}: expected {len(header)} fields")
+                try:
+                    values.extend(map(float, fields[:na_from]))
+                    for token in fields[na_from:]:
+                        missing.append(token == MISSING_TOKEN)
+                        values.append(0.0 if token == MISSING_TOKEN else float(token))
+                except ValueError as exc:
+                    if _undecodable(fields):
+                        raise SsateError(f"{path}, line {lineno}: not UTF-8 text") from None
+                    raise NonfiniteValue(f"{path}, line {lineno}: {exc}") from None
+        except csv.Error as exc:
+            raise SsateError(f"{path}, line {reader.line_num}: {exc}") from None
+    table = np.reshape(values, (-1, len(header)))
+    return table, np.asarray(missing, dtype=bool).reshape(len(table), na_tail)
+
+
+def _bulk(path, tail: tuple, na_tail: int = 0):
+    """``_stream``'s result for the CSV at ``path``, parsed in one pass by
+    numpy's C reader, or None when only ``_stream`` may read the file.
+
+    The reader converts each token with PyOS_string_to_double, as float()
+    does, so the table is returned only where that provably makes it
+    ``_stream``'s: the file is in the plain dialect with a valid header; no
+    line is as long as csv's field limit; the table has one row per line
+    (the reader would skip a blank one) and the header's field count; and
+    every value is finite but in the last ``na_tail`` columns, where a NaN
+    is exactly an ``NA`` token. A file with an error is never returned.
+    """
+    with open(path, "rb") as fh:
+        head, body = fh.readline(), fh.read()
+    # a first line of data keeps numpy from warning of a file without any
+    if not _PLAIN_HEADER.fullmatch(head) or not body or body.startswith((b"\n", b"\r\n")):
+        return None
+    header = head.rstrip(b"\r\n").decode("ascii").split(",")
+    try:
+        _check_header(path, header, tail)
+    except DimMismatch:
+        return None
+    if body.translate(None, _PLAIN_BYTES):
+        return None
+    chars = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    if (body.count(b"\r") != np.count_nonzero(chars[ends - 1] == ord("\r"))
+            or np.diff(ends, prepend=-1, append=len(body)).max() > csv.field_size_limit()):
+        return None
+    del chars  # so that the NA replacement below frees the file's bytes
+    if na_tail:
+        # [+-]?NAN is the only token of the dialect that reads as NaN. When
+        # every N opens a field ",NA", the fields that become NAN here are
+        # exactly the NA tokens not in the first column.
+        if body.count(b"N") != body.count(b",NA"):
+            return None
+        body = body.replace(b",NA", b",NAN")
+    try:
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2,
+                           encoding="ascii")
+    except ValueError:
+        return None
+    rows = len(ends) + (not body.endswith(b"\n"))
+    head_cols, tail_cols = np.hsplit(table, [len(header) - na_tail])
+    if table.shape != (rows, len(header)) or not np.isfinite(head_cols).all():
+        return None
+    missing = np.isnan(tail_cols)
+    tail_cols[missing] = 0.0
+    return table, missing
+
+
+def _read(path, tail: tuple, na_tail: int = 0):
+    """The (rows, fields) table of a CSV and its ``NA`` mask, as ``_stream`` reads them."""
+    return _bulk(path, tail, na_tail) or _stream(path, tail, na_tail)
 
 
 @contextmanager
@@ -240,68 +336,60 @@ def _at_lines(paths: dict):
         raise type(exc)(f"{paths[exc.sample]}, line {exc.row + 2}: {exc}") from None
 
 
-def _write(path, k: int, tail: tuple, rows) -> None:
-    """Write the header and ``rows``, taken one at a time; floats are written
-    with repr, which round-trips them exactly."""
+def _floats(a: np.ndarray) -> list:
+    """repr of each value, which round-trips the float exactly."""
+    return list(map(repr, a.tolist()))
+
+
+def _write(path, k: int, tail: tuple, n: int, columns) -> None:
+    """Write the header and ``n`` rows, ``_CHUNK_ROWS`` at a time:
+    ``columns(rows)`` formats the rows under the slice ``rows`` as one list
+    of strings per field. Lines end in CRLF, as csv.writer's do."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(k)] + list(tail))
-        writer.writerows(rows)
+        fh.write(",".join([*(f"x{j + 1}" for j in range(k)), *tail]) + "\r\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            lines = map(",".join, zip(*columns(slice(lo, lo + _CHUNK_ROWS))))
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_one_sample_csv(path) -> OneSampleDataset:
     """Read `x1,...,xk,o,d,y`, where `d` and `y` are `NA` exactly when o=0."""
-    x, o, d, y, n_missing = array("d"), array("d"), array("d"), array("d"), array("b")
-
-    def take(fields):
-        x.extend(map(float, fields[:-3]))
-        o.append(float(fields[-3]))
-        d_missing, y_missing = fields[-2] == MISSING_TOKEN, fields[-1] == MISSING_TOKEN
-        d.append(0.0 if d_missing else float(fields[-2]))
-        y.append(0.0 if y_missing else float(fields[-1]))
-        n_missing.append(d_missing + y_missing)
-
-    k = _stream(path, ("o", "d", "y"), take)
-    obs, n_na = np.asarray(o), np.asarray(n_missing)
+    table, missing = _read(path, ("o", "d", "y"), na_tail=2)
+    obs, d, y = table[:, -3:].T
+    n_na = missing.sum(axis=1)
     with _at_lines({"": path}):
         # the NA token is the one rule of the file itself; rows whose o is
         # not an indicator are left to from_arrays
         _check_rows((obs != 1) | (n_na == 0), NaCouplingViolation,
                     "o=1 requires both d and y to be present")
         _check_rows((obs != 0) | (n_na == 2), NaCouplingViolation, "o=0 forbids present d or y")
-        return OneSampleDataset.from_arrays(np.reshape(x, (-1, k)), obs, d, y)
+        return OneSampleDataset.from_arrays(table[:, :-3], obs, d, y)
 
 
 def write_one_sample_csv(data: OneSampleDataset, path) -> None:
-    missing = (MISSING_TOKEN, MISSING_TOKEN)
-    x_rows = map(np.ndarray.tolist, data.x)
-    _write(path, data.k, ("o", "d", "y"), (
-        [*map(repr, xi), "1", str(di), repr(yi)] if oi == 1 else [*map(repr, xi), "0", *missing]
-        for xi, oi, di, yi in zip(x_rows, memoryview(data.o), memoryview(data.d),
-                                  memoryview(data.y))))
+    def columns(rows):
+        lab = (data.o[rows] == 1).tolist()
+        return [*map(_floats, data.x[rows].T),
+                ["1" if oi else "0" for oi in lab],
+                [s if oi else MISSING_TOKEN for s, oi in zip(map(str, data.d[rows].tolist()), lab)],
+                [s if oi else MISSING_TOKEN for s, oi in zip(_floats(data.y[rows]), lab)]]
+
+    _write(path, data.k, ("o", "d", "y"), data.n, columns)
 
 
 def read_two_sample_csv(labeled_path, unlabeled_path) -> TwoSampleDataset:
     """Read a labeled `x1,...,xk,d,y` CSV and an unlabeled `x1,...,xk` CSV."""
-    x, d, y, z = array("d"), array("d"), array("d"), array("d")
-
-    def take_labeled(fields):
-        x.extend(map(float, fields[:-2]))
-        d.append(float(fields[-2]))
-        y.append(float(fields[-1]))
-
-    k = _stream(labeled_path, ("d", "y"), take_labeled)
-    k_z = _stream(unlabeled_path, (), lambda fields: z.extend(map(float, fields)))
+    labeled, _ = _read(labeled_path, ("d", "y"))
+    z, _ = _read(unlabeled_path, ())
     with _at_lines({"labeled ": labeled_path, "unlabeled ": unlabeled_path}):
-        return TwoSampleDataset.from_arrays(np.reshape(x, (-1, k)), d, y, np.reshape(z, (-1, k_z)))
+        return TwoSampleDataset.from_arrays(labeled[:, :-2], labeled[:, -2], labeled[:, -1], z)
 
 
 def write_labeled_csv(data: TwoSampleDataset, path) -> None:
-    x_rows = map(np.ndarray.tolist, data.x)
-    _write(path, data.k, ("d", "y"), (
-        [*map(repr, xi), str(di), repr(yi)]
-        for xi, di, yi in zip(x_rows, memoryview(data.d), memoryview(data.y))))
+    _write(path, data.k, ("d", "y"), data.m, lambda rows: [
+        *map(_floats, data.x[rows].T), list(map(str, data.d[rows].tolist())),
+        _floats(data.y[rows])])
 
 
 def write_unlabeled_csv(data: TwoSampleDataset, path) -> None:
-    _write(path, data.k, (), (map(repr, zi) for zi in map(np.ndarray.tolist, data.z)))
+    _write(path, data.k, (), data.l, lambda rows: list(map(_floats, data.z[rows].T)))

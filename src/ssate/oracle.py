@@ -128,6 +128,16 @@ class DiscreteXDgp:
     def g(self, d: int, x: np.ndarray) -> np.ndarray:
         return self.pi(x) * self.e(d, x)
 
+    def _draw_laws(self, x: np.ndarray, with_pi: bool):
+        """Yield, for the samplers, pi(x) when ``with_pi``, then e(1, x),
+        mu(1, x), mu(0, x), sigma2(1, x) and sigma2(0, x), all from one
+        support lookup. ``pi`` on the support points raises without pi1."""
+        s = self._lookup(x)
+        if with_pi:
+            yield self.pi(self.xs)[s]
+        for table in (self.e1, self.mu1, self.mu0, self.s2_1, self.s2_0):
+            yield table[s]
+
     def sample_x(self, rng: np.random.Generator, n: int, law: str = "p") -> np.ndarray:
         masses = self.p if law == "p" else self.q
         if masses is None:
@@ -233,6 +243,16 @@ class GaussianLinearDgp:
 
     def g(self, d: int, x: np.ndarray) -> np.ndarray:
         return self.pi(x) * self.e(d, x)
+
+    def _draw_laws(self, x: np.ndarray, with_pi: bool):
+        """As ``DiscreteXDgp._draw_laws``, each law computed when it is drawn."""
+        if with_pi:
+            yield self.pi(x)
+        yield self.e(1, x)
+        yield self.mu(1, x)
+        yield self.mu(0, x)
+        yield self.sigma2(1, x)
+        yield self.sigma2(0, x)
 
     def sample_x(self, rng: np.random.Generator, n: int, law: str = "p") -> np.ndarray:
         if law == "p":

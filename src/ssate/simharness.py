@@ -35,10 +35,13 @@ def sample_one(dgp, n: int, seed: int) -> OneSampleDataset:
     observed, Y ~ Normal(mu0(D, X), sigma0^2(D, X))."""
     rng = np.random.default_rng(seed)
     x = dgp.sample_x(rng, n, "p")
-    o = (rng.random(n) < dgp.pi(x)).astype(np.int8)
-    d = (rng.random(n) < dgp.e(1, x)).astype(np.int8)
-    mu = np.where(d == 1, dgp.mu(1, x), dgp.mu(0, x))
-    sd = np.sqrt(np.where(d == 1, dgp.sigma2(1, x), dgp.sigma2(0, x)))
+    # pi, e(1), mu(1), mu(0), sigma2(1), sigma2(0) at x, one at a time, so
+    # that no more of them are held at once than each step uses
+    laws = dgp._draw_laws(x, with_pi=True)
+    o = (rng.random(n) < next(laws)).astype(np.int8)
+    d = (rng.random(n) < next(laws)).astype(np.int8)
+    mu = np.where(d == 1, next(laws), next(laws))
+    sd = np.sqrt(np.where(d == 1, next(laws), next(laws)))
     y = mu + sd * rng.standard_normal(n)
     d = np.where(o == 1, d, 0).astype(np.int8)
     y = np.where(o == 1, y, 0.0)
@@ -49,9 +52,10 @@ def sample_two(dgp, m: int, l: int, seed: int) -> TwoSampleDataset:
     """Independent labeled (X, D, Y) ~ p0 and unlabeled Z ~ q0 draws."""
     rng = np.random.default_rng(seed)
     x = dgp.sample_x(rng, m, "p")
-    d = (rng.random(m) < dgp.e(1, x)).astype(np.int8)
-    mu = np.where(d == 1, dgp.mu(1, x), dgp.mu(0, x))
-    sd = np.sqrt(np.where(d == 1, dgp.sigma2(1, x), dgp.sigma2(0, x)))
+    laws = dgp._draw_laws(x, with_pi=False)
+    d = (rng.random(m) < next(laws)).astype(np.int8)
+    mu = np.where(d == 1, next(laws), next(laws))
+    sd = np.sqrt(np.where(d == 1, next(laws), next(laws)))
     y = mu + sd * rng.standard_normal(m)
     z = dgp.sample_x(rng, l, "q")
     return TwoSampleDataset.from_arrays(x, d, y, z)

@@ -198,6 +198,33 @@ class TestConfigErrors:
         assert main(argv) == 2
         assert "riesz_mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail, message", [(b"\xff\xfe", "line 2: not UTF-8 text"),
+                                               (b"1" * 131_073, "line 2: field larger than")],
+                             ids=["not-utf8", "over-long-field"])
+    def test_unreadable_csv_exit_2(self, files, tmp_path, capsys, tail, message):
+        one, lab = tmp_path / "os.csv", tmp_path / "lab.csv"
+        one.write_bytes(b"x1,o,d,y\n0.0,1,1," + tail + b"\n")
+        lab.write_bytes(b"x1,d,y\n0.0,1," + tail + b"\n")
+        assert main(["estimate-os", "--input", str(one)]) == 2
+        assert f"{one}, {message}" in capsys.readouterr().err
+        assert main(["estimate-ts", "--labeled", str(lab), "--unlabeled", str(files["unl"]),
+                     "--beta-star", "0.5"]) == 2
+        assert f"{lab}, {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate-os", "estimate-ts", "bounds", "simulate"])
+    def test_unwritable_output_exit_2(self, files, tmp_path, capsys, command):
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 2,
+                                   "threads": 1}))
+        argv = {"estimate-os": ["--input", str(files["os"])],
+                "estimate-ts": ["--labeled", str(files["lab"]), "--unlabeled", str(files["unl"]),
+                                "--beta-star", "0.5"],
+                "bounds": ["--dgp", str(files["spec"])],
+                "simulate": ["--config", str(sim)]}[command]
+        out = tmp_path / "missing" / "r.json"
+        assert main([command, *argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"{command}: cannot write --output: ")
+
     def test_fractional_indicator_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,o,d,y\n0.0,1.5,1,2.0\n")

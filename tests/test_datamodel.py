@@ -1,11 +1,15 @@
+import csv
+import os
 import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssate import OneSampleDataset, TwoSampleDataset, make_fold_plan
+from ssate import OneSampleDataset, TwoSampleDataset, datamodel, make_fold_plan
 from ssate.datamodel import (
     read_one_sample_csv,
     read_two_sample_csv,
@@ -20,6 +24,7 @@ from ssate.errors import (
     EmptyDataset,
     NaCouplingViolation,
     NonfiniteValue,
+    SsateError,
 )
 
 
@@ -300,3 +305,196 @@ class TestStrictIndicators:
         unl.write_text("x1\n0.0\n")
         with pytest.raises(BadIndicator, match="line 2"):
             read_two_sample_csv(lab, unl)
+
+
+# ---------------------------------------------------------------------------
+# Bulk CSV path: numpy's reader must agree with the streaming reader
+# ---------------------------------------------------------------------------
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "1", "-0", "+1", "1.", ".5", "-0.0", "5e-324", "1e-310", "007",
+                     "0.30000000000000004", "1.7976931348623157e+308", "1e999", "-1E-5"]),
+)
+ODD_TOKEN = st.sampled_from([
+    "NA", "NAN", "-NAN", "nan", "inf", "+NA", "-NA", "NAA", "ANA", "1NA", "NA5", "N", "A", "E5",
+    "1e", "1_0", "", " 1", "1 ", '"1"', '"1,2"', '"NA"', "0x1", "\udcff\udcfe", "\ufeff1", "\r",
+])
+
+
+@st.composite
+def csv_file(draw, tail, na_row):
+    """Bytes of a CSV with header x1,...,xk + ``tail``: mostly valid rows in
+    the plain dialect, some of them perturbed, in either line ending."""
+    k = draw(st.integers(1, 3))
+    names = [f"x{j + 1}" for j in range(k)] + list(tail)
+    if draw(st.integers(0, 9)) == 0:
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(
+            ["a", " o", '"d"', "y,", "", "x\udcff"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        labeled = not na_row or draw(st.booleans())
+        row = [draw(NUMBER) for _ in range(k)]
+        if na_row:
+            row += ["1", draw(st.sampled_from(["0", "1"])), draw(NUMBER)] if labeled else \
+                   ["0", "NA", "NA"]
+        else:
+            row += [draw(st.sampled_from(["0", "1"])), draw(NUMBER)][:len(tail)]
+        kind = draw(st.sampled_from(["keep"] * 12 + ["reject", "odd", "odd", "short", "long",
+                                                     "blank"]))
+        if kind == "reject" and tail:  # parses, but from_arrays or the NA rule rejects it
+            bad = [["0", "1", "2.0"], ["1", "NA", "NA"], ["1", "1", "NA"], ["2", "0", "1.0"],
+                   ["0.5", "NA", "NA"], ["1", "1", "1e999"]] if na_row else [["2"], ["0.5"]]
+            bad = draw(st.sampled_from(bad))
+            row[len(row) - len(tail):len(row) - len(tail) + len(bad)] = bad
+        elif kind == "odd":
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_TOKEN)
+        elif kind == "short":
+            row = row[:-1]
+        elif kind == "long":
+            row.append(draw(NUMBER))
+        elif kind == "blank":
+            row = []
+        rows.append(",".join(row))
+    eol = draw(st.sampled_from(["\r\n", "\n", "mixed"]))
+    lines = [",".join(names)] + rows + [""] * draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))
+    text = "".join(line + (eol if eol != "mixed" else draw(st.sampled_from(["\r\n", "\n"])))
+                   for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(read, *paths):
+    """A read's arrays as bytes, or its error class and message."""
+    try:
+        ds = read(*paths)
+    except SsateError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in vars(ds).values()]
+
+
+def _streamed(read, *paths):
+    with mock.patch.object(datamodel, "_bulk", lambda *args: None):
+        return _outcome(read, *paths)
+
+
+class TestBulkRead:
+    """``_bulk`` returns exactly ``_stream``'s table, or defers to it."""
+
+    @given(text=csv_file(("o", "d", "y"), na_row=True))
+    @settings(max_examples=300, deadline=None)
+    def test_one_sample_agrees_with_stream(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "os.csv")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            bulk = datamodel._bulk(path, ("o", "d", "y"), 2)
+            if bulk is not None:
+                for got, want in zip(bulk, datamodel._stream(path, ("o", "d", "y"), 2)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+            assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
+
+    @given(labeled=csv_file(("d", "y"), na_row=False), unlabeled=csv_file((), na_row=False))
+    @settings(max_examples=300, deadline=None)
+    def test_two_sample_agrees_with_stream(self, labeled, unlabeled):
+        with tempfile.TemporaryDirectory() as tmp:
+            lab, unl = os.path.join(tmp, "lab.csv"), os.path.join(tmp, "unl.csv")
+            for path, text in ((lab, labeled), (unl, unlabeled)):
+                with open(path, "wb") as fh:
+                    fh.write(text)
+            assert (_outcome(read_two_sample_csv, lab, unl)
+                    == _streamed(read_two_sample_csv, lab, unl))
+
+    @pytest.mark.parametrize("text", [
+        "x1,o,d,y\n0.0,1,1,-NAN\n", "x1,o,d,y\n0.0,1,1,NAN\n", "x1,o,d,y\n0.0,1,+NA,1.0\n",
+        "x1,o,d,y\n0.0,1,1,1.0\n0.0,NA,NA,NA\n", "x1,x2,o,d,y\n0.0,1.0,0,NA,NA\n0.0,NA,0,NA,NA\n",
+        "x1,o,d,y\n0.0,1,1,1.0\r\r\n", "x1,o,d,y\n0.0,1,1,1.0\r", "x1,o,d,y\n0,1,1,1\r0,1,1,1\n",
+        "x1,o,d,y\n0.0,1,1,1.0\n\n", "x1,o,d,y\r\n\r\n0.0,1,1,1.0\r\n", "x1,o,d,y\r\n",
+        "x1,o,d,y", "x1,o,d,y\n0.0,1,1,1e999\n", "x1,o,d,y\n1e999,1,1,1.0\n",
+        "x1,o,d,y\n0.0,0,NA,NA\n0.0,1,NA,NA\n", "x1,o,d,y\n0.0,0,NA,NA,\n",
+    ])
+    def test_one_sample_edge_cases_agree_with_stream(self, tmp_path, text):
+        path = tmp_path / "os.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
+
+    @pytest.mark.parametrize("labeled, unlabeled", [
+        ("x1,d,y\n0.0,NA,1.0\n", "x1\n0.0\n"), ("x1,d,y\n0.0,1,NAN\n", "x1\n0.0\n"),
+        ("x1,d,y\n0.0,1,1.0\n", "x1\n0.0\n-NAN\n"), ("x1,d,y\n0.0,1,1.0\n", "x1\n0.0\r"),
+    ])
+    def test_two_sample_edge_cases_agree_with_stream(self, tmp_path, labeled, unlabeled):
+        lab, unl = tmp_path / "lab.csv", tmp_path / "unl.csv"
+        lab.write_bytes(labeled.encode())
+        unl.write_bytes(unlabeled.encode())
+        assert _outcome(read_two_sample_csv, lab, unl) == _streamed(read_two_sample_csv, lab, unl)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\n"])
+    def test_writer_output_takes_the_bulk_path(self, tmp_path, d1, eol):
+        from ssate import sample_one
+
+        path = tmp_path / "os.csv"
+        write_one_sample_csv(sample_one(d1, 300, 5), path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", eol.encode()))
+        assert datamodel._bulk(path, ("o", "d", "y"), 2) is not None
+        assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
+
+    def test_over_long_field_is_an_input_error(self, tmp_path):
+        path = one_sample_csv(tmp_path, "x1,o,d,y\n0.0,1,1,2.0\n0.0,1,1," + "1" * 131_073 + "\n")
+        assert datamodel._bulk(path, ("o", "d", "y"), 2) is None
+        with pytest.raises(SsateError, match=re.escape(f"{path}, line 3: field larger")):
+            read_one_sample_csv(path)
+
+    @pytest.mark.parametrize("text, line", [(b"x1,o,d,y\n0.0,1,1,\xff\xfe\n", 2),
+                                            (b"x\xff,o,d,y\n0.0,1,1,2.0\n", 1)])
+    def test_non_utf8_is_an_input_error(self, tmp_path, text, line):
+        path = tmp_path / "os.csv"
+        path.write_bytes(text)
+        with pytest.raises(SsateError, match=re.escape(f"{path}, line {line}: not UTF-8")):
+            read_one_sample_csv(path)
+
+
+def _reference_write(path, header, rows):
+    """The writers' bytes as ``csv.writer`` makes them, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+class TestColumnWriter:
+    """The chunked column writers match ``csv.writer`` byte for byte."""
+
+    @staticmethod
+    def _values(n):
+        special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 0.1 + 0.2,
+                   1.7976931348623157e308, -123456789.12345678, 1e16, 1e-5, 2.0 / 3.0]
+        rng = np.random.default_rng(8)
+        return np.array((special * (n // len(special) + 1))[:n]) * rng.choice([1.0, -1.0], n)
+
+    def test_one_sample(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datamodel, "_CHUNK_ROWS", 7)  # several chunks and a short last one
+        n = 40
+        x = np.column_stack([self._values(n), self._values(n)[::-1]])
+        o = np.arange(n) % 3 != 0
+        ds = OneSampleDataset.from_arrays(x, o, np.arange(n) % 2, self._values(n))
+        write_one_sample_csv(ds, tmp_path / "os.csv")
+        _reference_write(tmp_path / "ref.csv", ["x1", "x2", "o", "d", "y"], [
+            [*map(repr, xi), "1", str(di), repr(yi)] if oi == 1 else [*map(repr, xi), "0", "NA", "NA"]
+            for xi, oi, di, yi in zip(ds.x.tolist(), ds.o.tolist(), ds.d.tolist(), ds.y.tolist())])
+        assert (tmp_path / "os.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_two_sample(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datamodel, "_CHUNK_ROWS", 7)
+        m, l = 21, 15
+        ds = TwoSampleDataset.from_arrays(self._values(m), np.arange(m) % 2, self._values(m)[::-1],
+                                          self._values(l))
+        write_labeled_csv(ds, tmp_path / "lab.csv")
+        write_unlabeled_csv(ds, tmp_path / "unl.csv")
+        _reference_write(tmp_path / "lab_ref.csv", ["x1", "d", "y"], [
+            [*map(repr, xi), str(di), repr(yi)]
+            for xi, di, yi in zip(ds.x.tolist(), ds.d.tolist(), ds.y.tolist())])
+        _reference_write(tmp_path / "unl_ref.csv", ["x1"], [list(map(repr, zi)) for zi in ds.z.tolist()])
+        assert (tmp_path / "lab.csv").read_bytes() == (tmp_path / "lab_ref.csv").read_bytes()
+        assert (tmp_path / "unl.csv").read_bytes() == (tmp_path / "unl_ref.csv").read_bytes()

@@ -50,6 +50,31 @@ class TestSampling:
         b = sample_two(d2, 100, 100, 76)
         assert not np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("seed", [77, 78])
+    def test_samples_match_the_per_law_reference(self, d1, d2, seed):
+        # the samplers read every law from one support lookup; the reference
+        # evaluates each law on its own, in the same rng draw order
+        rng = np.random.default_rng(seed)
+        x = d1.sample_x(rng, 500, "p")
+        o = (rng.random(500) < d1.pi(x)).astype(np.int8)
+        d = (rng.random(500) < d1.e(1, x)).astype(np.int8)
+        sd = np.sqrt(np.where(d == 1, d1.sigma2(1, x), d1.sigma2(0, x)))
+        y = np.where(d == 1, d1.mu(1, x), d1.mu(0, x)) + sd * rng.standard_normal(500)
+        one = sample_one(d1, 500, seed)
+        for got, want in [(one.x, x), (one.o, o), (one.d, np.where(o == 1, d, 0)),
+                          (one.y, np.where(o == 1, y, 0.0))]:
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+        rng = np.random.default_rng(seed)
+        x = d2.sample_x(rng, 300, "p")
+        d = (rng.random(300) < d2.e(1, x)).astype(np.int8)
+        sd = np.sqrt(np.where(d == 1, d2.sigma2(1, x), d2.sigma2(0, x)))
+        y = np.where(d == 1, d2.mu(1, x), d2.mu(0, x)) + sd * rng.standard_normal(300)
+        z = d2.sample_x(rng, 200, "q")
+        two = sample_two(d2, 300, 200, seed)
+        for got, want in [(two.x, x), (two.d, d), (two.y, y), (two.z, z)]:
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
+
 
 class TestRunMc:
     def test_single_rep(self, d1):
