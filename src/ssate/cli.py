@@ -76,14 +76,14 @@ def _load_config_file(path: Optional[str]) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace, keys: list) -> dict:
-    """File config first, then any explicitly supplied flags on top."""
-    cfg = dict(args.file_config)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+# parsed arguments that are not settings of the run
+_NOT_SETTINGS = ("command", "func", "config", "output", "file_config")
+
+
+def _merged(args: argparse.Namespace) -> dict:
+    """File config first, then every option given on the command line on top."""
+    return {**args.file_config, **{key: val for key, val in vars(args).items()
+                                   if val is not None and key not in _NOT_SETTINGS}}
 
 
 def _number(cfg: dict, key: str, integral: bool = False, default=None):
@@ -119,11 +119,11 @@ def _nuisance_from(cfg: dict) -> NuisanceConfig:
         raise SsateError(f"bad nuisance config: {exc}") from None
 
 
-def _run_args(cfg: dict, n: int):
+def _run_args(cfg: dict, n: int, beta_star: Optional[float] = None):
     """Checked (folds, seed, level); ``n`` is the size of the smallest sample."""
     folds, seed, level = (_number(cfg, "folds", True), _number(cfg, "seed", True),
                           _number(cfg, "level"))
-    check_run_args(folds, level, n)
+    check_run_args(folds, level, n, beta_star)
     return folds, seed, level
 
 
@@ -132,8 +132,7 @@ def _run_args(cfg: dict, n: int):
 # ---------------------------------------------------------------------------
 
 def cmd_estimate_os(args) -> int:
-    cfg = _merged(args, ["input", "folds", "seed", "level", "degree",
-                         "ridge_lambda", "clip_eps", "riesz_mode"])
+    cfg = _merged(args)
     cfg.setdefault("folds", 2)
     cfg.setdefault("seed", 0)
     cfg.setdefault("level", 0.95)
@@ -157,8 +156,7 @@ def cmd_estimate_os(args) -> int:
 
 
 def cmd_estimate_ts(args) -> int:
-    cfg = _merged(args, ["labeled", "unlabeled", "beta-star", "folds", "seed",
-                         "level", "degree", "ridge_lambda", "clip_eps"])
+    cfg = _merged(args)
     cfg.setdefault("folds", 2)
     cfg.setdefault("seed", 0)
     cfg.setdefault("level", 0.95)
@@ -174,10 +172,8 @@ def cmd_estimate_ts(args) -> int:
         nuisance = _nuisance_from(cfg)
         if nuisance.riesz_mode != "mle-g":  # the two-sample estimator has no Riesz mode
             raise SsateError(f"estimate-ts needs riesz_mode 'mle-g', got {nuisance.riesz_mode!r}")
-        folds, seed, level = _run_args(cfg, min(data.m, data.l))
         beta = _number(cfg, "beta-star")
-        if not 0.0 <= beta <= 1.0:
-            raise SsateError(f"beta-star must lie in [0, 1], got {beta}")
+        folds, seed, level = _run_args(cfg, min(data.m, data.l), beta)
     except (SsateError, OSError) as exc:
         print(f"estimate-ts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -192,7 +188,7 @@ def cmd_estimate_ts(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _merged(args, ["dgp", "alpha", "grid_step"])
+    cfg = _merged(args)
     cfg.setdefault("grid_step", 0.01)
     if not cfg.get("dgp"):
         print("bounds: a DGP spec JSON file is required (--dgp)", file=sys.stderr)
@@ -206,22 +202,13 @@ def cmd_bounds(args) -> int:
     except (ValueError, OSError, TypeError) as exc:
         print(f"bounds: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = {
-        "tau0": report.tau0,
-        "v_os": report.v_os,
-        "v_tilde_os": report.v_tilde_os,
-        "v_ipw": report.v_ipw,
-        "v_hahn": report.v_hahn,
-        "v_ts": {str(k): v for k, v in report.v_ts.items()} if report.v_ts else None,
-        "v_tilde_ts": report.v_tilde_ts,
-        "beta_star": report.beta_star,
-    }
-    _emit("bounds", cfg, out, args.output)
+    v_ts = {str(k): v for k, v in report.v_ts.items()} if report.v_ts else None
+    _emit("bounds", cfg, {**vars(report), "v_ts": v_ts}, args.output)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merged(args, ["reps", "seed", "threads"])
+    cfg = _merged(args)
     if not cfg.get("dgp"):
         print("simulate: the config file must carry an inline 'dgp' spec",
               file=sys.stderr)
@@ -281,11 +268,13 @@ def cmd_simulate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser):
+def _add_common(sub: argparse.ArgumentParser, seeded: bool = True):
+    """--config and --output, and for a command that reads them --seed and --level."""
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--output", help="write the JSON report here instead of stdout")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--level", type=float, default=None)
+    if seeded:
+        sub.add_argument("--seed", type=int)
+        sub.add_argument("--level", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,39 +285,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate-os", help="one-sample efficient estimate from CSV")
-    _add_common(p)
-    p.add_argument("--input", help="one-sample CSV (x1..xk,o,d,y with NA)")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--ridge-lambda", type=float, default=None)
-    p.add_argument("--clip-eps", type=float, default=None)
-    p.add_argument("--riesz-mode", choices=["mle-g", "ls-riesz", "kl-riesz"], default=None)
-    p.set_defaults(func=cmd_estimate_os)
+    # each option's dest is its config key
+    def estimator_parser(name: str, summary: str, func):
+        p = sub.add_parser(name, help=summary)
+        _add_common(p)
+        p.add_argument("--folds", type=int)
+        p.add_argument("--degree", type=int)
+        p.add_argument("--ridge-lambda", type=float)
+        p.add_argument("--clip-eps", type=float)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("estimate-ts", help="two-sample efficient estimate from CSVs")
-    _add_common(p)
+    p = estimator_parser("estimate-os", "one-sample efficient estimate from CSV", cmd_estimate_os)
+    p.add_argument("--input", help="one-sample CSV (x1..xk,o,d,y with NA)")
+    p.add_argument("--riesz-mode", choices=["mle-g", "ls-riesz", "kl-riesz"])
+
+    p = estimator_parser("estimate-ts", "two-sample efficient estimate from CSVs", cmd_estimate_ts)
     p.add_argument("--labeled", help="labeled CSV (x1..xk,d,y)")
     p.add_argument("--unlabeled", help="unlabeled CSV (x1..xk)")
-    p.add_argument("--beta-star", type=float, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--ridge-lambda", type=float, default=None)
-    p.add_argument("--clip-eps", type=float, default=None)
-    p.set_defaults(func=cmd_estimate_ts)
+    p.add_argument("--beta-star", type=float, dest="beta-star")
 
     p = sub.add_parser("bounds", help="closed-form efficiency bounds for a DGP spec")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.add_argument("--dgp", help="DGP spec JSON file")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="labeled fraction for the two-sample bounds")
-    p.add_argument("--grid-step", type=float, default=None)
+    p.add_argument("--alpha", type=float, help="labeled fraction for the two-sample bounds")
+    p.add_argument("--grid-step", type=float)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="Monte Carlo study from a config file")
     _add_common(p)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--reps", type=int)
+    p.add_argument("--threads", type=int,
                    help="worker processes; SSATE_THREADS honored when absent")
     p.set_defaults(func=cmd_simulate)
 

@@ -89,28 +89,15 @@ def _quantile(level: float) -> float:
     return float(norm.ppf(0.5 * (1.0 + level)))
 
 
-def check_run_args(n_folds: int, level: float, n: int) -> None:
-    """Reject a fold count outside 1..n, ``n`` the smallest sample, or a level outside (0, 1)."""
+def check_run_args(n_folds: int, level: float, n: int, beta_star: Optional[float] = None) -> None:
+    """Reject a fold count outside 1..n, ``n`` the smallest sample, a level
+    outside (0, 1), or a ``beta_star``, when given, outside [0, 1]."""
     if not 1 <= n_folds <= n:
         raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {n_folds}")
     if not 0.0 < level < 1.0:
         raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
-
-
-def _reporter(level: float, method: str, sizes: dict, folds: int = 1,
-              seed: Optional[int] = None) -> Callable[..., EstimateReport]:
-    """Check ``level`` before any fitting; returns the function that builds
-    the report from (tau_hat, se) and optional per-fold diagnostics."""
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
-
-    def report(tau: float, se: float, diagnostics: Optional[list] = None) -> EstimateReport:
-        return EstimateReport(
-            tau_hat=tau, se=se, ci=ci(tau, se, level), level=level, method=method,
-            sizes=sizes, folds=folds, seed=seed, diagnostics=diagnostics or [],
-        )
-
-    return report
+    if beta_star is not None and not 0.0 <= beta_star <= 1.0:
+        raise DomainViolation(f"beta_star must lie in [0, 1], got {beta_star}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +210,7 @@ def estimate_os_eff(
     representer (least-squares or KL generator). Overrides replace the
     corresponding fitted nuisance with a fixed function of (d, x).
     """
-    report = _reporter(level, "OS-eff", {"n": data.n, "n_labeled": data.n_labeled},
-                       n_folds, seed)
+    check_run_args(n_folds, level, data.n)
     if g_override is not None or config.riesz_mode == "mle-g":
         weight = (g_override, lambda comp: fit_gmodel_mle(
             comp, basis=config.basis, clip_eps=config.clip_eps), "g_converged")
@@ -251,7 +237,9 @@ def estimate_os_eff(
         [(mu_override, lambda comp: _fit_mu(*comp.labeled_arrays(), config), None), weight],
         score,
     )
-    return report(*_mean_se(scores), diagnostics)
+    tau, se = _mean_se(scores)
+    return EstimateReport(tau, se, ci(tau, se, level), level, "OS-eff",
+                          {"n": data.n, "n_labeled": data.n_labeled}, n_folds, seed, diagnostics)
 
 
 def estimate_os_ipw(
@@ -261,10 +249,11 @@ def estimate_os_ipw(
 ) -> EstimateReport:
     """Inverse-probability-weighting baseline with a supplied g(d, x): a
     fitted GModel or any callable of the same signature."""
-    report = _reporter(level, "OS-IPW", {"n": data.n, "n_labeled": data.n_labeled})
     g1, g0 = arms(g, data.x)
     a = np.where(data.d == 1, 1.0 / g1, -1.0 / g0)
-    return report(*_mean_se(np.where(data.o == 1, a * data.y, 0.0)))
+    tau, se = _mean_se(np.where(data.o == 1, a * data.y, 0.0))
+    return EstimateReport(tau, se, ci(tau, se, level), level, "OS-IPW",
+                          {"n": data.n, "n_labeled": data.n_labeled}, 1)
 
 
 def estimate_os_ra(
@@ -275,8 +264,9 @@ def estimate_os_ra(
     """Regression-adjustment baseline: mean outcome-model contrast over all
     rows, labeled and unlabeled alike. The SE is the naive sample variance
     of the contrast and ignores outcome-model estimation error."""
-    report = _reporter(level, "OS-RA", {"n": data.n, "n_labeled": data.n_labeled})
-    return report(*_mean_se(score_ts_x(data.x, mu)))
+    tau, se = _mean_se(score_ts_x(data.x, mu))
+    return EstimateReport(tau, se, ci(tau, se, level), level, "OS-RA",
+                          {"n": data.n, "n_labeled": data.n_labeled}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +291,10 @@ def estimate_ts_eff(
     (all overrides supplied) the point estimate is affine in beta_star.
     Only ``riesz_mode`` "mle-g" applies: the weights come from fitted e and r.
     """
+    m, l = data.m, data.l
+    check_run_args(n_folds, level, min(m, l), beta_star)
     if config.riesz_mode != "mle-g":
         raise ValueError(f"estimate_ts_eff has no riesz_mode {config.riesz_mode!r}; use 'mle-g'")
-    m, l = data.m, data.l
-    report = _reporter(level, "TS-eff", {"m": m, "l": l}, n_folds, seed)
-    if not 0.0 <= beta_star <= 1.0:
-        raise DomainViolation(f"beta_star must lie in [0, 1], got {beta_star}")
     seed_m, seed_l = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     s_xdy, s_x_lab, s_x_unl = np.empty(m), np.empty(m), np.empty(l)
 
@@ -338,4 +326,6 @@ def estimate_ts_eff(
     lab_combined = s_xdy + beta_star * s_x_lab
     v_hat = (n_total / m) * float(np.var(lab_combined)) \
         + (n_total / l) * (1.0 - beta_star) ** 2 * float(np.var(s_x_unl))
-    return report(tau, float(np.sqrt(v_hat / n_total)), diagnostics)
+    se = float(np.sqrt(v_hat / n_total))
+    return EstimateReport(tau, se, ci(tau, se, level), level, "TS-eff", {"m": m, "l": l},
+                          n_folds, seed, diagnostics)

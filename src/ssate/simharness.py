@@ -8,12 +8,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .datamodel import OneSampleDataset, TwoSampleDataset
-from .errors import DomainViolation, ReportIncomplete, SsateError
+from .errors import ReportIncomplete, SsateError
 from .estimators import (
     NuisanceConfig,
     check_run_args,
@@ -88,7 +88,8 @@ class Misspec:
             raise ValueError(f"unknown misspecification kind {self.kind!r}")
 
 
-def _hook_overrides(hook: Optional[Misspec], dgp) -> dict:
+def _hook_overrides(hook: Optional[Misspec], dgp, takes: tuple) -> dict:
+    """The overrides ``hook`` forces, among the estimator keywords in ``takes``."""
     if hook is None:
         return {}
     out = {}
@@ -112,14 +113,59 @@ def _hook_overrides(hook: Optional[Misspec], dgp) -> dict:
         elif kind == "true-r":
             if getattr(dgp, "q", None) is not None or getattr(dgp, "q_mean", None) is not None:
                 out["r_override"] = lambda x: dgp.p_pdf(x) / dgp.q_pdf(x)
-    return out
+    return {key: val for key, val in out.items() if key in takes}
+
+
+def _run_os_ipw(config, data, seed, g_override=None):
+    g = g_override
+    if g is None:
+        g = fit_gmodel_mle(data, basis=config.nuisance.basis, clip_eps=config.nuisance.clip_eps)
+    return estimate_os_ipw(data, g, level=config.level)
+
+
+def _run_os_ra(config, data, seed, mu_override=None):
+    mu = mu_override
+    if mu is None:
+        xl, dl, yl = data.labeled_arrays()
+        mu = fit_outcome_both(xl, dl, yl, basis=config.nuisance.basis,
+                              ridge_lambda=config.nuisance.ridge_lambda,
+                              clip_c=config.nuisance.clip_c)
+    return estimate_os_ra(data, mu, level=config.level)
+
+
+class _Estimator(NamedTuple):
+    scenario: str
+    takes: tuple  # the hook overrides it accepts, as keywords of ``run``
+    run: Callable  # (config, data, seed, **overrides) -> EstimateReport
+    bound: Callable  # config -> the oracle bound of its scaled variance, or None
+
+
+# Each entry calls the estimators and oracle bounds through their module
+# names when it runs, so a function rebound later (by a tracer, say) is used.
+_ESTIMATORS = {
+    "os-eff": _Estimator(
+        "one-sample", ("mu_override", "g_override"),
+        lambda c, data, seed, **o: estimate_os_eff(
+            data, n_folds=c.n_folds, seed=seed, config=c.nuisance, level=c.level, **o),
+        lambda c: oracle.bound_v_os(c.dgp)),
+    "os-ipw": _Estimator("one-sample", ("g_override",), _run_os_ipw,
+                         lambda c: oracle.bound_v_ipw(c.dgp)),
+    "os-ra": _Estimator("one-sample", ("mu_override",), _run_os_ra, lambda c: None),
+    "ts-eff": _Estimator(
+        "two-sample", ("mu_override", "e_override", "r_override"),
+        lambda c, data, seed, **o: estimate_ts_eff(
+            data, beta_star=c.beta_star, n_folds=c.n_folds, seed=seed, config=c.nuisance,
+            level=c.level, **o),
+        lambda c: oracle.bound_v_ts(c.dgp, c.beta_star, c.m / (c.m + c.l))),
+}
+_SCENARIOS = ("one-sample", "two-sample")
 
 
 @dataclass(frozen=True)
 class McConfig:
     dgp: object
     scenario: str  # "one-sample" | "two-sample"
-    estimator: str = "os-eff"  # os-eff | os-ipw | os-ra | ts-eff
+    estimator: str = "os-eff"  # os-eff | os-ipw | os-ra (one-sample) | ts-eff (two-sample)
     n: Optional[int] = None
     m: Optional[int] = None
     l: Optional[int] = None
@@ -132,8 +178,13 @@ class McConfig:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.scenario not in ("one-sample", "two-sample"):
+        if self.scenario not in _SCENARIOS:
             raise ValueError("scenario must be one-sample or two-sample")
+        spec = _ESTIMATORS.get(self.estimator)
+        if spec is None or spec.scenario != self.scenario:
+            raise ValueError(f"estimator {self.estimator!r} not valid for {self.scenario}")
+        if self.hook is not None and not _hook_overrides(self.hook, self.dgp, spec.takes):
+            raise ValueError(f"hook {self.hook.kind!r} overrides no nuisance of {self.estimator}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.scenario == "one-sample" and (self.n is None or self.n < 1):
@@ -143,10 +194,9 @@ class McConfig:
                 raise ValueError("two-sample studies need m, l >= 1")
             if self.beta_star is None:
                 raise ValueError("two-sample studies need beta_star")
-            if not 0.0 <= self.beta_star <= 1.0:
-                raise DomainViolation(f"beta_star must lie in [0, 1], got {self.beta_star}")
         check_run_args(self.n_folds, self.level,
-                       self.n if self.scenario == "one-sample" else min(self.m, self.l))
+                       self.n if self.scenario == "one-sample" else min(self.m, self.l),
+                       self.beta_star)
 
 
 @dataclass
@@ -177,43 +227,10 @@ class McReport:
 
 def _one_rep(config: McConfig, r: int):
     seed = config.seed + r
-    overrides = _hook_overrides(config.hook, config.dgp)
-    if config.scenario == "one-sample":
-        data = sample_one(config.dgp, config.n, seed)
-        if config.estimator == "os-eff":
-            os_overrides = {k: v for k, v in overrides.items()
-                            if k in ("mu_override", "g_override")}
-            return estimate_os_eff(
-                data, n_folds=config.n_folds, seed=seed,
-                config=config.nuisance, level=config.level, **os_overrides,
-            )
-        if config.estimator == "os-ipw":
-            g = overrides.get("g_override")
-            if g is None:
-                g = fit_gmodel_mle(data, basis=config.nuisance.basis,
-                                   clip_eps=config.nuisance.clip_eps)
-            return estimate_os_ipw(data, g, level=config.level)
-        if config.estimator == "os-ra":
-            mu = overrides.get("mu_override")
-            if mu is None:
-                xl, dl, yl = data.labeled_arrays()
-                mu = fit_outcome_both(
-                    xl, dl, yl, basis=config.nuisance.basis,
-                    ridge_lambda=config.nuisance.ridge_lambda,
-                    clip_c=config.nuisance.clip_c,
-                )
-            return estimate_os_ra(data, mu, level=config.level)
-        raise ValueError(f"estimator {config.estimator!r} not valid for one-sample")
-    # two-sample
-    data = sample_two(config.dgp, config.m, config.l, seed)
-    if config.estimator != "ts-eff":
-        raise ValueError(f"estimator {config.estimator!r} not valid for two-sample")
-    ts_overrides = {k: v for k, v in overrides.items()
-                    if k in ("mu_override", "e_override", "r_override")}
-    return estimate_ts_eff(
-        data, beta_star=config.beta_star, n_folds=config.n_folds, seed=seed,
-        config=config.nuisance, level=config.level, **ts_overrides,
-    )
+    spec = _ESTIMATORS[config.estimator]
+    data = (sample_one(config.dgp, config.n, seed) if config.scenario == "one-sample"
+            else sample_two(config.dgp, config.m, config.l, seed))
+    return spec.run(config, data, seed, **_hook_overrides(config.hook, config.dgp, spec.takes))
 
 
 def _rep_record(config: McConfig, r: int):
@@ -222,18 +239,6 @@ def _rep_record(config: McConfig, r: int):
         return (r, rep.tau_hat, rep.se, rep.ci[0], rep.ci[1], None)
     except SsateError as exc:
         return (r, None, None, None, None, f"{exc.code}: {exc}")
-
-
-def _bound_for(config: McConfig) -> Optional[float]:
-    dgp = config.dgp
-    if config.scenario == "one-sample":
-        if config.estimator == "os-eff":
-            return oracle.bound_v_os(dgp)
-        if config.estimator == "os-ipw":
-            return oracle.bound_v_ipw(dgp)
-        return None
-    alpha = config.m / (config.m + config.l)
-    return oracle.bound_v_ts(dgp, config.beta_star, alpha)
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
@@ -308,7 +313,7 @@ def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
         mc_bias=float(np.mean(taus_a) - tau0) if len(taus) else float("nan"),
         mc_se_of_bias=float(np.std(taus_a) / np.sqrt(len(taus))) if len(taus) else float("nan"),
         scaled_variance=float(scale * np.var(taus_a)) if len(taus) else float("nan"),
-        bound_value=_bound_for(config),
+        bound_value=_ESTIMATORS[config.estimator].bound(config),
         coverage=float(np.mean(covers)) if covers else float("nan"),
         mean_se=float(np.mean(ses)) if ses else float("nan"),
         level=config.level,
@@ -353,11 +358,13 @@ def run_infinite_unlabeled_study(
     by n times the shrink factor, whose limit matches the reduced bound of
     the unshrunk DGP.
     """
+    if scenario not in _SCENARIOS:
+        raise ValueError("scenario must be one-sample or two-sample")
+    if n_labeled < 1:
+        raise ValueError("n_labeled must be >= 1")
     if ratio < 10:
         raise ValueError("ratio must be >= 10 for the limit emulation")
     if scenario == "two-sample":
-        if beta_star is None:
-            raise ValueError("two-sample study needs beta_star")
         m = n_labeled
         config = McConfig(
             dgp=dgp, scenario="two-sample", estimator="ts-eff",

@@ -152,6 +152,9 @@ class TestConfigErrors:
         {"scenario": "two-sample", "estimator": "ts-eff", "m": "100", "l": 100, "beta_star": 0.5},
         {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": "100", "beta_star": 0.5},
         {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": "0.5"},
+        {"study": "infinite-unlabeled", "n_labeled": 0},
+        {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "scenario": "bogus"},
+        {"hook": {"kind": "true-e"}},
     ])
     def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, capsys):
         path = tmp_path / "sim.json"
@@ -279,6 +282,12 @@ class TestBounds:
         assert rep["v_ts"]["0.5"] == 8.25
         assert rep["v_tilde_ts"] == 4.0
 
+    @pytest.mark.parametrize("flag", ["--seed", "--level"])
+    def test_no_seed_or_level_flag(self, files, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", "--dgp", str(files["spec"]), flag, "1"])
+        assert err.value.code == 2
+
     def test_mismatched_spec_lengths_exit_2(self, tmp_path, capsys):
         spec = dgp_to_dict(dgp_d1())
         spec["p"] = [0.25, 0.25, 0.5]  # three masses, two support points
@@ -329,6 +338,13 @@ class TestSimulate:
         assert code == 0
         assert time.time() - t0 < 10.0
         assert doc["report"]["reps_completed"] == 10
+
+    def test_level_flag(self, tmp_path):
+        cfg = self.config(tmp_path, reps=2)
+        code, doc = run_json(["simulate", "--config", str(cfg), "--level", "0.5"],
+                             tmp_path / "r.json")
+        assert code == 0
+        assert doc["config"]["level"] == doc["report"]["level"] == 0.5
 
     def test_determinism(self, tmp_path):
         cfg = self.config(tmp_path)

@@ -14,7 +14,7 @@ from ssate import (
     sample_two,
     score_ts_x,
 )
-from ssate.errors import BadLevel, DomainViolation
+from ssate.errors import BadFoldCount, BadLevel, DomainViolation
 from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
 from ssate.nuisance import FittedBasis, OutcomeModel, fit_riesz
 
@@ -44,9 +44,15 @@ class TestCi:
     def test_degenerate(self):
         assert ci(1.3, 0.0, 0.9) == (1.3, 1.3)
 
-    def test_bad_level(self):
+    def test_bad_level(self, d1):
         with pytest.raises(BadLevel):
             ci(0.0, 1.0, 1.5)
+        # the efficient estimators check their run arguments before any fitting
+        data = sample_one(d1, 100, 1)
+        with pytest.raises(BadLevel):
+            estimate_os_eff(data, level=1.5)
+        with pytest.raises(BadFoldCount, match=r"1 <= L <= 100, got 0"):
+            estimate_os_eff(data, n_folds=0)
 
 
 def score_os_row(o, d, y, mu, g):

@@ -153,12 +153,27 @@ class TestMcConfigChecks:
                      beta_star=beta, reps=2)
         assert err.value.code == "DOMAIN-VIOLATION"
 
+    @pytest.mark.parametrize("estimator, kind", [("os-eff", "true-e"), ("os-ipw", "zero-mu"),
+                                                 ("os-ra", "constant-g")])
+    def test_hook_that_changes_nothing(self, d1, estimator, kind):
+        with pytest.raises(ValueError, match="overrides no nuisance"):
+            McConfig(dgp=d1, scenario="one-sample", estimator=estimator, n=200, reps=3,
+                     hook=Misspec(kind))
+        with pytest.raises(ValueError, match="overrides no nuisance"):
+            McConfig(dgp=d1, scenario="two-sample", estimator="ts-eff", m=50, l=50,
+                     beta_star=0.5, reps=3, hook=Misspec("constant-g"))
+        McConfig(dgp=d1, scenario="one-sample", estimator=estimator, n=200, reps=3,
+                 hook=Misspec("true-nuisance"))
+
     def test_infinite_unlabeled_study_is_checked(self, d1):
         with pytest.raises(BadFoldCount):
             run_infinite_unlabeled_study(d1, n_labeled=20, ratio=10, reps=2, n_folds=1000)
         with pytest.raises(DomainViolation):
             run_infinite_unlabeled_study(d1, n_labeled=20, ratio=10, reps=2,
                                          scenario="two-sample", beta_star=1.5)
+        for bad in ({"n_labeled": 0}, {"n_labeled": 20, "scenario": "bogus"}):
+            with pytest.raises(ValueError):
+                run_infinite_unlabeled_study(d1, **{"ratio": 10, "reps": 2, **bad})
 
 
 class TestInfiniteUnlabeled:
