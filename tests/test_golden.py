@@ -9,6 +9,7 @@ writers' output is pinned the same way, by the sha256 of its bytes.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from ssate import (
     sample_one,
     sample_two,
 )
+from ssate.cli import main
 from ssate.datamodel import write_labeled_csv, write_one_sample_csv, write_unlabeled_csv
 from ssate.estimators import NuisanceConfig
 from ssate.nuisance import LSIF, UKL, ddml_iterate, tmle_fluctuate
-from ssate.oracle import GaussianLinearDgp
+from ssate.oracle import GaussianLinearDgp, dgp_to_dict
 
 
 def gaussian_dgp():
@@ -179,6 +181,44 @@ def test_csv_bytes_are_pinned(tmp_path, d1, d2):
         path = tmp_path / f"{name}.csv"
         write(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[name], name
+
+
+# what each command writes to --output, recorded before the commands shared
+# one exit-code policy; the files are named relative to the working directory
+# so that no temporary path is echoed in the config
+ENVELOPE_SHA256 = {
+    "estimate-os": "504a22b18e651732b0b4d841a83ed9c4c889e03ae58a51a5ea0cdb6f76444af6",
+    "estimate-ts": "4030846f7dcb502122767aeaf685031e636641b71a9f650fc9333683c0dcf23d",
+    "bounds": "7c0c3a02b10980874ee6737a421f9ebd9686df203d56e94769fbb9578b528342",
+    "simulate/mc": "70828795949884c258d9bb190684c46ce94ea7a4cf5caa3ac4b49fdb1ef5b235",
+    "simulate/incomplete": "77ebfda7f73e4f9224ae34ca18954ffe530fd01b2545f255f303aedc104c0799",
+}
+ENVELOPE_ARGV = {
+    "estimate-os": (["estimate-os", "--input", "os.csv", "--seed", "3"], 0),
+    "estimate-ts": (["estimate-ts", "--labeled", "lab.csv", "--unlabeled", "unl.csv",
+                     "--beta-star", "0.5"], 0),
+    "bounds": (["bounds", "--dgp", "d1.json", "--alpha", "0.5"], 0),
+    "simulate/mc": (["simulate", "--config", "mc.json"], 0),
+    "simulate/incomplete": (["simulate", "--config", "incomplete.json"], 4),
+}
+
+
+def test_cli_envelopes_are_pinned(tmp_path, monkeypatch, d1):
+    monkeypatch.chdir(tmp_path)
+    write_one_sample_csv(sample_one(d1, 300, 5), "os.csv")
+    two = sample_two(d1, 200, 150, 6)
+    write_labeled_csv(two, "lab.csv")
+    write_unlabeled_csv(two, "unl.csv")
+    spec = dgp_to_dict(d1)
+    (tmp_path / "d1.json").write_text(json.dumps(spec))
+    (tmp_path / "mc.json").write_text(json.dumps(
+        {"dgp": spec, "n": 300, "reps": 4, "seed": 9, "threads": 1}))
+    (tmp_path / "incomplete.json").write_text(json.dumps(
+        {"dgp": spec, "n": 20, "reps": 20, "seed": 9, "threads": 1}))
+    for name, (argv, code) in ENVELOPE_ARGV.items():
+        assert main(argv + ["--output", "out.json"]) == code, name
+        digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+        assert digest == ENVELOPE_SHA256[name], name
 
 
 # recorded before the estimators shared one cross-fitting loop
