@@ -77,13 +77,20 @@ def _load_config_file(path: Optional[str]) -> dict:
 
 
 # parsed arguments that are not settings of the run
-_NOT_SETTINGS = ("command", "func", "config", "output", "file_config")
+_NOT_SETTINGS = ("command", "func", "config", "output")
+
+# the settings a command echoes with these values when none is given
+_RUN_DEFAULTS = {"folds": 2, "seed": 0, "level": 0.95}
+_DEFAULTS = {"estimate-os": _RUN_DEFAULTS, "estimate-ts": _RUN_DEFAULTS,
+             "bounds": {"grid_step": 0.01}}
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    """File config first, then every option given on the command line on top."""
-    return {**args.file_config, **{key: val for key, val in vars(args).items()
-                                   if val is not None and key not in _NOT_SETTINGS}}
+    """The command's defaults, the --config file on them, then every option
+    given on the command line on top."""
+    flags = {key: val for key, val in vars(args).items()
+             if val is not None and key not in _NOT_SETTINGS}
+    return {**_DEFAULTS.get(args.command, {}), **_load_config_file(args.config), **flags}
 
 
 def _number(cfg: dict, key: str, integral: bool = False, default=None):
@@ -128,140 +135,92 @@ def _run_args(cfg: dict, n: int, beta_star: Optional[float] = None):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the merged config and returns the config to echo and
+# the report, or for an estimate a call that makes it. A bad setting or an
+# unreadable input raises; ``main`` turns that into the exit code.
 # ---------------------------------------------------------------------------
 
-def cmd_estimate_os(args) -> int:
-    cfg = _merged(args)
-    cfg.setdefault("folds", 2)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("level", 0.95)
+def cmd_estimate_os(cfg: dict):
     if not cfg.get("input"):
-        print("estimate-os: an input CSV is required (--input)", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        data = read_one_sample_csv(cfg["input"])
-        nuisance = _nuisance_from(cfg)
-        folds, seed, level = _run_args(cfg, data.n)
-    except (SsateError, OSError) as exc:
-        print(f"estimate-os: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = estimate_os_eff(data, n_folds=folds, seed=seed, config=nuisance, level=level)
-    except SsateError as exc:
-        print(f"estimate-os: estimation failed: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    _emit("estimate-os", cfg, report.to_dict(), args.output)
-    return EXIT_OK
+        raise SsateError("an input CSV is required (--input)")
+    data = read_one_sample_csv(cfg["input"])
+    nuisance = _nuisance_from(cfg)
+    folds, seed, level = _run_args(cfg, data.n)
+    return cfg, lambda: estimate_os_eff(data, n_folds=folds, seed=seed, config=nuisance,
+                                        level=level).to_dict()
 
 
-def cmd_estimate_ts(args) -> int:
-    cfg = _merged(args)
-    cfg.setdefault("folds", 2)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("level", 0.95)
+def cmd_estimate_ts(cfg: dict):
     if not cfg.get("labeled") or not cfg.get("unlabeled"):
-        print("estimate-ts: labeled and unlabeled CSVs are required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SsateError("labeled and unlabeled CSVs are required")
     if cfg.get("beta-star") is None:
-        print("estimate-ts: --beta-star is required (usage: estimate-ts "
-              "--labeled L.csv --unlabeled U.csv --beta-star B)", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        data = read_two_sample_csv(cfg["labeled"], cfg["unlabeled"])
-        nuisance = _nuisance_from(cfg)
-        if nuisance.riesz_mode != "mle-g":  # the two-sample estimator has no Riesz mode
-            raise SsateError(f"estimate-ts needs riesz_mode 'mle-g', got {nuisance.riesz_mode!r}")
-        beta = _number(cfg, "beta-star")
-        folds, seed, level = _run_args(cfg, min(data.m, data.l), beta)
-    except (SsateError, OSError) as exc:
-        print(f"estimate-ts: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = estimate_ts_eff(data, beta_star=beta, n_folds=folds, seed=seed,
-                                 config=nuisance, level=level)
-    except SsateError as exc:
-        print(f"estimate-ts: estimation failed: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    _emit("estimate-ts", cfg, report.to_dict(), args.output)
-    return EXIT_OK
+        raise SsateError("--beta-star is required (usage: estimate-ts "
+                         "--labeled L.csv --unlabeled U.csv --beta-star B)")
+    data = read_two_sample_csv(cfg["labeled"], cfg["unlabeled"])
+    nuisance = _nuisance_from(cfg)
+    if nuisance.riesz_mode != "mle-g":  # the two-sample estimator has no Riesz mode
+        raise SsateError(f"estimate-ts needs riesz_mode 'mle-g', got {nuisance.riesz_mode!r}")
+    beta = _number(cfg, "beta-star")
+    folds, seed, level = _run_args(cfg, min(data.m, data.l), beta)
+    return cfg, lambda: estimate_ts_eff(data, beta_star=beta, n_folds=folds, seed=seed,
+                                        config=nuisance, level=level).to_dict()
 
 
-def cmd_bounds(args) -> int:
-    cfg = _merged(args)
-    cfg.setdefault("grid_step", 0.01)
+def cmd_bounds(cfg: dict):
     if not cfg.get("dgp"):
-        print("bounds: a DGP spec JSON file is required (--dgp)", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        with open(cfg["dgp"]) as fh:
-            spec = json.load(fh)
-        alpha = None if cfg.get("alpha") is None else _number(cfg, "alpha")
-        report = oracle_bounds(dgp_from_dict(spec), alpha=alpha,
-                               grid_step=_number(cfg, "grid_step"))
-    except (ValueError, OSError, TypeError) as exc:
-        print(f"bounds: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SsateError("a DGP spec JSON file is required (--dgp)")
+    with open(cfg["dgp"]) as fh:
+        spec = json.load(fh)
+    alpha = None if cfg.get("alpha") is None else _number(cfg, "alpha")
+    report = oracle_bounds(dgp_from_dict(spec), alpha=alpha, grid_step=_number(cfg, "grid_step"))
     v_ts = {str(k): v for k, v in report.v_ts.items()} if report.v_ts else None
-    _emit("bounds", cfg, {**vars(report), "v_ts": v_ts}, args.output)
-    return EXIT_OK
+    return cfg, {**vars(report), "v_ts": v_ts}
 
 
-def cmd_simulate(args) -> int:
-    cfg = _merged(args)
+def _study_echo(cfg: dict) -> dict:
+    """A simulate config as echoed: without its inline DGP spec."""
+    return {key: val for key, val in cfg.items() if key != "dgp"}
+
+
+def cmd_simulate(cfg: dict):
     if not cfg.get("dgp"):
-        print("simulate: the config file must carry an inline 'dgp' spec",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        dgp = dgp_from_dict(cfg["dgp"])
-        h = _object(cfg, "hook")
-        hook = Misspec(kind=h["kind"], c=_number(h, "c", default=0.5)) if h else None
-        nuisance = _nuisance_from(_object(cfg, "nuisance"))
-        study = cfg.get("study", "mc")
-        threads = None if cfg.get("threads") is None else _number(cfg, "threads", True)
-        sizes = {key: _number(cfg, key, key != "beta_star")
-                 for key in ("n", "m", "l", "beta_star") if cfg.get(key) is not None}
-        run = {"nuisance": nuisance, "seed": _number(cfg, "seed", True, 0),
-               "n_folds": _number(cfg, "folds", True, 2),
-               "level": _number(cfg, "level", default=0.95)}
-        if study == "infinite-unlabeled":
-            report = run_infinite_unlabeled_study(
-                dgp,
-                n_labeled=_number(cfg, "n_labeled", True),
-                ratio=_number(cfg, "ratio", True, 100),
-                reps=_number(cfg, "reps", True, 200),
-                scenario=cfg.get("scenario", "one-sample"),
-                beta_star=sizes.get("beta_star"),
-                threads=threads,
-                **run,
-            )
-        elif study == "mc":
-            mc = McConfig(
-                dgp=dgp,
-                scenario=cfg.get("scenario", "one-sample"),
-                estimator=cfg.get("estimator", "os-eff"),
-                reps=_number(cfg, "reps", True, 100),
-                hook=hook,
-                **run,
-                **sizes,
-            )
-            report = run_mc(mc, threads=threads)
-        else:
-            print(f"simulate: unknown study {study!r}", file=sys.stderr)
-            return EXIT_CONFIG
-    except ReportIncomplete as exc:
-        partial = exc.partial_report.to_dict() if exc.partial_report else None
-        _emit("simulate", {k: v for k, v in cfg.items() if k != "dgp"},
-              {"error": str(exc), "partial": partial}, args.output)
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    except (ValueError, KeyError, SsateError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _emit("simulate", {k: v for k, v in cfg.items() if k != "dgp"},
-          report.to_dict(), args.output)
-    return EXIT_OK
+        raise SsateError("the config file must carry an inline 'dgp' spec")
+    dgp = dgp_from_dict(cfg["dgp"])
+    h = _object(cfg, "hook")
+    hook = Misspec(kind=h["kind"], c=_number(h, "c", default=0.5)) if h else None
+    nuisance = _nuisance_from(_object(cfg, "nuisance"))
+    study = cfg.get("study", "mc")
+    threads = None if cfg.get("threads") is None else _number(cfg, "threads", True)
+    sizes = {key: _number(cfg, key, key != "beta_star")
+             for key in ("n", "m", "l", "beta_star") if cfg.get(key) is not None}
+    run = {"nuisance": nuisance, "seed": _number(cfg, "seed", True, 0),
+           "n_folds": _number(cfg, "folds", True, 2),
+           "level": _number(cfg, "level", default=0.95)}
+    if study == "infinite-unlabeled":
+        report = run_infinite_unlabeled_study(
+            dgp,
+            n_labeled=_number(cfg, "n_labeled", True),
+            ratio=_number(cfg, "ratio", True, 100),
+            reps=_number(cfg, "reps", True, 200),
+            scenario=cfg.get("scenario", "one-sample"),
+            beta_star=sizes.get("beta_star"),
+            threads=threads,
+            **run,
+        )
+    elif study == "mc":
+        mc = McConfig(
+            dgp=dgp,
+            scenario=cfg.get("scenario", "one-sample"),
+            estimator=cfg.get("estimator", "os-eff"),
+            reps=_number(cfg, "reps", True, 100),
+            hook=hook,
+            **run,
+            **sizes,
+        )
+        report = run_mc(mc, threads=threads)
+    else:
+        raise SsateError(f"unknown study {study!r}")
+    return _study_echo(cfg), report.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +281,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(command: str, message, code: int) -> int:
+    print(f"{command}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one command; the only place where a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
+    incomplete = None
     try:
-        args.file_config = _load_config_file(args.config)
-        return args.func(args)
-    except SsateError as exc:  # a bad --config or an unwritable --output
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        cfg = _merged(args)
+        echo, report = args.func(cfg)
+    except ReportIncomplete as exc:  # a study: emit the partial report, then fail
+        incomplete = exc
+        partial = exc.partial_report.to_dict() if exc.partial_report else None
+        echo, report = _study_echo(cfg), {"error": str(exc), "partial": partial}
+    except (ValueError, TypeError, KeyError, OSError) as exc:  # SsateError is a ValueError
+        return _fail(args.command, exc, EXIT_CONFIG)
+    if callable(report):  # the estimator call: only its SsateError is an estimation failure
+        try:
+            report = report()
+        except SsateError as exc:
+            return _fail(args.command, f"estimation failed: {exc}", EXIT_ESTIMATION)
+    try:
+        _emit(args.command, echo, report, args.output)
+    except SsateError as exc:  # an unwritable --output
+        return _fail(args.command, exc, EXIT_CONFIG)
+    return EXIT_OK if incomplete is None else _fail(args.command, incomplete, EXIT_INCOMPLETE)
 
 
 if __name__ == "__main__":

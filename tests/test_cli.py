@@ -173,6 +173,18 @@ class TestConfigErrors:
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"{command}: ")
 
+    @pytest.mark.parametrize("command, bad", [("estimate-os", {"input": ["x"]}),
+                                              ("estimate-ts", {"labeled": {"a": 1}}),
+                                              ("simulate", {"estimator": ["x"]})])
+    def test_wrong_json_type_exit_2(self, files, tmp_path, capsys, command, bad):
+        base = {"estimate-os": {},
+                "estimate-ts": {"unlabeled": str(files["unl"]), "beta-star": 0.5},
+                "simulate": {"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 3}}[command]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base, **bad}))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{command}: ")
+
     @pytest.mark.parametrize("extra", [
         {"folds": 2.7}, {"reps": "3"}, {"seed": "5"}, {"level": "0.9"}, {"threads": "2"},
         {"hook": "zero-mu"}, {"hook": {"kind": "constant-g", "c": "0.5"}},
