@@ -12,7 +12,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .datamodel import OneSampleDataset, TwoSampleDataset, make_fold_plan
-from .errors import BadFoldCount, BadLevel, DomainViolation, FoldTooSmall
+from .errors import BadFoldCount, BadLevel, DomainViolation, FoldTooSmall, NonfiniteValue
 from .nuisance import (
     LSIF,
     UKL,
@@ -77,6 +77,8 @@ def ci(tau_hat: float, se: float, level: float) -> Tuple[float, float]:
     """Normal-approximation interval tau_hat +/- z * se."""
     if not 0.0 < level < 1.0:
         raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    if not (math.isfinite(tau_hat) and math.isfinite(se)):
+        raise NonfiniteValue(f"estimate is not finite: tau_hat {tau_hat}, se {se}")
     if se < 0.0:
         raise ValueError("se must be nonnegative")
     z = _quantile(level)

@@ -86,6 +86,8 @@ class Misspec:
     def __post_init__(self):
         if self.kind not in MISSPEC_KINDS:
             raise ValueError(f"unknown misspecification kind {self.kind!r}")
+        if not 0.0 < self.c < 1.0:  # NaN fails too
+            raise ValueError(f"hook constant c must lie in (0, 1), got {self.c}")
 
 
 def _hook_overrides(hook: Optional[Misspec], dgp, takes: tuple) -> dict:
@@ -187,8 +189,11 @@ class McConfig:
             raise ValueError(f"hook {self.hook.kind!r} overrides no nuisance of {self.estimator}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.scenario == "one-sample" and (self.n is None or self.n < 1):
-            raise ValueError("one-sample studies need n >= 1")
+        if self.scenario == "one-sample":
+            if self.n is None or self.n < 1:
+                raise ValueError("one-sample studies need n >= 1")
+            if self.beta_star is not None:  # no one-sample estimator reads it
+                raise ValueError("one-sample studies take no beta_star")
         if self.scenario == "two-sample":
             if self.m is None or self.l is None or self.m < 1 or self.l < 1:
                 raise ValueError("two-sample studies need m, l >= 1")
@@ -377,6 +382,8 @@ def run_infinite_unlabeled_study(
         report.bound_value = oracle.bound_v_tilde_ts(dgp, beta_star)
         return report
 
+    if beta_star is not None:
+        raise ValueError("one-sample studies take no beta_star")
     # one-sample: shrink pi0 with n * E[pi_shrunk] held at n_labeled
     xp, wp = dgp.nodes_p()
     e_pi = float(np.sum(wp * dgp.pi(xp)))

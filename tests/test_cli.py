@@ -7,6 +7,7 @@ import pytest
 from ssate import dgp_d1, sample_one, sample_two
 from ssate.cli import _nuisance_from, main
 from ssate.datamodel import (
+    OneSampleDataset,
     write_labeled_csv,
     write_one_sample_csv,
     write_unlabeled_csv,
@@ -57,6 +58,17 @@ class TestEstimateOs:
 
     def test_missing_input_exit_2(self):
         assert main(["estimate-os"]) == 2
+
+    @pytest.mark.parametrize("mode", ["mle-g", "kl-riesz"])
+    def test_nonfinite_estimate_exit_3(self, tmp_path, capsys, mode):
+        # covariates this large are finite, but the fits overflow to NaN
+        one = sample_one(dgp_d1(), 400, 1)
+        path = tmp_path / "big.csv"
+        write_one_sample_csv(OneSampleDataset.from_arrays(one.x * 1e200, one.o, one.d, one.y),
+                             path)
+        with np.errstate(all="ignore"):
+            assert main(["estimate-os", "--input", str(path), "--riesz-mode", mode]) == 3
+        assert "estimation failed: estimate is not finite" in capsys.readouterr().err
 
     def test_riesz_modes_near_truth(self, files, tmp_path):
         taus = {}
@@ -155,6 +167,8 @@ class TestConfigErrors:
         {"study": "infinite-unlabeled", "n_labeled": 0},
         {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "scenario": "bogus"},
         {"hook": {"kind": "true-e"}},
+        {"beta_star": 0.0},
+        {"hook": {"kind": "constant-g", "c": 0}},
     ])
     def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, capsys):
         path = tmp_path / "sim.json"

@@ -14,7 +14,7 @@ from ssate import (
     sample_two,
     score_ts_x,
 )
-from ssate.errors import BadFoldCount, BadLevel, DomainViolation
+from ssate.errors import BadFoldCount, BadLevel, DomainViolation, NonfiniteValue
 from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
 from ssate.nuisance import FittedBasis, OutcomeModel, fit_riesz
 
@@ -124,6 +124,11 @@ class TestOsEff:
             )
             ipw = estimate_os_ipw(data, g_fn)
             assert eff.tau_hat == ipw.tau_hat
+
+    def test_nonfinite_estimate_raises(self, d1):
+        data = sample_one(d1, 200, 3)
+        with pytest.raises(NonfiniteValue), np.errstate(invalid="ignore"):
+            estimate_os_eff(data, mu_override=lambda d, x: np.full(len(np.atleast_2d(x)), np.inf))
 
     def test_fully_labeled_reduces_to_aipw(self, d1):
         data = sample_one(d1, 500, 53)

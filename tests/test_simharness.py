@@ -153,6 +153,16 @@ class TestMcConfigChecks:
                      beta_star=beta, reps=2)
         assert err.value.code == "DOMAIN-VIOLATION"
 
+    def test_one_sample_beta_star(self, d1):
+        # no one-sample estimator reads beta_star, but tau0 would be taken at it
+        with pytest.raises(ValueError, match="take no beta_star"):
+            McConfig(dgp=d1, scenario="one-sample", n=100, reps=3, beta_star=0.0)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -0.5, float("nan")])
+    def test_hook_constant_outside_unit_interval(self, c):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            Misspec("constant-g", c)
+
     @pytest.mark.parametrize("estimator, kind", [("os-eff", "true-e"), ("os-ipw", "zero-mu"),
                                                  ("os-ra", "constant-g")])
     def test_hook_that_changes_nothing(self, d1, estimator, kind):
@@ -171,7 +181,8 @@ class TestMcConfigChecks:
         with pytest.raises(DomainViolation):
             run_infinite_unlabeled_study(d1, n_labeled=20, ratio=10, reps=2,
                                          scenario="two-sample", beta_star=1.5)
-        for bad in ({"n_labeled": 0}, {"n_labeled": 20, "scenario": "bogus"}):
+        for bad in ({"n_labeled": 0}, {"n_labeled": 20, "scenario": "bogus"},
+                    {"n_labeled": 20, "beta_star": 0.5}):
             with pytest.raises(ValueError):
                 run_infinite_unlabeled_study(d1, **{"ratio": 10, "reps": 2, **bad})
 
