@@ -26,6 +26,7 @@ from .errors import (
     ClassAbsent,
     DomainViolation,
     InsufficientArmData,
+    NonfiniteValue,
     SingularSystem,
     ZeroDenominator,
 )
@@ -507,6 +508,8 @@ def fit_riesz(
     for arm, fun_grad_hess in zip((1, 0), objectives):
         _, grad, hess = fun_grad_hess(np.zeros(p))
         evals, evecs = np.linalg.eigh(hess())
+        if not np.isfinite(evals).all():  # NaN eigenvalues would leave no range to solve on
+            raise NonfiniteValue(f"arm {arm}: weighted Gram matrix is not finite")
         keep = evals > evals.max() * p * np.finfo(float).eps
         span, evals = evecs[:, keep], evals[keep]
         g_span = span.T @ grad

@@ -365,7 +365,7 @@ def bound_v_ts(dgp, beta: float, alpha: float) -> float:
 
 def beta_star(dgp, alpha: float, grid_step: float = 0.01) -> float:
     """Grid argmin of the two-sample bound over beta; ties go to smaller beta."""
-    if grid_step <= 0.0:
+    if not grid_step > 0.0:  # NaN fails too
         raise ValueError("grid_step must be positive")
     n_steps = int(round(1.0 / grid_step))
     grid = np.linspace(0.0, 1.0, n_steps + 1)
@@ -374,7 +374,10 @@ def beta_star(dgp, alpha: float, grid_step: float = 0.01) -> float:
 
 
 def oracle_bounds(dgp, alpha: Optional[float] = None, grid_step: float = 0.01) -> BoundReport:
-    """All bounds the DGP supports, in one report."""
+    """All bounds the DGP supports, in one report; ``grid_step``, for beta_star,
+    is checked whether or not ``alpha`` asks for the two-sample bounds."""
+    if not grid_step > 0.0:
+        raise ValueError("grid_step must be positive")
     report = BoundReport(tau0=true_ate(dgp))
     one_sample = getattr(dgp, "pi1", None) is not None or getattr(dgp, "pi_coef", None) is not None
     two_sample = getattr(dgp, "q", None) is not None or getattr(dgp, "q_mean", None) is not None

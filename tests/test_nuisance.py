@@ -23,7 +23,13 @@ from ssate import (
 )
 from ssate import nuisance
 from ssate.datamodel import OneSampleDataset
-from ssate.errors import ClassAbsent, InsufficientArmData, SingularSystem, ZeroDenominator
+from ssate.errors import (
+    ClassAbsent,
+    InsufficientArmData,
+    NonfiniteValue,
+    SingularSystem,
+    ZeroDenominator,
+)
 from ssate.nuisance import _riesz_arm_objectives, riesz_loss_grad
 from ssate.optimize import OptimizerConfig, minimize_gd, minimize_newton
 
@@ -269,6 +275,14 @@ class TestFitRiesz:
         data = OneSampleDataset.from_arrays(x, o, d, np.zeros(7))
         with pytest.raises(SingularSystem):
             fit_riesz(data, gen=gen)
+
+    @pytest.mark.parametrize("gen", [LSIF, UKL])
+    def test_nonfinite_gram_matrix_raises(self, gen, d1):
+        # covariates near 1e200 overflow the weighted Gram matrix to inf/NaN
+        data = sample_one(d1, 400, 1)
+        big = OneSampleDataset.from_arrays(data.x * 1e200, data.o, data.d, data.y)
+        with np.errstate(all="ignore"), pytest.raises(NonfiniteValue, match="Gram matrix"):
+            fit_riesz(big, gen=gen)
 
 
 def test_unknown_generator_tag_rejected():

@@ -164,6 +164,14 @@ class TestBetaStar:
         )
         assert beta_star(dgp, 0.5, 0.01) == 0.0
 
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+    def test_bad_grid_step_rejected(self, d1, d2, step):
+        with pytest.raises(ValueError, match="grid_step must be positive"):
+            beta_star(d2, 0.5, grid_step=step)
+        # checked also where no alpha asks for beta_star
+        with pytest.raises(ValueError, match="grid_step must be positive"):
+            oracle_bounds(d1, grid_step=step)
+
 
 class TestBruteForce:
     def test_lsif_reference(self, d1):
