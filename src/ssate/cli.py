@@ -11,7 +11,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .datamodel import read_one_sample_csv, read_two_sample_csv
@@ -84,60 +87,62 @@ _RUN_DEFAULTS = {"folds": 2, "seed": 0, "level": 0.95}
 _DEFAULTS = {"estimate-os": _RUN_DEFAULTS, "estimate-ts": _RUN_DEFAULTS,
              "bounds": {"grid_step": 0.01}}
 
+# the JSON type of every config key a command reads, also inside the
+# nuisance and hook objects; "dgp", a path for bounds and an object for
+# simulate, is checked by those commands
+_TYPES = {
+    **dict.fromkeys(("input", "labeled", "unlabeled", "riesz_mode", "study", "scenario",
+                     "estimator", "kind"), str),
+    **dict.fromkeys(("folds", "seed", "degree", "reps", "threads", "n", "m", "l",
+                     "n_labeled", "ratio"), int),
+    **dict.fromkeys(("level", "ridge_lambda", "clip_eps", "clip_c", "beta-star", "beta_star",
+                     "alpha", "grid_step", "c"), float),
+    **dict.fromkeys(("nuisance", "hook"), dict),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", dict: "a JSON object"}
+
 
 def _merged(args: argparse.Namespace) -> dict:
     """The command's defaults, the --config file on them, then every option
-    given on the command line on top."""
-    flags = {key: val for key, val in vars(args).items()
-             if val is not None and key not in _NOT_SETTINGS}
-    return {**_DEFAULTS.get(args.command, {}), **_load_config_file(args.config), **flags}
+    given on the command line on top; a null in the file is an absent key."""
+    flags = {key: val for key, val in vars(args).items() if key not in _NOT_SETTINGS}
+    given = (_load_config_file(args.config), flags)
+    return {**_DEFAULTS.get(args.command, {}),
+            **{key: val for layer in given for key, val in layer.items() if val is not None}}
 
 
-def _number(cfg: dict, key: str, integral: bool = False, default=None):
-    """cfg[key] as an int or float, or ``default``, if one is given, when the
-    key is absent or null; bools, strings and fractions for an integral
-    field are config errors rather than being coerced."""
-    val = cfg.get(key)
-    if val is None and default is not None:
-        return default
-    if type(val) not in (int, float) or (integral and not float(val).is_integer()):
-        kind = "an integer" if integral else "a number"
-        raise SsateError(f"config {key!r} must be {kind}, got {val!r}")
-    return int(val) if integral else float(val)
+def _checked(cfg: dict) -> dict:
+    """``cfg`` without nulls, each value checked by ``_typed``."""
+    return {key: _typed(key, val) for key, val in cfg.items() if val is not None}
 
 
-def _object(cfg: dict, key: str) -> dict:
-    """cfg[key], which must be a JSON object; {} when absent or null."""
-    val = cfg.get(key)
-    if val is not None and not isinstance(val, dict):
-        raise SsateError(f"config {key!r} must be a JSON object, got {val!r}")
-    return val or {}
+def _typed(key: str, val, want: Optional[type] = None):
+    """``val`` checked against the type ``want``, by default the key's in
+    ``_TYPES``: a number as an int or float, an object key by key, any value
+    of an unknown key as it is. A bool, a string for a number or a fraction
+    for an integer is a config error rather than being coerced."""
+    want = want or _TYPES.get(key)
+    if type(val) in (int, float) and (want is float or want is int and val % 1 == 0):
+        return want(val)
+    if want is dict and isinstance(val, dict):
+        return _checked(val)
+    if want is None or want is str and isinstance(val, str):
+        return val
+    raise SsateError(f"config {key!r} must be {_TYPE_NAMES[want]}, got {val!r}")
 
 
 def _nuisance_from(cfg: dict) -> NuisanceConfig:
-    kwargs = {key: _number(cfg, key, key == "degree")
-              for key in ("degree", "ridge_lambda", "clip_eps", "clip_c")
-              if cfg.get(key) is not None}
-    if cfg.get("riesz_mode") is not None:
-        kwargs["riesz_mode"] = cfg["riesz_mode"]
+    kwargs = {f.name: cfg[f.name] for f in fields(NuisanceConfig) if f.name in cfg}
     try:
         return NuisanceConfig(**kwargs)
     except ValueError as exc:
         raise SsateError(f"bad nuisance config: {exc}") from None
 
 
-def _run_args(cfg: dict, n: int, beta_star: Optional[float] = None):
-    """Checked (folds, seed, level); ``n`` is the size of the smallest sample."""
-    folds, seed, level = (_number(cfg, "folds", True), _number(cfg, "seed", True),
-                          _number(cfg, "level"))
-    check_run_args(folds, level, n, beta_star)
-    return folds, seed, level
-
-
 # ---------------------------------------------------------------------------
-# Commands: each takes the merged config and returns the config to echo and
-# the report, or for an estimate a call that makes it. A bad setting or an
-# unreadable input raises; ``main`` turns that into the exit code.
+# Commands: each takes the checked config and returns the report, or for an
+# estimate a call that makes it. A bad setting or an unreadable input raises;
+# ``main`` turns that into the exit code.
 # ---------------------------------------------------------------------------
 
 def cmd_estimate_os(cfg: dict):
@@ -145,82 +150,60 @@ def cmd_estimate_os(cfg: dict):
         raise SsateError("an input CSV is required (--input)")
     data = read_one_sample_csv(cfg["input"])
     nuisance = _nuisance_from(cfg)
-    folds, seed, level = _run_args(cfg, data.n)
-    return cfg, lambda: estimate_os_eff(data, n_folds=folds, seed=seed, config=nuisance,
-                                        level=level).to_dict()
+    check_run_args(cfg["folds"], cfg["level"], data.n)
+    return lambda: estimate_os_eff(data, n_folds=cfg["folds"], seed=cfg["seed"],
+                                   config=nuisance, level=cfg["level"]).to_dict()
 
 
 def cmd_estimate_ts(cfg: dict):
     if not cfg.get("labeled") or not cfg.get("unlabeled"):
         raise SsateError("labeled and unlabeled CSVs are required")
-    if cfg.get("beta-star") is None:
+    if "beta-star" not in cfg:
         raise SsateError("--beta-star is required (usage: estimate-ts "
                          "--labeled L.csv --unlabeled U.csv --beta-star B)")
     data = read_two_sample_csv(cfg["labeled"], cfg["unlabeled"])
     nuisance = _nuisance_from(cfg)
     if nuisance.riesz_mode != "mle-g":  # the two-sample estimator has no Riesz mode
         raise SsateError(f"estimate-ts needs riesz_mode 'mle-g', got {nuisance.riesz_mode!r}")
-    beta = _number(cfg, "beta-star")
-    folds, seed, level = _run_args(cfg, min(data.m, data.l), beta)
-    return cfg, lambda: estimate_ts_eff(data, beta_star=beta, n_folds=folds, seed=seed,
-                                        config=nuisance, level=level).to_dict()
+    beta = cfg["beta-star"]
+    check_run_args(cfg["folds"], cfg["level"], min(data.m, data.l), beta)
+    return lambda: estimate_ts_eff(data, beta_star=beta, n_folds=cfg["folds"], seed=cfg["seed"],
+                                   config=nuisance, level=cfg["level"]).to_dict()
 
 
 def cmd_bounds(cfg: dict):
-    if not cfg.get("dgp"):
+    path = _typed("dgp", cfg.get("dgp", ""), str)
+    if not path:
         raise SsateError("a DGP spec JSON file is required (--dgp)")
-    with open(cfg["dgp"]) as fh:
+    with open(path) as fh:
         spec = json.load(fh)
-    alpha = None if cfg.get("alpha") is None else _number(cfg, "alpha")
-    report = oracle_bounds(dgp_from_dict(spec), alpha=alpha, grid_step=_number(cfg, "grid_step"))
+    report = oracle_bounds(dgp_from_dict(spec), alpha=cfg.get("alpha"), grid_step=cfg["grid_step"])
     v_ts = {str(k): v for k, v in report.v_ts.items()} if report.v_ts else None
-    return cfg, {**vars(report), "v_ts": v_ts}
-
-
-def _study_echo(cfg: dict) -> dict:
-    """A simulate config as echoed: without its inline DGP spec."""
-    return {key: val for key, val in cfg.items() if key != "dgp"}
+    return {**vars(report), "v_ts": v_ts}
 
 
 def cmd_simulate(cfg: dict):
     if not cfg.get("dgp"):
         raise SsateError("the config file must carry an inline 'dgp' spec")
     dgp = dgp_from_dict(cfg["dgp"])
-    h = _object(cfg, "hook")
-    hook = Misspec(kind=h["kind"], c=_number(h, "c", default=0.5)) if h else None
-    nuisance = _nuisance_from(_object(cfg, "nuisance"))
+    h = cfg.get("hook")
+    hook = Misspec(kind=h["kind"], c=h.get("c", 0.5)) if h else None
+    # seed, level and reps, when not given, take the study's own defaults
+    run = {"nuisance": _nuisance_from(cfg.get("nuisance", {})), "n_folds": cfg.get("folds", 2),
+           "scenario": cfg.get("scenario", "one-sample"),
+           **{key: cfg[key] for key in ("seed", "level", "reps", "beta_star") if key in cfg}}
     study = cfg.get("study", "mc")
-    threads = None if cfg.get("threads") is None else _number(cfg, "threads", True)
-    sizes = {key: _number(cfg, key, key != "beta_star")
-             for key in ("n", "m", "l", "beta_star") if cfg.get(key) is not None}
-    run = {"nuisance": nuisance, "seed": _number(cfg, "seed", True, 0),
-           "n_folds": _number(cfg, "folds", True, 2),
-           "level": _number(cfg, "level", default=0.95)}
-    if study == "infinite-unlabeled":
-        report = run_infinite_unlabeled_study(
-            dgp,
-            n_labeled=_number(cfg, "n_labeled", True),
-            ratio=_number(cfg, "ratio", True, 100),
-            reps=_number(cfg, "reps", True, 200),
-            scenario=cfg.get("scenario", "one-sample"),
-            beta_star=sizes.get("beta_star"),
-            threads=threads,
-            **run,
-        )
+    if study == "infinite-unlabeled":  # whose n_labeled has no default: None is rejected
+        report = run_infinite_unlabeled_study(dgp, _typed("n_labeled", cfg.get("n_labeled")),
+                                              ratio=cfg.get("ratio", 100),
+                                              threads=cfg.get("threads"), **run)
     elif study == "mc":
-        mc = McConfig(
-            dgp=dgp,
-            scenario=cfg.get("scenario", "one-sample"),
-            estimator=cfg.get("estimator", "os-eff"),
-            reps=_number(cfg, "reps", True, 100),
-            hook=hook,
-            **run,
-            **sizes,
-        )
-        report = run_mc(mc, threads=threads)
+        sizes = {key: cfg[key] for key in ("n", "m", "l") if key in cfg}
+        mc = McConfig(dgp=dgp, estimator=cfg.get("estimator", "os-eff"), hook=hook, **run, **sizes)
+        report = run_mc(mc, threads=cfg.get("threads"))
     else:
         raise SsateError(f"unknown study {study!r}")
-    return _study_echo(cfg), report.to_dict()
+    return report.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +275,21 @@ def main(argv=None) -> int:
     incomplete = None
     try:
         cfg = _merged(args)
-        echo, report = args.func(cfg)
+        report = args.func(_checked(cfg))
     except ReportIncomplete as exc:  # a study: emit the partial report, then fail
         incomplete = exc
         partial = exc.partial_report.to_dict() if exc.partial_report else None
-        echo, report = _study_echo(cfg), {"error": str(exc), "partial": partial}
-    except (ValueError, TypeError, KeyError, OSError) as exc:  # SsateError is a ValueError
+        report = {"error": str(exc), "partial": partial}
+    except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:  # SsateError too
         return _fail(args.command, exc, EXIT_CONFIG)
     if callable(report):  # the estimator call: only its SsateError is an estimation failure
         try:
-            report = report()
+            with np.errstate(all="ignore"):  # a non-finite fit fails below, in one line
+                report = report()
         except SsateError as exc:
             return _fail(args.command, f"estimation failed: {exc}", EXIT_ESTIMATION)
+    # a study's inline DGP spec is not echoed
+    echo = {key: val for key, val in cfg.items() if key != "dgp" or args.command != "simulate"}
     try:
         _emit(args.command, echo, report, args.output)
     except SsateError as exc:  # an unwritable --output

@@ -1,7 +1,6 @@
 import json
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from ssate import dgp_d1, sample_one, sample_two
@@ -59,16 +58,23 @@ class TestEstimateOs:
     def test_missing_input_exit_2(self):
         assert main(["estimate-os"]) == 2
 
-    @pytest.mark.parametrize("mode", ["mle-g", "kl-riesz"])
-    def test_nonfinite_estimate_exit_3(self, tmp_path, capsys, mode):
+    # an overflow warning would be an error here, so none may reach stderr
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, message", [
+        ("mle-g", "estimate is not finite"),
+        ("ls-riesz", "arm 1: weighted Gram matrix is not finite"),
+        ("kl-riesz", "arm 1: weighted Gram matrix is not finite"),
+    ], ids=["mle-g", "ls-riesz", "kl-riesz"])
+    def test_nonfinite_estimate_exit_3(self, tmp_path, capsys, mode, message):
         # covariates this large are finite, but the fits overflow to NaN
         one = sample_one(dgp_d1(), 400, 1)
         path = tmp_path / "big.csv"
         write_one_sample_csv(OneSampleDataset.from_arrays(one.x * 1e200, one.o, one.d, one.y),
                              path)
-        with np.errstate(all="ignore"):
-            assert main(["estimate-os", "--input", str(path), "--riesz-mode", mode]) == 3
-        assert "estimation failed: estimate is not finite" in capsys.readouterr().err
+        assert main(["estimate-os", "--input", str(path), "--riesz-mode", mode]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"estimate-os: estimation failed: {message}")
+        assert err.count("\n") == 1
 
     def test_riesz_modes_near_truth(self, files, tmp_path):
         taus = {}
@@ -110,6 +116,27 @@ BAD_NUISANCE = [{"degree": 0}, {"ridge_lambda": -1}, {"ridge_lambda": float("nan
                 {"clip_eps": float("nan")}, {"clip_c": -5}, {"clip_c": 0},
                 {"clip_c": float("nan")}]
 BAD_NUISANCE_IDS = ["-".join(map(str, *bad.items())) for bad in BAD_NUISANCE]
+
+
+# a known key of the wrong JSON type, and the message after "{command}: config "
+WRONG_TYPES = [
+    ("estimate-os", {"input": ["x"]}, "'input' must be a string, got ['x']"),
+    ("estimate-os", {"riesz_mode": 5}, "'riesz_mode' must be a string, got 5"),
+    ("estimate-ts", {"labeled": {"a": 1}}, "'labeled' must be a string, got {'a': 1}"),
+    ("estimate-ts", {"unlabeled": 3}, "'unlabeled' must be a string, got 3"),
+    ("bounds", {"dgp": ["d1.json"]}, "'dgp' must be a string, got ['d1.json']"),
+    ("simulate", {"estimator": ["x"]}, "'estimator' must be a string, got ['x']"),
+    ("simulate", {"scenario": 1}, "'scenario' must be a string, got 1"),
+    ("simulate", {"study": ["mc"]}, "'study' must be a string, got ['mc']"),
+    ("simulate", {"hook": {"kind": 3}}, "'kind' must be a string, got 3"),
+    ("simulate", {"hook": "zero-mu"}, "'hook' must be a JSON object, got 'zero-mu'"),
+    ("simulate", {"nuisance": [2]}, "'nuisance' must be a JSON object, got [2]"),
+    ("simulate", {"nuisance": {"degree": True}}, "'degree' must be an integer, got True"),
+    # a key the default mc study does not read is checked all the same
+    ("simulate", {"n_labeled": "x"}, "'n_labeled' must be an integer, got 'x'"),
+]
+WRONG_TYPE_IDS = [command + "-" + message.split()[0].strip("'")
+                  for command, _, message in WRONG_TYPES]
 
 
 class TestConfigErrors:
@@ -187,17 +214,24 @@ class TestConfigErrors:
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"{command}: ")
 
-    @pytest.mark.parametrize("command, bad", [("estimate-os", {"input": ["x"]}),
-                                              ("estimate-ts", {"labeled": {"a": 1}}),
-                                              ("simulate", {"estimator": ["x"]})])
-    def test_wrong_json_type_exit_2(self, files, tmp_path, capsys, command, bad):
-        base = {"estimate-os": {},
-                "estimate-ts": {"unlabeled": str(files["unl"]), "beta-star": 0.5},
+    @pytest.mark.parametrize("command, bad, message", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_wrong_json_type_exit_2(self, files, tmp_path, capsys, command, bad, message):
+        base = {"estimate-os": {"input": str(files["os"])},
+                "estimate-ts": {"labeled": str(files["lab"]), "unlabeled": str(files["unl"]),
+                                "beta-star": 0.5},
+                "bounds": {},
                 "simulate": {"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 3}}[command]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**base, **bad}))
         assert main([command, "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"{command}: ")
+        assert capsys.readouterr().err == f"{command}: config {message}\n"
+
+    def test_null_is_absent(self, files, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"input": str(files["os"]), "folds": None}))
+        code, doc = run_json(["estimate-os", "--config", str(path)], tmp_path / "r.json")
+        assert code == 0
+        assert doc["config"]["folds"] == 2
 
     @pytest.mark.parametrize("extra", [
         {"folds": 2.7}, {"reps": "3"}, {"seed": "5"}, {"level": "0.9"}, {"threads": "2"},
@@ -205,6 +239,7 @@ class TestConfigErrors:
         {"nuisance": "degree-2"}, {"dgp": "d1"}, {"dgp": {"family": "DiscreteX", "xs": [[0.0]]}},
         {"study": "infinite-unlabeled", "n_labeled": "20", "ratio": 10},
         {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10.5},
+        {"level": 10**400},  # an integer no float can hold
     ])
     def test_simulate_uncoerced_values_exit_2(self, tmp_path, extra):
         path = tmp_path / "sim.json"
@@ -213,7 +248,7 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("extra", [{"alpha": "0.5"}, {"grid_step": "0.01"},
-                                       {"grid_step": -0.01}])
+                                       {"grid_step": -0.01}, {"grid_step": 1e-320}])
     def test_bounds_uncoerced_values_exit_2(self, files, tmp_path, extra):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dgp": str(files["spec"]), "alpha": 0.5, **extra}))
@@ -330,6 +365,11 @@ class TestBounds:
         assert main(["bounds", "--dgp", str(path)]) == 2
         assert "distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["-1", "nan"])
+    def test_bad_grid_step_without_alpha_exit_2(self, files, capsys, step):
+        assert main(["bounds", "--dgp", str(files["spec"]), "--grid-step", step]) == 2
+        assert capsys.readouterr().err == "bounds: grid_step must be positive\n"
+
     def test_no_support_spec_exit_2(self, tmp_path, capsys):
         spec = dgp_to_dict(dgp_d1())
         spec["e1"] = [0.0, 0.5]
@@ -371,6 +411,15 @@ class TestSimulate:
                              tmp_path / "r.json")
         assert code == 0
         assert doc["config"]["level"] == doc["report"]["level"] == 0.5
+
+    def test_null_seed_is_seed_0(self, tmp_path):
+        reports = []
+        for seed in (None, 0):
+            cfg = self.config(tmp_path, seed=seed, reps=2)
+            code, doc = run_json(["simulate", "--config", str(cfg)], tmp_path / "r.json")
+            assert code == 0
+            reports.append(doc["report"])
+        assert reports[0] == reports[1]
 
     def test_determinism(self, tmp_path):
         cfg = self.config(tmp_path)
