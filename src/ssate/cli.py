@@ -104,16 +104,20 @@ _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", dict: "a J
 
 def _merged(args: argparse.Namespace) -> dict:
     """The command's defaults, the --config file on them, then every option
-    given on the command line on top; a null in the file is an absent key."""
+    given on the command line on top; a null, at any depth, is an absent key."""
     flags = {key: val for key, val in vars(args).items() if key not in _NOT_SETTINGS}
-    given = (_load_config_file(args.config), flags)
     return {**_DEFAULTS.get(args.command, {}),
-            **{key: val for layer in given for key, val in layer.items() if val is not None}}
+            **_without_nulls(_load_config_file(args.config)), **_without_nulls(flags)}
+
+
+def _without_nulls(cfg: dict) -> dict:
+    return {key: _without_nulls(val) if isinstance(val, dict) else val
+            for key, val in cfg.items() if val is not None}
 
 
 def _checked(cfg: dict) -> dict:
-    """``cfg`` without nulls, each value checked by ``_typed``."""
-    return {key: _typed(key, val) for key, val in cfg.items() if val is not None}
+    """``cfg`` with each value checked by ``_typed``."""
+    return {key: _typed(key, val) for key, val in cfg.items()}
 
 
 def _typed(key: str, val, want: Optional[type] = None):
@@ -163,10 +167,8 @@ def cmd_estimate_ts(cfg: dict):
                          "--labeled L.csv --unlabeled U.csv --beta-star B)")
     data = read_two_sample_csv(cfg["labeled"], cfg["unlabeled"])
     nuisance = _nuisance_from(cfg)
-    if nuisance.riesz_mode != "mle-g":  # the two-sample estimator has no Riesz mode
-        raise SsateError(f"estimate-ts needs riesz_mode 'mle-g', got {nuisance.riesz_mode!r}")
     beta = cfg["beta-star"]
-    check_run_args(cfg["folds"], cfg["level"], min(data.m, data.l), beta)
+    check_run_args(cfg["folds"], cfg["level"], min(data.m, data.l), beta, nuisance.riesz_mode)
     return lambda: estimate_ts_eff(data, beta_star=beta, n_folds=cfg["folds"], seed=cfg["seed"],
                                    config=nuisance, level=cfg["level"]).to_dict()
 
@@ -187,6 +189,8 @@ def cmd_simulate(cfg: dict):
         raise SsateError("the config file must carry an inline 'dgp' spec")
     dgp = dgp_from_dict(cfg["dgp"])
     h = cfg.get("hook")
+    if h and "kind" not in h:
+        raise SsateError("config 'hook' needs a 'kind'")
     hook = Misspec(kind=h["kind"], c=h.get("c", 0.5)) if h else None
     # seed, level and reps, when not given, take the study's own defaults
     run = {"nuisance": _nuisance_from(cfg.get("nuisance", {})), "n_folds": cfg.get("folds", 2),

@@ -91,15 +91,19 @@ def _quantile(level: float) -> float:
     return float(norm.ppf(0.5 * (1.0 + level)))
 
 
-def check_run_args(n_folds: int, level: float, n: int, beta_star: Optional[float] = None) -> None:
+def check_run_args(n_folds: int, level: float, n: int, beta_star: Optional[float] = None,
+                   riesz_mode: str = "mle-g") -> None:
     """Reject a fold count outside 1..n, ``n`` the smallest sample, a level
-    outside (0, 1), or a ``beta_star``, when given, outside [0, 1]."""
+    outside (0, 1), or, in a two-sample run (one given a ``beta_star``), a
+    ``beta_star`` outside [0, 1] or a ``riesz_mode`` other than "mle-g"."""
     if not 1 <= n_folds <= n:
         raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {n_folds}")
     if not 0.0 < level < 1.0:
         raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
     if beta_star is not None and not 0.0 <= beta_star <= 1.0:
         raise DomainViolation(f"beta_star must lie in [0, 1], got {beta_star}")
+    if beta_star is not None and riesz_mode != "mle-g":  # its weights come from fitted e and r
+        raise DomainViolation(f"a two-sample run needs riesz_mode 'mle-g', got {riesz_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +152,22 @@ def _mean_se(values: np.ndarray) -> Tuple[float, float]:
     return tau, se
 
 
-def _fold_masks(n: int, n_folds: int, seed: int) -> list:
-    """(fold, complement) mask pairs; n_folds=1 fits and scores on all rows."""
+def _folds(n_folds: int, *samples):
+    """For each fold b, the (fold, complement) mask pair of every (size, seed)
+    sample. Each sample gets its own fold plan, and fold b of every plan comes
+    together; n_folds=1 fits and scores on all rows."""
     if n_folds == 1:
-        full = np.ones(n, dtype=bool)
-        return [(full, full)]
-    return [(mask, ~mask) for _, mask in make_fold_plan(n, n_folds, seed).masks()]
+        return [tuple((np.ones(n, dtype=bool),) * 2 for n, _ in samples)]
+    return zip(*([(mask, ~mask) for _, mask in make_fold_plan(n, n_folds, seed).masks()]
+                 for n, seed in samples))
 
 
-def _cross_fit(samples, n_folds: int, train, nuisances, score) -> list:
-    """Fit the nuisances on each fold's complement, then score the fold.
-
-    ``samples`` holds one (size, fold seed, diagnostics key) per sample;
-    each sample gets its own fold plan, and fold b of every plan is handled
-    together. ``train(*complement_masks)`` builds the fold's training data.
-    Each of ``nuisances``, an (override, fit, converged key) triple, is its
-    override, or else ``fit(training data)`` with the fit's ``converged``
-    flag recorded under the key. ``score(fold_masks, models)`` then scores
-    the fold. Returns the per-fold diagnostics.
-    """
-    diagnostics = []
-    for masks in zip(*(_fold_masks(n, n_folds, seed) for n, seed, _ in samples)):
-        folds, comps = zip(*masks)
-        diag = {key: int(comp.sum()) for (_, _, key), comp in zip(samples, comps)}
-        training = train(*comps)
-        models = []
-        for override, fit, key in nuisances:
-            model = override
-            if model is None:
-                model = fit(training)
-                if key:
-                    diag[key] = model.converged
-            models.append(model)
-        score(folds, models)
-        diagnostics.append(diag)
-    return diagnostics
+def _fitted(override, fit, diag: dict, key: str):
+    """``override``, or else ``fit()`` with its ``converged`` flag put in ``diag[key]``."""
+    if override is None:
+        override = fit()
+        diag[key] = override.converged
+    return override
 
 
 def _fit_mu(x: np.ndarray, d: np.ndarray, y: np.ndarray, config: NuisanceConfig):
@@ -213,32 +198,26 @@ def estimate_os_eff(
     corresponding fitted nuisance with a fixed function of (d, x).
     """
     check_run_args(n_folds, level, data.n)
-    if g_override is not None or config.riesz_mode == "mle-g":
-        weight = (g_override, lambda comp: fit_gmodel_mle(
-            comp, basis=config.basis, clip_eps=config.clip_eps), "g_converged")
-
-        def signed_weights(g, x):
-            g1, g0 = arms(g, x)
-            return 1.0 / g1, -1.0 / g0
-    else:
-        gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
-        weight = (None, lambda comp: fit_riesz(comp, gen=gen, basis=config.basis),
-                  "riesz_converged")
-        signed_weights = lambda riesz, x: riesz.a1_a0(x)
     scores = np.empty(data.n)
-
-    def score(folds, models):
-        (fold,), (mu, w) = folds, models
+    diagnostics = []
+    for ((fold, comp),) in _folds(n_folds, (data.n, seed)):
+        diag = {"n_train": int(comp.sum())}
+        train = data.rows(comp)
+        mu = mu_override if mu_override is not None else _fit_mu(*train.labeled_arrays(), config)
         xf = data.x[fold]
+        if g_override is not None or config.riesz_mode == "mle-g":
+            g = _fitted(g_override, lambda: fit_gmodel_mle(
+                train, basis=config.basis, clip_eps=config.clip_eps), diag, "g_converged")
+            g1, g0 = arms(g, xf)
+            a1, a0 = 1.0 / g1, -1.0 / g0
+        else:
+            gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
+            riesz = fit_riesz(train, gen=gen, basis=config.basis)
+            diag["riesz_converged"] = riesz.converged
+            a1, a0 = riesz.a1_a0(xf)
         scores[fold] = score_os_vec(data.o[fold], data.d[fold], data.y[fold],
-                                    *arms(mu, xf), *signed_weights(w, xf))
-
-    diagnostics = _cross_fit(
-        [(data.n, seed, "n_train")], n_folds,
-        data.rows,
-        [(mu_override, lambda comp: _fit_mu(*comp.labeled_arrays(), config), None), weight],
-        score,
-    )
+                                    *arms(mu, xf), a1, a0)
+        diagnostics.append(diag)
     tau, se = _mean_se(scores)
     return EstimateReport(tau, se, ci(tau, se, level), level, "OS-eff",
                           {"n": data.n, "n_labeled": data.n_labeled}, n_folds, seed, diagnostics)
@@ -294,31 +273,25 @@ def estimate_ts_eff(
     Only ``riesz_mode`` "mle-g" applies: the weights come from fitted e and r.
     """
     m, l = data.m, data.l
-    check_run_args(n_folds, level, min(m, l), beta_star)
-    if config.riesz_mode != "mle-g":
-        raise ValueError(f"estimate_ts_eff has no riesz_mode {config.riesz_mode!r}; use 'mle-g'")
+    check_run_args(n_folds, level, min(m, l), beta_star, config.riesz_mode)
     seed_m, seed_l = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     s_xdy, s_x_lab, s_x_unl = np.empty(m), np.empty(m), np.empty(l)
-
-    def score(folds, models):
-        (fm, fu), (mu, e, r) = folds, models
+    diagnostics = []
+    for (fm, cm), (fu, cu) in _folds(n_folds, (m, seed_m), (l, seed_l)):
+        diag = {"m_train": int(cm.sum()), "l_train": int(cu.sum())}
+        x, d, y = data.x[cm], data.d[cm], data.y[cm]
+        mu = mu_override if mu_override is not None else _fit_mu(x, d, y, config)
+        e = _fitted(e_override, lambda: fit_e_model(
+            x, d, basis=config.basis, clip_eps=config.clip_eps), diag, "e_converged")
+        r = _fitted(r_override, lambda: fit_density_ratio(x, data.z[cu], basis=config.basis),
+                    diag, "r_converged")
         v = assemble_v_beta(e, r, beta_star)
         xf = data.x[fm]
         mu1, mu0 = arms(mu, xf)
         s_xdy[fm] = score_ts_vec(data.d[fm], data.y[fm], mu1, mu0, *v.arms(xf))
         s_x_lab[fm] = mu1 - mu0
         s_x_unl[fu] = score_ts_x(data.z[fu], mu)
-
-    diagnostics = _cross_fit(
-        [(m, seed_m, "m_train"), (l, seed_l, "l_train")], n_folds,
-        lambda cm, cu: (data.x[cm], data.d[cm], data.y[cm], data.z[cu]),
-        [(mu_override, lambda t: _fit_mu(t[0], t[1], t[2], config), None),
-         (e_override, lambda t: fit_e_model(t[0], t[1], basis=config.basis,
-                                            clip_eps=config.clip_eps), "e_converged"),
-         (r_override, lambda t: fit_density_ratio(t[0], t[3], basis=config.basis),
-          "r_converged")],
-        score,
-    )
+        diagnostics.append(diag)
 
     n_total = m + l
     tau = float(

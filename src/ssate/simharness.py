@@ -201,7 +201,7 @@ class McConfig:
                 raise ValueError("two-sample studies need beta_star")
         check_run_args(self.n_folds, self.level,
                        self.n if self.scenario == "one-sample" else min(self.m, self.l),
-                       self.beta_star)
+                       self.beta_star, self.nuisance.riesz_mode)
 
 
 @dataclass
@@ -290,12 +290,14 @@ def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
     count stays the same; its workers are forked then, so module state the
     parent changes afterwards does not reach them.
     """
+    # the oracle values first: a DGP they reject fails before any replication
+    tau0 = oracle.true_ate(config.dgp, config.beta_star if config.beta_star is not None else 1.0)
+    bound = _ESTIMATORS[config.estimator].bound(config)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(resolve_threads(threads), cpus or 1)
     records = (_map_reps(config, workers) if workers > 1
                else [_rep_record(config, r) for r in range(1, config.reps + 1)])
 
-    tau0 = oracle.true_ate(config.dgp, config.beta_star if config.beta_star is not None else 1.0)
     taus, ses, covers, failures = [], [], [], []
     for r, tau, se, lo, hi, err in records:
         if err is not None:
@@ -318,7 +320,7 @@ def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
         mc_bias=float(np.mean(taus_a) - tau0) if len(taus) else float("nan"),
         mc_se_of_bias=float(np.std(taus_a) / np.sqrt(len(taus))) if len(taus) else float("nan"),
         scaled_variance=float(scale * np.var(taus_a)) if len(taus) else float("nan"),
-        bound_value=_ESTIMATORS[config.estimator].bound(config),
+        bound_value=bound,
         coverage=float(np.mean(covers)) if covers else float("nan"),
         mean_se=float(np.mean(ses)) if ses else float("nan"),
         level=config.level,

@@ -196,13 +196,17 @@ class TestConfigErrors:
         {"hook": {"kind": "true-e"}},
         {"beta_star": 0.0},
         {"hook": {"kind": "constant-g", "c": 0}},
+        {"hook": {"c": 0.3}},
     ])
     def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, capsys):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 3,
                                     **extra}))
         assert main(["simulate", "--config", str(path)]) == 2
-        assert "replications failed" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "replications failed" not in err
+        if extra == {"hook": {"c": 0.3}}:
+            assert err == "simulate: config 'hook' needs a 'kind'\n"
 
     @pytest.mark.parametrize("command", ["estimate-os", "estimate-ts", "bounds", "simulate"])
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
@@ -232,6 +236,18 @@ class TestConfigErrors:
         code, doc = run_json(["estimate-os", "--config", str(path)], tmp_path / "r.json")
         assert code == 0
         assert doc["config"]["folds"] == 2
+        # a nested null is absent too, so the echo shows what ran: c = 0.5, degree 1
+        base = {"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 2, "threads": 1}
+        runs = []
+        for extra in ({"hook": {"kind": "constant-g", "c": None}, "nuisance": {"degree": None}},
+                      {"hook": {"kind": "constant-g"}}):
+            path.write_text(json.dumps({**base, **extra}))
+            runs.append(run_json(["simulate", "--config", str(path)], tmp_path / "r.json"))
+        (code, doc), (_, plain) = runs
+        assert code == 0
+        assert doc["config"]["hook"] == {"kind": "constant-g"}
+        assert doc["config"]["nuisance"] == {}
+        assert doc["report"] == plain["report"]
 
     @pytest.mark.parametrize("extra", [
         {"folds": 2.7}, {"reps": "3"}, {"seed": "5"}, {"level": "0.9"}, {"threads": "2"},

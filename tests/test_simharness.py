@@ -1,5 +1,6 @@
 import os
 import threading
+from dataclasses import replace
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -14,7 +15,8 @@ from ssate import (
     sample_two,
 )
 from ssate import simharness
-from ssate.errors import BadFoldCount, BadLevel, DomainViolation, ReportIncomplete
+from ssate.errors import BadFoldCount, BadLevel, DomainViolation, ReportIncomplete, SsateError
+from ssate.estimators import NuisanceConfig
 from ssate.oracle import bound_v_tilde_os
 from ssate.simharness import resolve_threads
 
@@ -26,8 +28,6 @@ class TestSampling:
         assert abs(frac - 0.25) <= 0.002
 
     def test_fully_observed_spec(self, d1):
-        from dataclasses import replace
-
         full = replace(d1, pi1=np.array([1.0 - 1e-12, 1.0 - 1e-12]))
         data = sample_one(full, 500, 71)
         assert data.n_unlabeled == 0
@@ -174,6 +174,23 @@ class TestMcConfigChecks:
                      beta_star=0.5, reps=3, hook=Misspec("constant-g"))
         McConfig(dgp=d1, scenario="one-sample", estimator=estimator, n=200, reps=3,
                  hook=Misspec("true-nuisance"))
+
+    def test_ts_riesz_mode(self, d1):
+        # the two-sample weights come from fitted e and r, in every replication alike
+        with pytest.raises(SsateError, match="riesz_mode"):
+            McConfig(dgp=d1, scenario="two-sample", estimator="ts-eff", m=50, l=50,
+                     beta_star=0.5, reps=2, nuisance=NuisanceConfig(riesz_mode="ls-riesz"))
+        McConfig(dgp=d1, scenario="one-sample", n=100, reps=2,
+                 nuisance=NuisanceConfig(riesz_mode="ls-riesz"))
+
+    def test_oracle_before_replications(self, d1, monkeypatch):
+        # no observation law: the bound rejects the DGP before any rep is drawn
+        calls, draw = [], simharness.sample_one
+        monkeypatch.setattr(simharness, "sample_one", lambda *a: calls.append(a) or draw(*a))
+        with pytest.raises(DomainViolation):
+            run_mc(McConfig(dgp=replace(d1, pi1=None), scenario="one-sample", n=100, reps=3),
+                   threads=1)
+        assert calls == []
 
     def test_infinite_unlabeled_study_is_checked(self, d1):
         with pytest.raises(BadFoldCount):
