@@ -87,19 +87,26 @@ _RUN_DEFAULTS = {"folds": 2, "seed": 0, "level": 0.95}
 _DEFAULTS = {"estimate-os": _RUN_DEFAULTS, "estimate-ts": _RUN_DEFAULTS,
              "bounds": {"grid_step": 0.01}}
 
-# the JSON type of every config key a command reads, also inside the
-# nuisance and hook objects; "dgp", a path for bounds and an object for
-# simulate, is checked by those commands
+# the JSON type of every config key a command reads; that of an object is
+# the table of its own keys, and it takes no other. "dgp", a path for bounds
+# and an object for simulate, is checked by those commands
 _TYPES = {
     **dict.fromkeys(("input", "labeled", "unlabeled", "riesz_mode", "study", "scenario",
-                     "estimator", "kind"), str),
+                     "estimator"), str),
     **dict.fromkeys(("folds", "seed", "degree", "reps", "threads", "n", "m", "l",
                      "n_labeled", "ratio"), int),
     **dict.fromkeys(("level", "ridge_lambda", "clip_eps", "clip_c", "beta-star", "beta_star",
-                     "alpha", "grid_step", "c"), float),
-    **dict.fromkeys(("nuisance", "hook"), dict),
+                     "alpha", "grid_step"), float),
 }
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", dict: "a JSON object"}
+_TYPES["nuisance"] = {f.name: _TYPES[f.name] for f in fields(NuisanceConfig)}
+_TYPES["hook"] = {"kind": str, "c": float}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+# the config keys each simulate study reads
+_STUDY_RUN = ("dgp", "study", "scenario", "nuisance", "folds", "seed", "level", "reps",
+              "beta_star", "threads")
+_STUDY_KEYS = {"mc": {*_STUDY_RUN, "estimator", "hook", "n", "m", "l"},
+               "infinite-unlabeled": {*_STUDY_RUN, "n_labeled", "ratio"}}
 
 
 def _merged(args: argparse.Namespace) -> dict:
@@ -115,24 +122,24 @@ def _without_nulls(cfg: dict) -> dict:
             for key, val in cfg.items() if val is not None}
 
 
-def _checked(cfg: dict) -> dict:
-    """``cfg`` with each value checked by ``_typed``."""
-    return {key: _typed(key, val) for key, val in cfg.items()}
-
-
-def _typed(key: str, val, want: Optional[type] = None):
-    """``val`` checked against the type ``want``, by default the key's in
-    ``_TYPES``: a number as an int or float, an object key by key, any value
-    of an unknown key as it is. A bool, a string for a number or a fraction
-    for an integer is a config error rather than being coerced."""
+def _typed(key: str, val, want=None):
+    """``val`` checked against ``want``, a type or a table of an object's
+    keys, by default the key's in ``_TYPES``: a number as an int or float,
+    an object key by key, any value of an unknown key as it is. A bool, a
+    string for a number, a fraction for an integer or a key an object's
+    table lacks is a config error rather than being coerced or dropped."""
     want = want or _TYPES.get(key)
     if type(val) in (int, float) and (want is float or want is int and val % 1 == 0):
         return want(val)
-    if want is dict and isinstance(val, dict):
-        return _checked(val)
+    if isinstance(want, dict) and isinstance(val, dict):
+        for inner in val:
+            if inner not in want:
+                raise SsateError(f"config {key!r} has no key {inner!r}")
+        return {inner: _typed(inner, v, want[inner]) for inner, v in val.items()}
     if want is None or want is str and isinstance(val, str):
         return val
-    raise SsateError(f"config {key!r} must be {_TYPE_NAMES[want]}, got {val!r}")
+    name = "a JSON object" if isinstance(want, dict) else _TYPE_NAMES[want]
+    raise SsateError(f"config {key!r} must be {name}, got {val!r}")
 
 
 def _nuisance_from(cfg: dict) -> NuisanceConfig:
@@ -185,28 +192,31 @@ def cmd_bounds(cfg: dict):
 
 
 def cmd_simulate(cfg: dict):
+    study = cfg.get("study", "mc")
+    if study not in _STUDY_KEYS:
+        raise SsateError(f"unknown study {study!r}")
+    for key in cfg:
+        if key not in _STUDY_KEYS[study]:
+            raise SsateError(f"config {key!r} is not read by the {study} study")
     if not cfg.get("dgp"):
         raise SsateError("the config file must carry an inline 'dgp' spec")
     dgp = dgp_from_dict(cfg["dgp"])
-    h = cfg.get("hook")
-    if h and "kind" not in h:
-        raise SsateError("config 'hook' needs a 'kind'")
-    hook = Misspec(kind=h["kind"], c=h.get("c", 0.5)) if h else None
     # seed, level and reps, when not given, take the study's own defaults
     run = {"nuisance": _nuisance_from(cfg.get("nuisance", {})), "n_folds": cfg.get("folds", 2),
            "scenario": cfg.get("scenario", "one-sample"),
            **{key: cfg[key] for key in ("seed", "level", "reps", "beta_star") if key in cfg}}
-    study = cfg.get("study", "mc")
     if study == "infinite-unlabeled":  # whose n_labeled has no default: None is rejected
         report = run_infinite_unlabeled_study(dgp, _typed("n_labeled", cfg.get("n_labeled")),
                                               ratio=cfg.get("ratio", 100),
                                               threads=cfg.get("threads"), **run)
-    elif study == "mc":
-        sizes = {key: cfg[key] for key in ("n", "m", "l") if key in cfg}
-        mc = McConfig(dgp=dgp, estimator=cfg.get("estimator", "os-eff"), hook=hook, **run, **sizes)
-        report = run_mc(mc, threads=cfg.get("threads"))
     else:
-        raise SsateError(f"unknown study {study!r}")
+        hook = cfg.get("hook")
+        if hook is not None and "kind" not in hook:
+            raise SsateError("config 'hook' needs a 'kind'")
+        sizes = {key: cfg[key] for key in ("n", "m", "l") if key in cfg}
+        mc = McConfig(dgp=dgp, estimator=cfg.get("estimator", "os-eff"),
+                      hook=None if hook is None else Misspec(**hook), **run, **sizes)
+        report = run_mc(mc, threads=cfg.get("threads"))
     return report.to_dict()
 
 
@@ -279,7 +289,7 @@ def main(argv=None) -> int:
     incomplete = None
     try:
         cfg = _merged(args)
-        report = args.func(_checked(cfg))
+        report = args.func({key: _typed(key, val) for key, val in cfg.items()})
     except ReportIncomplete as exc:  # a study: emit the partial report, then fail
         incomplete = exc
         partial = exc.partial_report.to_dict() if exc.partial_report else None

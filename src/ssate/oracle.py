@@ -20,10 +20,12 @@ _GH_NODES = 64
 
 
 def _set_vector(dgp, name: str, size: int):
-    """Store field ``name`` of a frozen DGP as a float array of length ``size``."""
+    """Store field ``name`` of a frozen DGP as a finite float array of length ``size``."""
     v = np.asarray(getattr(dgp, name), dtype=float)
     if v.shape != (size,):
         raise DimMismatch(f"{name} must have length {size}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainViolation(f"{name} must be finite, got {v.tolist()}")
     object.__setattr__(dgp, name, v)
 
 
@@ -70,8 +72,8 @@ class DiscreteXDgp:
                 _set_vector(self, name, len(xs))  # one entry per support point
         if abs(float(np.sum(self.p)) - 1.0) > 1e-9:
             raise DomainViolation("p masses must sum to 1")
-        if self.q is not None and abs(float(np.sum(self.q)) - 1.0) > 1e-9:
-            raise DomainViolation("q masses must sum to 1")
+        if self.q is not None and (abs(float(np.sum(self.q)) - 1.0) > 1e-9 or np.any(self.q < 0)):
+            raise DomainViolation("q masses must be nonnegative and sum to 1")
         if np.any(self.p <= 0.0):
             raise DomainViolation("p masses must be positive")
         _check_prob("e0(1|x)", self.e1)
@@ -106,9 +108,7 @@ class DiscreteXDgp:
         return self.p[self._lookup(x)]
 
     def q_pdf(self, x: np.ndarray) -> np.ndarray:
-        if self.q is None:
-            raise DomainViolation("DGP has no unlabeled covariate law q0")
-        return self.q[self._lookup(x)]
+        return self.nodes_q()[1][self._lookup(x)]
 
     def mu(self, d: int, x: np.ndarray) -> np.ndarray:
         return (self.mu1 if d == 1 else self.mu0)[self._lookup(x)]
@@ -139,9 +139,7 @@ class DiscreteXDgp:
             yield table[s]
 
     def sample_x(self, rng: np.random.Generator, n: int, law: str = "p") -> np.ndarray:
-        masses = self.p if law == "p" else self.q
-        if masses is None:
-            raise DomainViolation("DGP has no unlabeled covariate law q0")
+        masses = self.p if law == "p" else self.nodes_q()[1]
         return self.xs[rng.choice(len(masses), size=n, p=masses)]
 
 
@@ -179,8 +177,8 @@ class GaussianLinearDgp:
             raise DomainViolation("q_mean and q_var must be given together")
         if self.q_var is not None and np.any(self.q_var <= 0.0):
             raise DomainViolation("covariate variances must be positive")
-        if self.s2_1 <= 0.0 or self.s2_0 <= 0.0:
-            raise DomainViolation("conditional variances must be positive")
+        if not (0.0 < self.s2_1 < np.inf and 0.0 < self.s2_0 < np.inf):  # NaN fails too
+            raise DomainViolation("conditional variances must be positive and finite")
 
     @property
     def k(self) -> int:
@@ -207,10 +205,13 @@ class GaussianLinearDgp:
     def nodes_p(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._nodes(self.p_mean, self.p_var)
 
-    def nodes_q(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _q_law(self) -> Tuple[np.ndarray, np.ndarray]:
         if self.q_mean is None:
             raise DomainViolation("DGP has no unlabeled covariate law q0")
-        return self._nodes(self.q_mean, self.q_var)
+        return self.q_mean, self.q_var
+
+    def nodes_q(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._nodes(*self._q_law())
 
     def _normal_pdf(self, x, mean, var):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -221,9 +222,7 @@ class GaussianLinearDgp:
         return self._normal_pdf(x, self.p_mean, self.p_var)
 
     def q_pdf(self, x: np.ndarray) -> np.ndarray:
-        if self.q_mean is None:
-            raise DomainViolation("DGP has no unlabeled covariate law q0")
-        return self._normal_pdf(x, self.q_mean, self.q_var)
+        return self._normal_pdf(x, *self._q_law())
 
     def mu(self, d: int, x: np.ndarray) -> np.ndarray:
         return self._aug(x) @ (self.mu1_coef if d == 1 else self.mu0_coef)
@@ -255,12 +254,7 @@ class GaussianLinearDgp:
         yield self.sigma2(0, x)
 
     def sample_x(self, rng: np.random.Generator, n: int, law: str = "p") -> np.ndarray:
-        if law == "p":
-            mean, var = self.p_mean, self.p_var
-        else:
-            if self.q_mean is None:
-                raise DomainViolation("DGP has no unlabeled covariate law q0")
-            mean, var = self.q_mean, self.q_var
+        mean, var = (self.p_mean, self.p_var) if law == "p" else self._q_law()
         return mean + rng.standard_normal((n, self.k)) * np.sqrt(var)
 
 
@@ -318,17 +312,19 @@ def _het_term(dgp, nodes, tau0: float) -> float:
     return float(np.sum(w * (tau_x - tau0) ** 2))
 
 
+def _core(dgp, x: np.ndarray, prob) -> np.ndarray:
+    """sigma2(1, x) / prob(1, x) + sigma2(0, x) / prob(0, x), with ``prob``
+    the DGP's ``g`` (one-sample) or ``e`` (fully labeled, or two-sample)."""
+    return dgp.sigma2(1, x) / prob(1, x) + dgp.sigma2(0, x) / prob(0, x)
+
+
 def bound_v_os(dgp) -> float:
-    x, w = dgp.nodes_p()
-    tau0 = true_ate(dgp)
-    core = dgp.sigma2(1, x) / dgp.g(1, x) + dgp.sigma2(0, x) / dgp.g(0, x)
-    return float(np.sum(w * core)) + _het_term(dgp, (x, w), tau0)
+    return bound_v_tilde_os(dgp) + _het_term(dgp, dgp.nodes_p(), true_ate(dgp))
 
 
 def bound_v_tilde_os(dgp) -> float:
     x, w = dgp.nodes_p()
-    core = dgp.sigma2(1, x) / dgp.g(1, x) + dgp.sigma2(0, x) / dgp.g(0, x)
-    return float(np.sum(w * core))
+    return float(np.sum(w * _core(dgp, x, dgp.g)))
 
 
 def bound_v_ipw(dgp) -> float:
@@ -341,16 +337,13 @@ def bound_v_ipw(dgp) -> float:
 def bound_v_hahn(dgp) -> float:
     """Fully labeled efficiency bound: pi0 treated as identically 1."""
     x, w = dgp.nodes_p()
-    tau0 = true_ate(dgp)
-    core = dgp.sigma2(1, x) / dgp.e(1, x) + dgp.sigma2(0, x) / dgp.e(0, x)
-    return float(np.sum(w * core)) + _het_term(dgp, (x, w), tau0)
+    return float(np.sum(w * _core(dgp, x, dgp.e))) + _het_term(dgp, (x, w), true_ate(dgp))
 
 
 def bound_v_tilde_ts(dgp, beta: float) -> float:
     xp, wp = dgp.nodes_p()
     kappa = beta * dgp.p_pdf(xp) + (1.0 - beta) * dgp.q_pdf(xp)
-    core = dgp.sigma2(1, xp) / dgp.e(1, xp) + dgp.sigma2(0, xp) / dgp.e(0, xp)
-    return float(np.sum(wp * core * (kappa / dgp.p_pdf(xp)) ** 2))
+    return float(np.sum(wp * _core(dgp, xp, dgp.e) * (kappa / dgp.p_pdf(xp)) ** 2))
 
 
 def bound_v_ts(dgp, beta: float, alpha: float) -> float:

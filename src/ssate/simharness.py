@@ -35,14 +35,9 @@ def sample_one(dgp, n: int, seed: int) -> OneSampleDataset:
     observed, Y ~ Normal(mu0(D, X), sigma0^2(D, X))."""
     rng = np.random.default_rng(seed)
     x = dgp.sample_x(rng, n, "p")
-    # pi, e(1), mu(1), mu(0), sigma2(1), sigma2(0) at x, one at a time, so
-    # that no more of them are held at once than each step uses
     laws = dgp._draw_laws(x, with_pi=True)
     o = (rng.random(n) < next(laws)).astype(np.int8)
-    d = (rng.random(n) < next(laws)).astype(np.int8)
-    mu = np.where(d == 1, next(laws), next(laws))
-    sd = np.sqrt(np.where(d == 1, next(laws), next(laws)))
-    y = mu + sd * rng.standard_normal(n)
+    d, y = _draw_labeled(rng, laws, n)
     d = np.where(o == 1, d, 0).astype(np.int8)
     y = np.where(o == 1, y, 0.0)
     return OneSampleDataset.from_arrays(x, o, d, y)
@@ -52,13 +47,19 @@ def sample_two(dgp, m: int, l: int, seed: int) -> TwoSampleDataset:
     """Independent labeled (X, D, Y) ~ p0 and unlabeled Z ~ q0 draws."""
     rng = np.random.default_rng(seed)
     x = dgp.sample_x(rng, m, "p")
-    laws = dgp._draw_laws(x, with_pi=False)
-    d = (rng.random(m) < next(laws)).astype(np.int8)
-    mu = np.where(d == 1, next(laws), next(laws))
-    sd = np.sqrt(np.where(d == 1, next(laws), next(laws)))
-    y = mu + sd * rng.standard_normal(m)
+    d, y = _draw_labeled(rng, dgp._draw_laws(x, with_pi=False), m)
     z = dgp.sample_x(rng, l, "q")
     return TwoSampleDataset.from_arrays(x, d, y, z)
+
+
+def _draw_labeled(rng: np.random.Generator, laws, n: int):
+    """D ~ e0(.|X), then Y ~ Normal(mu0(D, X), sigma0^2(D, X)), from the e(1), mu(1),
+    mu(0), sigma2(1), sigma2(0) that ``laws`` yields next, one at a time, so that no
+    more of them are held at once than each step uses."""
+    d = (rng.random(n) < next(laws)).astype(np.int8)
+    mu = np.where(d == 1, next(laws), next(laws))
+    sd = np.sqrt(np.where(d == 1, next(laws), next(laws)))
+    return d, mu + sd * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -94,45 +95,19 @@ def _hook_overrides(hook: Optional[Misspec], dgp, takes: tuple) -> dict:
     """The overrides ``hook`` forces, among the estimator keywords in ``takes``."""
     if hook is None:
         return {}
-    out = {}
+    forced = {  # kind -> (keyword, forced function)
+        "zero-mu": ("mu_override", lambda d, x: np.zeros(len(np.atleast_2d(x)))),
+        "constant-g": ("g_override", lambda d, x: np.full(len(np.atleast_2d(x)), hook.c)),
+        "constant-e": ("e_override", lambda d, x: np.full(len(np.atleast_2d(x)), hook.c)),
+        "true-mu": ("mu_override", dgp.mu),
+        "true-g": ("g_override", dgp.g),
+        "true-e": ("e_override", dgp.e),
+        "true-r": ("r_override", lambda x: dgp.p_pdf(x) / dgp.q_pdf(x)),
+    }
     kinds = (hook.kind,)
     if hook.kind == "true-nuisance":
         kinds = ("true-mu", "true-g", "true-e", "true-r")
-    for kind in kinds:
-        if kind == "zero-mu":
-            out["mu_override"] = lambda d, x: np.zeros(len(np.atleast_2d(x)))
-        elif kind == "constant-g":
-            out["g_override"] = lambda d, x, c=hook.c: np.full(len(np.atleast_2d(x)), c)
-        elif kind == "constant-e":
-            out["e_override"] = lambda d, x, c=hook.c: np.full(len(np.atleast_2d(x)), c)
-        elif kind == "true-mu":
-            out["mu_override"] = dgp.mu
-        elif kind == "true-g":
-            if getattr(dgp, "pi1", None) is not None or getattr(dgp, "pi_coef", None) is not None:
-                out["g_override"] = dgp.g
-        elif kind == "true-e":
-            out["e_override"] = dgp.e
-        elif kind == "true-r":
-            if getattr(dgp, "q", None) is not None or getattr(dgp, "q_mean", None) is not None:
-                out["r_override"] = lambda x: dgp.p_pdf(x) / dgp.q_pdf(x)
-    return {key: val for key, val in out.items() if key in takes}
-
-
-def _run_os_ipw(config, data, seed, g_override=None):
-    g = g_override
-    if g is None:
-        g = fit_gmodel_mle(data, basis=config.nuisance.basis, clip_eps=config.nuisance.clip_eps)
-    return estimate_os_ipw(data, g, level=config.level)
-
-
-def _run_os_ra(config, data, seed, mu_override=None):
-    mu = mu_override
-    if mu is None:
-        xl, dl, yl = data.labeled_arrays()
-        mu = fit_outcome_both(xl, dl, yl, basis=config.nuisance.basis,
-                              ridge_lambda=config.nuisance.ridge_lambda,
-                              clip_c=config.nuisance.clip_c)
-    return estimate_os_ra(data, mu, level=config.level)
+    return {key: fn for key, fn in map(forced.get, kinds) if key in takes}
 
 
 class _Estimator(NamedTuple):
@@ -142,7 +117,7 @@ class _Estimator(NamedTuple):
     bound: Callable  # config -> the oracle bound of its scaled variance, or None
 
 
-# Each entry calls the estimators and oracle bounds through their module
+# Each entry calls the estimators, fits and oracle bounds through their module
 # names when it runs, so a function rebound later (by a tracer, say) is used.
 _ESTIMATORS = {
     "os-eff": _Estimator(
@@ -150,9 +125,19 @@ _ESTIMATORS = {
         lambda c, data, seed, **o: estimate_os_eff(
             data, n_folds=c.n_folds, seed=seed, config=c.nuisance, level=c.level, **o),
         lambda c: oracle.bound_v_os(c.dgp)),
-    "os-ipw": _Estimator("one-sample", ("g_override",), _run_os_ipw,
-                         lambda c: oracle.bound_v_ipw(c.dgp)),
-    "os-ra": _Estimator("one-sample", ("mu_override",), _run_os_ra, lambda c: None),
+    "os-ipw": _Estimator(
+        "one-sample", ("g_override",),
+        lambda c, data, seed, g_override=None: estimate_os_ipw(
+            data, fit_gmodel_mle(data, basis=c.nuisance.basis, clip_eps=c.nuisance.clip_eps)
+            if g_override is None else g_override, level=c.level),
+        lambda c: oracle.bound_v_ipw(c.dgp)),
+    "os-ra": _Estimator(
+        "one-sample", ("mu_override",),
+        lambda c, data, seed, mu_override=None: estimate_os_ra(
+            data, fit_outcome_both(*data.labeled_arrays(), basis=c.nuisance.basis,
+                                   ridge_lambda=c.nuisance.ridge_lambda, clip_c=c.nuisance.clip_c)
+            if mu_override is None else mu_override, level=c.level),
+        lambda c: None),
     "ts-eff": _Estimator(
         "two-sample", ("mu_override", "e_override", "r_override"),
         lambda c, data, seed, **o: estimate_ts_eff(
@@ -309,20 +294,21 @@ def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
     sizes = {"n": config.n} if config.scenario == "one-sample" else {"m": config.m, "l": config.l}
     scale = sum(sizes.values())
 
-    taus_a = np.asarray(taus)
+    # no completed replication: every statistic below is NaN
+    taus_a, ses_a, covers_a = (np.asarray(v if taus else [np.nan]) for v in (taus, ses, covers))
     report = McReport(
         scenario=config.scenario,
         estimator=config.estimator,
         sizes=sizes,
         reps_completed=len(taus),
-        mean_tau_hat=float(np.mean(taus_a)) if len(taus) else float("nan"),
+        mean_tau_hat=float(np.mean(taus_a)),
         tau0=tau0,
-        mc_bias=float(np.mean(taus_a) - tau0) if len(taus) else float("nan"),
-        mc_se_of_bias=float(np.std(taus_a) / np.sqrt(len(taus))) if len(taus) else float("nan"),
-        scaled_variance=float(scale * np.var(taus_a)) if len(taus) else float("nan"),
+        mc_bias=float(np.mean(taus_a) - tau0),
+        mc_se_of_bias=float(np.std(taus_a) / np.sqrt(len(taus_a))),
+        scaled_variance=float(scale * np.var(taus_a)),
         bound_value=bound,
-        coverage=float(np.mean(covers)) if covers else float("nan"),
-        mean_se=float(np.mean(ses)) if ses else float("nan"),
+        coverage=float(np.mean(covers_a)),
+        mean_se=float(np.mean(ses_a)),
         level=config.level,
         seed=config.seed,
         failures=failures,

@@ -89,6 +89,22 @@ def test_traced_calls_reach_every_layer(spans, tmp_path):
     assert names.count("datamodel.make_fold_plan") == 7
 
 
+@pytest.mark.parametrize("estimator, fit", [("os-ipw", "nuisance.fit_gmodel_mle"),
+                                            ("os-ra", "nuisance.fit_outcome_both")])
+def test_traced_baseline_studies_fit_their_nuisance(spans, estimator, fit):
+    # a baseline study fits its one nuisance through simharness's module names
+    tracer = spans.Tracer()
+    spans.install(tracer, ssate)
+    try:
+        ssate.simharness.run_mc(McConfig(dgp=dgp_d1(), scenario="one-sample",
+                                         estimator=estimator, n=200, reps=2, seed=5), threads=1)
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count(fit) == 2
+    assert names.count("simharness.sample_one") == 2
+
+
 def test_run_py_datamodel_names_exist():
     """Every ``datamodel.<name>`` that perfbench/run.py uses is in ssate.datamodel."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())

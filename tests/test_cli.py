@@ -139,6 +139,16 @@ WRONG_TYPE_IDS = [command + "-" + message.split()[0].strip("'")
                   for command, _, message in WRONG_TYPES]
 
 
+def simulate_config(tmp_path, extra):
+    """A simulate config file: d1 at 3 reps, with n = 100 for an mc study, under ``extra``."""
+    base = {"dgp": dgp_to_dict(dgp_d1()), "reps": 3}
+    if extra.get("study") != "infinite-unlabeled":
+        base["n"] = 100
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({**base, **extra}))
+    return path
+
+
 class TestConfigErrors:
     """Bad config values are config errors (exit 2), never a traceback."""
 
@@ -183,30 +193,48 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "bad nuisance config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [
-        {"folds": 1000}, {"folds": 0}, {"level": 1.5},
-        {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": 1.5},
-        {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "folds": 1000},
-        {"n": "100"},
-        {"scenario": "two-sample", "estimator": "ts-eff", "m": "100", "l": 100, "beta_star": 0.5},
-        {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": "100", "beta_star": 0.5},
-        {"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": "0.5"},
-        {"study": "infinite-unlabeled", "n_labeled": 0},
-        {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "scenario": "bogus"},
-        {"hook": {"kind": "true-e"}},
-        {"beta_star": 0.0},
-        {"hook": {"kind": "constant-g", "c": 0}},
-        {"hook": {"c": 0.3}},
+    # a bad run config, and the whole stderr line where the case asserts one
+    @pytest.mark.parametrize("extra, message", [
+        ({"folds": 1000}, None), ({"folds": 0}, None), ({"level": 1.5}, None),
+        ({"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": 1.5},
+         None),
+        ({"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "folds": 1000},
+         "fold count must satisfy 1 <= L <= 220, got 1000"),
+        ({"n": "100"}, None),
+        ({"scenario": "two-sample", "estimator": "ts-eff", "m": "100", "l": 100, "beta_star": 0.5},
+         None),
+        ({"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": "100", "beta_star": 0.5},
+         None),
+        ({"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": "0.5"},
+         None),
+        ({"study": "infinite-unlabeled", "n_labeled": 0}, "n_labeled must be >= 1"),
+        ({"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "scenario": "bogus"},
+         "scenario must be one-sample or two-sample"),
+        ({"hook": {"kind": "true-e"}}, None),
+        ({"beta_star": 0.0}, None),
+        ({"hook": {"kind": "constant-g", "c": 0}}, None),
+        ({"hook": {"c": 0.3}}, "config 'hook' needs a 'kind'"),
+        # a hook object with no kind, empty or all null, runs no unhooked study
+        ({"hook": {}}, "config 'hook' needs a 'kind'"),
+        ({"hook": {"c": None}}, "config 'hook' needs a 'kind'"),
+        # a nested key that nothing reads
+        ({"hook": {"kind": "constant-g", "cc": 0.3}}, "config 'hook' has no key 'cc'"),
+        ({"nuisance": {"degre": 2}}, "config 'nuisance' has no key 'degre'"),
+        # a key only the other study reads
+        ({"n_labeled": 20}, "config 'n_labeled' is not read by the mc study"),
+        ({"ratio": 10}, "config 'ratio' is not read by the mc study"),
+        ({"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10,
+          "hook": {"kind": "zero-mu"}}, "config 'hook' is not read by the infinite-unlabeled study"),
+        *(({"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, key: val},
+           f"config {key!r} is not read by the infinite-unlabeled study")
+          for key, val in (("estimator", "os-eff"), ("n", 100), ("m", 100), ("l", 100))),
     ])
-    def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, capsys):
-        path = tmp_path / "sim.json"
-        path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 3,
-                                    **extra}))
-        assert main(["simulate", "--config", str(path)]) == 2
+    def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, message, capsys):
+        assert main(["simulate", "--config", str(simulate_config(tmp_path, extra))]) == 2
         err = capsys.readouterr().err
         assert "replications failed" not in err
-        if extra == {"hook": {"c": 0.3}}:
-            assert err == "simulate: config 'hook' needs a 'kind'\n"
+        if message is not None:
+            assert err == f"simulate: {message}\n"
 
     @pytest.mark.parametrize("command", ["estimate-os", "estimate-ts", "bounds", "simulate"])
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
@@ -249,19 +277,22 @@ class TestConfigErrors:
         assert doc["config"]["nuisance"] == {}
         assert doc["report"] == plain["report"]
 
-    @pytest.mark.parametrize("extra", [
-        {"folds": 2.7}, {"reps": "3"}, {"seed": "5"}, {"level": "0.9"}, {"threads": "2"},
-        {"hook": "zero-mu"}, {"hook": {"kind": "constant-g", "c": "0.5"}},
-        {"nuisance": "degree-2"}, {"dgp": "d1"}, {"dgp": {"family": "DiscreteX", "xs": [[0.0]]}},
-        {"study": "infinite-unlabeled", "n_labeled": "20", "ratio": 10},
-        {"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10.5},
-        {"level": 10**400},  # an integer no float can hold
+    @pytest.mark.parametrize("extra, message", [
+        ({"folds": 2.7}, None), ({"reps": "3"}, None), ({"seed": "5"}, None),
+        ({"level": "0.9"}, None), ({"threads": "2"}, None),
+        ({"hook": "zero-mu"}, None), ({"hook": {"kind": "constant-g", "c": "0.5"}}, None),
+        ({"nuisance": "degree-2"}, None), ({"dgp": "d1"}, None),
+        ({"dgp": {"family": "DiscreteX", "xs": [[0.0]]}}, None),
+        ({"study": "infinite-unlabeled", "n_labeled": "20", "ratio": 10},
+         "config 'n_labeled' must be an integer, got '20'"),
+        ({"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10.5},
+         "config 'ratio' must be an integer, got 10.5"),
+        ({"level": 10**400}, None),  # an integer no float can hold
     ])
-    def test_simulate_uncoerced_values_exit_2(self, tmp_path, extra):
-        path = tmp_path / "sim.json"
-        path.write_text(json.dumps({"dgp": dgp_to_dict(dgp_d1()), "n": 100, "reps": 3,
-                                    **extra}))
-        assert main(["simulate", "--config", str(path)]) == 2
+    def test_simulate_uncoerced_values_exit_2(self, tmp_path, capsys, extra, message):
+        assert main(["simulate", "--config", str(simulate_config(tmp_path, extra))]) == 2
+        if message is not None:
+            assert capsys.readouterr().err == f"simulate: {message}\n"
 
     @pytest.mark.parametrize("extra", [{"alpha": "0.5"}, {"grid_step": "0.01"},
                                        {"grid_step": -0.01}, {"grid_step": 1e-320}])

@@ -21,6 +21,7 @@ from ssate import (
     sample_one,
     true_ate,
 )
+from ssate.cli import main
 from ssate.errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum
 from ssate.estimators import score_os_vec
 from ssate.oracle import dgp_from_dict, dgp_to_dict, oracle_bounds
@@ -261,6 +262,35 @@ class TestSpecLengths:
             spec["mu2"] = spec["mu1"]
         with pytest.raises(DomainViolation):
             dgp_from_dict(spec)
+
+
+NAN = float("nan")
+# each would pass a check written ``np.any(v <= 0)``, which NaN passes
+BAD_VALUES = [
+    ("DiscreteX", {"q": [1.5, -0.5]}, "q masses must be nonnegative and sum to 1"),
+    ("DiscreteX", {"e1": [NAN, 0.5]}, "e1 must be finite"),
+    ("DiscreteX", {"mu1": [NAN, 1.0]}, "mu1 must be finite"),
+    ("DiscreteX", {"s2_0": [1.0, float("inf")]}, "s2_0 must be finite"),
+    ("GaussianLinear", {"p_var": [NAN]}, "p_var must be finite"),
+    ("GaussianLinear", {"mu0_coef": [0.2, NAN]}, "mu0_coef must be finite"),
+    ("GaussianLinear", {"s2_1": NAN}, "conditional variances must be positive and finite"),
+    ("GaussianLinear", {"s2_0": float("inf")}, "conditional variances must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("family, change, message", BAD_VALUES,
+                         ids=[f"{family}-{next(iter(change))}" for family, change, _ in BAD_VALUES])
+def test_nonfinite_or_negative_spec_rejected(d1, family, change, message):
+    base = d1 if family == "DiscreteX" else TestGaussianFamily().make()
+    with pytest.raises(DomainViolation, match=re.escape(message)):
+        dgp_from_dict({**dgp_to_dict(base), **change})
+
+
+def test_nonfinite_spec_bounds_exit_2(d1, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**dgp_to_dict(d1), "e1": [NAN, 0.5]}))
+    assert main(["bounds", "--dgp", str(path), "--alpha", "0.5"]) == 2
+    assert capsys.readouterr().err == "bounds: e1 must be finite, got [nan, 0.5]\n"
 
 
 def test_repeated_support_point_rejected():

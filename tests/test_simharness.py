@@ -192,6 +192,24 @@ class TestMcConfigChecks:
                    threads=1)
         assert calls == []
 
+    @pytest.mark.parametrize("field, study, hook, message", [
+        ("pi1", {"scenario": "one-sample", "n": 100}, "true-g", "observation probability pi0"),
+        ("q", {"scenario": "two-sample", "estimator": "ts-eff", "m": 50, "l": 50,
+               "beta_star": 0.5}, "true-r", "unlabeled covariate law q0"),
+        ("q", {"scenario": "two-sample", "estimator": "ts-eff", "m": 50, "l": 50,
+               "beta_star": 1.0}, "true-r", "unlabeled covariate law q0"),
+    ], ids=["true-g", "true-r-beta-0.5", "true-r-beta-1"])
+    def test_true_hook_without_its_law(self, d1, monkeypatch, field, study, hook, message):
+        # the estimator takes the forced nuisance, so the study is built; the
+        # oracle step then names the missing law before any rep is drawn
+        calls = []
+        for name in ("sample_one", "sample_two"):
+            monkeypatch.setattr(simharness, name, lambda *a: calls.append(a))
+        config = McConfig(dgp=replace(d1, **{field: None}), reps=3, hook=Misspec(hook), **study)
+        with pytest.raises(DomainViolation, match=message):
+            run_mc(config, threads=1)
+        assert calls == []
+
     def test_infinite_unlabeled_study_is_checked(self, d1):
         with pytest.raises(BadFoldCount):
             run_infinite_unlabeled_study(d1, n_labeled=20, ratio=10, reps=2, n_folds=1000)
