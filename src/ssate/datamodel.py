@@ -209,8 +209,9 @@ def make_fold_plan(n: int, n_folds: int, seed: int) -> FoldPlan:
 
 # The plain dialect, in which every writer here writes: a header of
 # printable ASCII without quotes, then data lines of these bytes only, each
-# ending in \r\n or \n (the last line may end the file instead).
-_PLAIN_HEADER = re.compile(rb'[ !#-~]*\r?\n')
+# ending in \r\n or \n (the last line may end the file instead). The header
+# is not blank: csv reads a blank line as no fields, not as one empty field.
+_PLAIN_HEADER = re.compile(rb'[ !#-~]+\r?\n')
 _PLAIN_BYTES = b"0123456789.,+-eENA\r\n"
 _CHUNK_ROWS = 512
 

@@ -423,6 +423,7 @@ class TestBulkRead:
     @pytest.mark.parametrize("labeled, unlabeled", [
         ("x1,d,y\n0.0,NA,1.0\n", "x1\n0.0\n"), ("x1,d,y\n0.0,1,NAN\n", "x1\n0.0\n"),
         ("x1,d,y\n0.0,1,1.0\n", "x1\n0.0\n-NAN\n"), ("x1,d,y\n0.0,1,1.0\n", "x1\n0.0\r"),
+        ("x1,d,y\n0.0,1,1.0\n", "\r\n0.0\r\n"),
     ])
     def test_two_sample_edge_cases_agree_with_stream(self, tmp_path, labeled, unlabeled):
         lab, unl = tmp_path / "lab.csv", tmp_path / "unl.csv"
