@@ -102,6 +102,11 @@ _TYPES["nuisance"] = {f.name: _TYPES[f.name] for f in fields(NuisanceConfig)}
 _TYPES["hook"] = {"kind": str, "c": float}
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
+# the keys a command reads besides its options' dests; simulate's depend on
+# the study, and cmd_simulate checks them
+_NUISANCE_KEYS = {f.name for f in fields(NuisanceConfig)}
+_MORE_KEYS = {"estimate-os": _NUISANCE_KEYS, "estimate-ts": _NUISANCE_KEYS, "bounds": set()}
+
 # the config keys each simulate study reads
 _STUDY_RUN = ("dgp", "study", "scenario", "nuisance", "folds", "seed", "level", "reps",
               "beta_star", "threads")
@@ -289,6 +294,11 @@ def main(argv=None) -> int:
     incomplete = None
     try:
         cfg = _merged(args)
+        if args.command in _MORE_KEYS:
+            reads = _MORE_KEYS[args.command] | (set(vars(args)) - set(_NOT_SETTINGS))
+            for key in cfg:
+                if key not in reads:
+                    raise SsateError(f"config {key!r} is not read by {args.command}")
         report = args.func({key: _typed(key, val) for key, val in cfg.items()})
     except ReportIncomplete as exc:  # a study: emit the partial report, then fail
         incomplete = exc

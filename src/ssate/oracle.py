@@ -9,6 +9,7 @@ carry no Monte Carlo noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -61,6 +62,8 @@ class DiscreteXDgp:
     q: Optional[np.ndarray] = None     # (S,) masses of q0
 
     family = "DiscreteX"
+    has_pi = property(lambda self: self.pi1 is not None)  # the optional laws it carries
+    has_q = property(lambda self: self.q is not None)
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
@@ -162,6 +165,8 @@ class GaussianLinearDgp:
     q_var: Optional[np.ndarray] = None
 
     family = "GaussianLinear"
+    has_pi = property(lambda self: self.pi_coef is not None)  # the optional laws it carries
+    has_q = property(lambda self: self.q_mean is not None)
 
     def __post_init__(self):
         k = np.size(self.p_mean)
@@ -189,18 +194,11 @@ class GaussianLinearDgp:
         return np.column_stack([np.ones(len(x)), x])
 
     def _nodes(self, mean: np.ndarray, var: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Tensor nodes stacked into one array; weights as outer products ((1*w0)*w1)*w2."""
         t, w = np.polynomial.hermite.hermgauss(_GH_NODES)
-        grids, wgts = [], []
-        for j in range(self.k):
-            grids.append(mean[j] + np.sqrt(2.0 * var[j]) * t)
-            wgts.append(w / np.sqrt(np.pi))
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        wmesh = np.meshgrid(*wgts, indexing="ij")
-        weights = np.ones(pts.shape[0])
-        for wm in wmesh:
-            weights = weights * wm.ravel()
-        return pts, weights
+        axes = np.ix_(*(mean[j] + np.sqrt(2.0 * var[j]) * t for j in range(self.k)))
+        pts = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, self.k)
+        return pts, reduce(np.multiply.outer, [w / np.sqrt(np.pi)] * self.k, 1.0).ravel()
 
     def nodes_p(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._nodes(self.p_mean, self.p_var)
@@ -247,11 +245,8 @@ class GaussianLinearDgp:
         """As ``DiscreteXDgp._draw_laws``, each law computed when it is drawn."""
         if with_pi:
             yield self.pi(x)
-        yield self.e(1, x)
-        yield self.mu(1, x)
-        yield self.mu(0, x)
-        yield self.sigma2(1, x)
-        yield self.sigma2(0, x)
+        for law, d in ((self.e, 1), (self.mu, 1), (self.mu, 0), (self.sigma2, 1), (self.sigma2, 0)):
+            yield law(d, x)
 
     def sample_x(self, rng: np.random.Generator, n: int, law: str = "p") -> np.ndarray:
         mean, var = (self.p_mean, self.p_var) if law == "p" else self._q_law()
@@ -295,20 +290,21 @@ class BoundReport:
     beta_star: Optional[float] = None
 
 
-def true_ate(dgp, beta: float = 1.0) -> float:
-    """ATE under the evaluation density beta * p0 + (1 - beta) * q0."""
-    xp, wp = dgp.nodes_p()
-    tau_p = float(np.sum(wp * (dgp.mu(1, xp) - dgp.mu(0, xp))))
-    if beta == 1.0:
-        return tau_p
-    xq, wq = dgp.nodes_q()
-    tau_q = float(np.sum(wq * (dgp.mu(1, xq) - dgp.mu(0, xq))))
-    return beta * tau_p + (1.0 - beta) * tau_q
-
-
-def _het_term(dgp, nodes, tau0: float) -> float:
-    x, w = nodes
+def _tau_terms(dgp, x: np.ndarray, w: np.ndarray):
+    """The weights, tau(x) and their weighted sum on one law's nodes."""
     tau_x = dgp.mu(1, x) - dgp.mu(0, x)
+    return w, tau_x, float(np.sum(w * tau_x))
+
+
+def true_ate(dgp, beta: float = 1.0) -> float:
+    """ATE under the evaluation density beta * p0 + (1 - beta) * q0; the p nodes
+    are freed before the q nodes are built."""
+    tau_p = _tau_terms(dgp, *dgp.nodes_p())[2]
+    return tau_p if beta == 1.0 else (
+        beta * tau_p + (1.0 - beta) * _tau_terms(dgp, *dgp.nodes_q())[2])
+
+
+def _het(w: np.ndarray, tau_x: np.ndarray, tau0: float) -> float:
     return float(np.sum(w * (tau_x - tau0) ** 2))
 
 
@@ -318,73 +314,87 @@ def _core(dgp, x: np.ndarray, prob) -> np.ndarray:
     return dgp.sigma2(1, x) / prob(1, x) + dgp.sigma2(0, x) / prob(0, x)
 
 
+class _Terms:
+    """A DGP's bounds from its laws evaluated once per node, summed in each formula's
+    order of operations; the p nodes are freed before the q nodes are built. ``report``
+    holds tau0, V_hahn and the ``one_sample`` bounds; ``two_sample`` readies the sweep."""
+
+    def __init__(self, dgp, one_sample: bool = False, two_sample: bool = False,
+                 alpha: Optional[float] = None, grid_step: float = 0.01):
+        if not grid_step > 0.0:  # NaN fails too
+            raise ValueError("grid_step must be positive")
+        if alpha is not None and not 0.0 < alpha < 1.0:
+            raise BadAlpha("labeled fraction alpha must lie in (0, 1)")
+        self.alpha, self.grid_step = alpha, grid_step
+        x, w = dgp.nodes_p()
+        self.w, self.tau_x, self.tau = _tau_terms(dgp, x, w)
+        het = _het(w, self.tau_x, self.tau)
+        self.core_e = w * _core(dgp, x, dgp.e)
+        self.report = report = BoundReport(tau0=self.tau, v_hahn=float(np.sum(self.core_e)) + het)
+        if one_sample:
+            report.v_tilde_os = float(np.sum(w * _core(dgp, x, dgp.g)))
+            report.v_os = report.v_tilde_os + het
+            ey2 = [dgp.sigma2(d, x) + dgp.mu(d, x) ** 2 for d in (1, 0)]
+            report.v_ipw = float(np.sum(w * (ey2[0] / dgp.g(1, x) + ey2[1] / dgp.g(0, x))))
+        if two_sample:
+            self.p, self.q = dgp.p_pdf(x), dgp.q_pdf(x)
+            del x
+            self.wq, self.tau_qx, self.tau_q = _tau_terms(dgp, *dgp.nodes_q())
+
+    def v_tilde_ts(self, beta: float) -> float:
+        return float(np.sum(self.core_e * ((beta * self.p + (1.0 - beta) * self.q) / self.p) ** 2))
+
+    def v_ts(self, beta: float) -> float:
+        alpha = self.alpha
+        tau0 = self.tau if beta == 1.0 else beta * self.tau + (1.0 - beta) * self.tau_q
+        return (self.v_tilde_ts(beta) / alpha + (beta**2 / alpha) * _het(self.w, self.tau_x, tau0)
+                + ((1.0 - beta) ** 2 / (1.0 - alpha)) * _het(self.wq, self.tau_qx, tau0))
+
+    def sweep(self) -> BoundReport:
+        """``report`` with beta_star, V_ts at 0, 1/2, beta_star and 1, V~_ts at beta_star."""
+        grid = np.linspace(0.0, 1.0, int(round(1.0 / self.grid_step)) + 1)
+        bs = float(grid[int(np.argmin([self.v_ts(float(b)) for b in grid]))])
+        self.report.beta_star, self.report.v_tilde_ts = bs, self.v_tilde_ts(bs)
+        self.report.v_ts = {b: self.v_ts(b) for b in (0.0, 0.5, bs, 1.0)}
+        return self.report
+
+
 def bound_v_os(dgp) -> float:
-    return bound_v_tilde_os(dgp) + _het_term(dgp, dgp.nodes_p(), true_ate(dgp))
+    return _Terms(dgp, one_sample=True).report.v_os
 
 
 def bound_v_tilde_os(dgp) -> float:
-    x, w = dgp.nodes_p()
-    return float(np.sum(w * _core(dgp, x, dgp.g)))
+    return _Terms(dgp, one_sample=True).report.v_tilde_os
 
 
 def bound_v_ipw(dgp) -> float:
-    x, w = dgp.nodes_p()
-    ey2_1 = dgp.sigma2(1, x) + dgp.mu(1, x) ** 2
-    ey2_0 = dgp.sigma2(0, x) + dgp.mu(0, x) ** 2
-    return float(np.sum(w * (ey2_1 / dgp.g(1, x) + ey2_0 / dgp.g(0, x))))
+    return _Terms(dgp, one_sample=True).report.v_ipw
 
 
 def bound_v_hahn(dgp) -> float:
     """Fully labeled efficiency bound: pi0 treated as identically 1."""
-    x, w = dgp.nodes_p()
-    return float(np.sum(w * _core(dgp, x, dgp.e))) + _het_term(dgp, (x, w), true_ate(dgp))
+    return _Terms(dgp).report.v_hahn
 
 
 def bound_v_tilde_ts(dgp, beta: float) -> float:
-    xp, wp = dgp.nodes_p()
-    kappa = beta * dgp.p_pdf(xp) + (1.0 - beta) * dgp.q_pdf(xp)
-    return float(np.sum(wp * _core(dgp, xp, dgp.e) * (kappa / dgp.p_pdf(xp)) ** 2))
+    return _Terms(dgp, two_sample=True).v_tilde_ts(beta)
 
 
 def bound_v_ts(dgp, beta: float, alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha("labeled fraction alpha must lie in (0, 1)")
-    tau0 = true_ate(dgp, beta)
-    first = bound_v_tilde_ts(dgp, beta) / alpha
-    het_p = _het_term(dgp, dgp.nodes_p(), tau0)
-    het_q = _het_term(dgp, dgp.nodes_q(), tau0)
-    return first + (beta**2 / alpha) * het_p + ((1.0 - beta) ** 2 / (1.0 - alpha)) * het_q
+    return _Terms(dgp, two_sample=True, alpha=alpha).v_ts(beta)
 
 
 def beta_star(dgp, alpha: float, grid_step: float = 0.01) -> float:
     """Grid argmin of the two-sample bound over beta; ties go to smaller beta."""
-    if not grid_step > 0.0:  # NaN fails too
-        raise ValueError("grid_step must be positive")
-    n_steps = int(round(1.0 / grid_step))
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    values = np.array([bound_v_ts(dgp, float(b), alpha) for b in grid])
-    return float(grid[int(np.argmin(values))])
+    return _Terms(dgp, two_sample=True, alpha=alpha, grid_step=grid_step).sweep().beta_star
 
 
 def oracle_bounds(dgp, alpha: Optional[float] = None, grid_step: float = 0.01) -> BoundReport:
-    """All bounds the DGP supports, in one report; ``grid_step``, for beta_star,
-    is checked whether or not ``alpha`` asks for the two-sample bounds."""
-    if not grid_step > 0.0:
-        raise ValueError("grid_step must be positive")
-    report = BoundReport(tau0=true_ate(dgp))
-    one_sample = getattr(dgp, "pi1", None) is not None or getattr(dgp, "pi_coef", None) is not None
-    two_sample = getattr(dgp, "q", None) is not None or getattr(dgp, "q_mean", None) is not None
-    if one_sample:
-        report.v_os = bound_v_os(dgp)
-        report.v_tilde_os = bound_v_tilde_os(dgp)
-        report.v_ipw = bound_v_ipw(dgp)
-    report.v_hahn = bound_v_hahn(dgp)
-    if two_sample and alpha is not None:
-        bs = beta_star(dgp, alpha, grid_step)
-        report.beta_star = bs
-        report.v_ts = {b: bound_v_ts(dgp, b, alpha) for b in (0.0, 0.5, bs, 1.0)}
-        report.v_tilde_ts = bound_v_tilde_ts(dgp, bs)
-    return report
+    """All bounds the DGP supports, in one report from one ``_Terms``; ``grid_step``,
+    for beta_star, is checked whether or not ``alpha`` asks for the two-sample bounds."""
+    two_sample = dgp.has_q and alpha is not None
+    terms = _Terms(dgp, dgp.has_pi, two_sample, alpha if two_sample else None, grid_step)
+    return terms.sweep() if two_sample else terms.report
 
 
 # ---------------------------------------------------------------------------

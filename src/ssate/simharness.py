@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .datamodel import OneSampleDataset, TwoSampleDataset
-from .errors import ReportIncomplete, SsateError
+from .errors import DomainViolation, ReportIncomplete, SsateError
 from .estimators import (
     NuisanceConfig,
     check_run_args,
@@ -170,8 +170,12 @@ class McConfig:
         spec = _ESTIMATORS.get(self.estimator)
         if spec is None or spec.scenario != self.scenario:
             raise ValueError(f"estimator {self.estimator!r} not valid for {self.scenario}")
-        if self.hook is not None and not _hook_overrides(self.hook, self.dgp, spec.takes):
+        overrides = _hook_overrides(self.hook, self.dgp, spec.takes)
+        if self.hook is not None and not overrides:
             raise ValueError(f"hook {self.hook.kind!r} overrides no nuisance of {self.estimator}")
+        if ("r_override" in overrides and self.dgp.has_q
+                and np.any(self.dgp.q_pdf(self.dgp.nodes_p()[0]) == 0.0)):
+            raise DomainViolation(f"hook {self.hook.kind!r} divides by q0, which is 0 where p0 > 0")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.scenario == "one-sample":
@@ -325,7 +329,7 @@ def _shrink_pi(dgp, factor: float):
     """Scale the observation probability of a discrete DGP by a factor."""
     if dgp.family != "DiscreteX":
         raise ValueError("pi-shrinking emulation implemented for discrete DGPs only")
-    if dgp.pi1 is None:
+    if not dgp.has_pi:
         raise ValueError("one-sample study needs an observation probability")
     return replace(dgp, pi1=dgp.pi1 * factor)
 

@@ -50,3 +50,17 @@ def random_two_sample(rng, m=80, l=60, k=1):
         z = rng.normal(size=(l, k)) * 1.2 + 0.3
         if np.sum(d == 1) >= 3 and np.sum(d == 0) >= 3:
             return TwoSampleDataset.from_arrays(x, d, y, z)
+
+
+def gaussian_k3():
+    """k=3 Gaussian-linear process with both a labeling law and a q0, near the
+    benchmark's; its 64^3 quadrature nodes make the oracle's largest arrays."""
+    from ssate import GaussianLinearDgp
+
+    return GaussianLinearDgp(
+        p_mean=[0.02, -0.03, 0.01], p_var=[1.04, 0.97, 1.01],
+        mu1_coef=[1.0, 0.5, -0.3, 0.2], mu0_coef=[0.0, 0.2, 0.1, -0.1],
+        s2_1=1.03, s2_0=0.98,
+        e_coef=[0.0, 0.3, -0.2, 0.1], pi_coef=[0.4, 0.2, 0.1, -0.1],
+        q_mean=[0.12, -0.01, -0.09], q_var=[1.1, 0.95, 0.93],
+    )

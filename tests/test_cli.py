@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,8 @@ from ssate.datamodel import (
 )
 from ssate.estimators import NuisanceConfig
 from ssate.oracle import dgp_to_dict
+
+from conftest import gaussian_k3
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +146,19 @@ WRONG_TYPE_IDS = [command + "-" + message.split()[0].strip("'")
                   for command, _, message in WRONG_TYPES]
 
 
+# a key the command does not read: neither an option's dest nor, for an
+# estimate, a nuisance field
+UNREAD_KEYS = [
+    ("estimate-os", {"degre": 2}, "degre"),
+    ("estimate-os", {"beta-star": 0.5}, "beta-star"),
+    ("estimate-os", {"output": "r.json"}, "output"),
+    ("estimate-ts", {"beta_star": 0.6}, "beta_star"),
+    ("estimate-ts", {"input": "os.csv"}, "input"),
+    ("bounds", {"alpah": 0.5}, "alpah"),
+    ("bounds", {"degree": 2}, "degree"),
+]
+
+
 def simulate_config(tmp_path, extra):
     """A simulate config file: d1 at 3 reps, with n = 100 for an mc study, under ``extra``."""
     base = {"dgp": dgp_to_dict(dgp_d1()), "reps": 3}
@@ -257,6 +277,32 @@ class TestConfigErrors:
         path.write_text(json.dumps({**base, **bad}))
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"{command}: config {message}\n"
+
+    @pytest.mark.parametrize("command, extra, key", UNREAD_KEYS,
+                             ids=[f"{command}-{key}" for command, _, key in UNREAD_KEYS])
+    def test_unread_key_exit_2(self, files, tmp_path, capsys, command, extra, key):
+        base = {"estimate-os": {"input": str(files["os"])},
+                "estimate-ts": {"labeled": str(files["lab"]), "unlabeled": str(files["unl"]),
+                                "beta-star": 0.5},
+                "bounds": {"dgp": str(files["spec"])}}[command]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base, **extra}))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"{command}: config {key!r} is not read by {command}\n"
+
+    @pytest.mark.parametrize("kind", ["true-r", "true-nuisance"])
+    def test_true_r_hook_where_q_vanishes_exit_2(self, tmp_path, capsys, kind):
+        # q0 = 0 at x = 1, where p0 = 1/2: p0/q0 is undefined there
+        path = simulate_config(tmp_path, {
+            "dgp": {**dgp_to_dict(dgp_d1()), "q": [1.0, 0.0]}, "scenario": "two-sample",
+            "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": 0.5, "threads": 1,
+            "hook": {"kind": kind}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(path)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"simulate: hook {kind!r} divides by q0, which is 0 where p0 > 0\n")
 
     def test_null_is_absent(self, files, tmp_path):
         path = tmp_path / "cfg.json"
@@ -494,3 +540,20 @@ class TestSimulate:
         code, doc = run_json(["simulate", "--config", str(cfg)], tmp_path / "r.json")
         assert code == 4
         assert doc["report"]["partial"] is not None
+
+
+def test_blas_thread_count_leaves_output_unchanged(tmp_path):
+    # the same estimate, byte for byte, under one and two OpenBLAS threads
+    path = tmp_path / "os.csv"
+    write_one_sample_csv(sample_one(gaussian_k3(), 20_000, 4), path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["estimate-os", "--input", str(path), "--degree", "3"]
+        run = subprocess.run([sys.executable, "-m", "ssate.cli", *argv], env=env,
+                             capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

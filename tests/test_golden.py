@@ -33,6 +33,9 @@ from ssate.datamodel import write_labeled_csv, write_one_sample_csv, write_unlab
 from ssate.estimators import NuisanceConfig
 from ssate.nuisance import LSIF, UKL, ddml_iterate, tmle_fluctuate
 from ssate.oracle import GaussianLinearDgp, dgp_to_dict
+from ssate import dgp_d1, oracle
+
+from conftest import gaussian_k3
 
 
 def gaussian_dgp():
@@ -465,3 +468,113 @@ GOLDEN.update({
                       'predict_rows_sha256':
                           'f0852526677155b82aba852eb0ccefcc87953cb074017ee8e1b0af5565391bea'},
 })
+
+
+# recorded before each law's quadrature nodes were built once per call: the
+# float hex of each oracle value, and the sha256 of each law's node and weight bytes
+ORACLE_DGPS = {"d1": dgp_d1, "gaussian-k2": gaussian_dgp, "gaussian-k3": gaussian_k3}
+ORACLE_PINS = {
+    'd1': {
+        'beta_star': '0x1.0000000000000p-1',
+        'nodes_p': 'cbbb244432b54e0be34590f66a20714a33a65a7519092c7f8357682f62f9fedb',
+        'nodes_q': 'cbbb244432b54e0be34590f66a20714a33a65a7519092c7f8357682f62f9fedb',
+        'report/beta_star': '0x1.0000000000000p-1',
+        'report/tau0': '0x1.0000000000000p-1',
+        'report/v_hahn': '0x1.1000000000000p+2',
+        'report/v_ipw': '0x1.4000000000000p+3',
+        'report/v_os': '0x1.0800000000000p+3',
+        'report/v_tilde_os': '0x1.0000000000000p+3',
+        'report/v_tilde_ts': '0x1.0000000000000p+2',
+        'report/v_ts/0.0': '0x1.1000000000000p+3',
+        'report/v_ts/0.5': '0x1.0800000000000p+3',
+        'report/v_ts/1.0': '0x1.1000000000000p+3',
+        'true_ate/0.5': '0x1.0000000000000p-1',
+        'true_ate/1': '0x1.0000000000000p-1',
+        'v_hahn': '0x1.1000000000000p+2',
+        'v_ipw': '0x1.4000000000000p+3',
+        'v_os': '0x1.0800000000000p+3',
+        'v_tilde_os': '0x1.0000000000000p+3',
+        'v_tilde_ts/0.3': '0x1.0000000000000p+2',
+        'v_ts/0.0': '0x1.1000000000000p+3',
+        'v_ts/0.3': '0x1.0947ae147ae14p+3',
+        'v_ts/1.0': '0x1.1000000000000p+3',
+    },
+    'gaussian-k2': {
+        'beta_star': '0x1.947ae147ae148p-1',
+        'nodes_p': 'a2a9728476af7913b8b3cec83aa717663f157c8382fa1016ef9a672034e9d9e7',
+        'nodes_q': 'c9c420d328c7f467175566cd431359dd7ace1643c211b2a1029a22b87270066b',
+        'report/beta_star': '0x1.947ae147ae148p-1',
+        'report/tau0': '0x1.999999999999ap-1',
+        'report/v_hahn': '0x1.30687da3e535dp+2',
+        'report/v_ipw': '0x1.609bc2ff0202cp+3',
+        'report/v_os': '0x1.00dddc63218dfp+3',
+        'report/v_tilde_os': '0x1.f3c80280a1512p+2',
+        'report/v_tilde_ts': '0x1.2497ab7b9dcaep+2',
+        'report/v_ts/0.0': '0x1.4f3a4a60ad654p+3',
+        'report/v_ts/0.5': '0x1.327e9726bbd50p+3',
+        'report/v_ts/0.79': '0x1.2e055eae57dfdp+3',
+        'report/v_ts/1.0': '0x1.30687da3e535dp+3',
+        'true_ate/0.5': '0x1.b333333333333p-1',
+        'true_ate/1': '0x1.999999999999ap-1',
+        'v_hahn': '0x1.30687da3e535dp+2',
+        'v_ipw': '0x1.609bc2ff0202cp+3',
+        'v_os': '0x1.00dddc63218dfp+3',
+        'v_tilde_os': '0x1.f3c80280a1512p+2',
+        'v_tilde_ts/0.3': '0x1.31d8c73c2c3adp+2',
+        'v_ts/0.0': '0x1.4f3a4a60ad654p+3',
+        'v_ts/0.3': '0x1.3ac786a20837cp+3',
+        'v_ts/1.0': '0x1.30687da3e535dp+3',
+    },
+    'gaussian-k3': {
+        'beta_star': '0x1.23d70a3d70a3ep-1',
+        'nodes_p': '797ed447cc9541f4d20140208ed3c2af68f6c8c344d6933034d5a6ea0fd0de36',
+        'nodes_q': '11e5a00bc6f9c69a9a6280d437ad3eb170c9b174135e067fb86986826a0f03b5',
+        'report/beta_star': '0x1.23d70a3d70a3ep-1',
+        'report/tau0': '0x1.05604189374bcp+0',
+        'report/v_hahn': '0x1.207ce1b7b03b2p+2',
+        'report/v_ipw': '0x1.6c2484c98f12ep+3',
+        'report/v_os': '0x1.d8f507eb3d049p+2',
+        'report/v_tilde_os': '0x1.c33762d9a0242p+2',
+        'report/v_tilde_ts': '0x1.0c3a392daa43fp+2',
+        'report/v_ts/0.0': '0x1.278036c857966p+3',
+        'report/v_ts/0.5': '0x1.177f8b183ce16p+3',
+        'report/v_ts/0.5700000000000001': '0x1.1740916b9ef22p+3',
+        'report/v_ts/1.0': '0x1.207ce1b7b03b2p+3',
+        'true_ate/0.5': '0x1.045a1cac08312p+0',
+        'true_ate/1': '0x1.05604189374bcp+0',
+        'v_hahn': '0x1.207ce1b7b03b2p+2',
+        'v_ipw': '0x1.6c2484c98f12ep+3',
+        'v_os': '0x1.d8f507eb3d049p+2',
+        'v_tilde_os': '0x1.c33762d9a0242p+2',
+        'v_tilde_ts/0.3': '0x1.0e72684070f73p+2',
+        'v_ts/0.0': '0x1.278036c857966p+3',
+        'v_ts/0.3': '0x1.1ae66ed2a54f8p+3',
+        'v_ts/1.0': '0x1.207ce1b7b03b2p+3',
+    },
+}
+
+
+def _node_digest(nodes):
+    x, w = nodes
+    return hashlib.sha256(x.tobytes() + w.tobytes()).hexdigest()
+
+
+def _oracle_pins(dgp) -> dict:
+    values = {
+        "true_ate/1": oracle.true_ate(dgp), "true_ate/0.5": oracle.true_ate(dgp, 0.5),
+        "v_os": oracle.bound_v_os(dgp), "v_tilde_os": oracle.bound_v_tilde_os(dgp),
+        "v_ipw": oracle.bound_v_ipw(dgp), "v_hahn": oracle.bound_v_hahn(dgp),
+        "v_tilde_ts/0.3": oracle.bound_v_tilde_ts(dgp, 0.3),
+        **{f"v_ts/{b}": oracle.bound_v_ts(dgp, b, 0.5) for b in (0.0, 0.3, 1.0)},
+        "beta_star": oracle.beta_star(dgp, 0.5),
+    }
+    report = oracle.oracle_bounds(dgp, alpha=0.5)
+    values.update({f"report/{key}": val for key, val in vars(report).items() if key != "v_ts"})
+    values.update({f"report/v_ts/{b}": val for b, val in report.v_ts.items()})
+    return {"nodes_p": _node_digest(dgp.nodes_p()), "nodes_q": _node_digest(dgp.nodes_q()),
+            **{key: float(val).hex() for key, val in values.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PINS))
+def test_oracle_is_pinned(name):
+    assert _oracle_pins(ORACLE_DGPS[name]()) == ORACLE_PINS[name]

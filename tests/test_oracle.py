@@ -1,5 +1,7 @@
 import json
 import re
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from ssate.cli import main
 from ssate.errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum
 from ssate.estimators import score_os_vec
 from ssate.oracle import dgp_from_dict, dgp_to_dict, oracle_bounds
+
+from conftest import gaussian_k3
 
 
 def random_discrete_dgp(rng, two_sample=False):
@@ -322,3 +326,73 @@ class TestMonteCarloAgreement:
                          d1.mu(1, data.x), d1.mu(0, data.x), alpha1, alpha0)
         second = float(np.mean((s - 0.5) ** 2))
         assert abs(second - 8.25) / 8.25 <= 0.01
+
+
+class TestLawsCarried:
+    """Each family states the laws beyond p0, e0, mu0 and sigma0^2 that it carries,
+    and ``oracle_bounds`` reports the bounds those laws allow."""
+
+    def test_discrete(self, d1):
+        assert (d1.has_pi, d1.has_q) == (True, True)
+        no_pi, no_q = replace(d1, pi1=None), replace(d1, q=None)
+        assert (no_pi.has_pi, no_pi.has_q) == (False, True)
+        assert (no_q.has_pi, no_q.has_q) == (True, False)
+        report = oracle_bounds(no_pi, alpha=0.5)
+        assert report.v_os is report.v_tilde_os is report.v_ipw is None
+        assert report.v_hahn == bound_v_hahn(d1) and report.beta_star == 0.5
+        report = oracle_bounds(no_q, alpha=0.5)
+        assert report.v_ts is report.v_tilde_ts is report.beta_star is None
+        assert report.v_os == bound_v_os(d1)
+
+    def test_gaussian(self):
+        dgp = gaussian_k3()
+        assert (dgp.has_pi, dgp.has_q) == (True, True)
+        no_laws = replace(dgp, pi_coef=None, q_mean=None, q_var=None)
+        assert (no_laws.has_pi, no_laws.has_q) == (False, False)
+        report = oracle_bounds(no_laws, alpha=0.5)
+        assert report.v_os is report.v_ts is None and report.v_hahn == bound_v_hahn(dgp)
+
+
+class TestOneGridPerLaw:
+    """Each law's quadrature nodes are built once per call, the p nodes freed
+    before the q nodes are built, and no settings error waits for a grid."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        for name in ("nodes_p", "nodes_q"):
+            def counted(dgp, name=name, build=getattr(GaussianLinearDgp, name)):
+                calls.append(name)
+                return build(dgp)
+            monkeypatch.setattr(GaussianLinearDgp, name, counted)
+        return calls
+
+    def test_oracle_bounds_builds_each_law_once(self, builds):
+        report = oracle_bounds(gaussian_k3(), alpha=0.5)
+        assert report.v_os is not None and report.beta_star is not None
+        assert sorted(builds) == ["nodes_p", "nodes_q"]
+
+    @pytest.mark.parametrize("call", [
+        lambda dgp: bound_v_ts(dgp, 0.5, 1.5),
+        lambda dgp: beta_star(dgp, 0.0),
+        lambda dgp: beta_star(dgp, 0.5, grid_step=-0.01),
+        lambda dgp: oracle_bounds(dgp, alpha=1.0),
+        lambda dgp: oracle_bounds(dgp, grid_step=float("nan")),
+    ], ids=["bound_v_ts-alpha", "beta_star-alpha", "beta_star-grid_step",
+            "oracle_bounds-alpha", "oracle_bounds-grid_step"])
+    def test_settings_checked_before_any_grid(self, builds, call):
+        with pytest.raises(ValueError):  # BadAlpha is one
+            call(gaussian_k3())
+        assert builds == []
+
+    def test_true_ate_peak_memory(self):
+        # 64^3 nodes take 6 MiB of points and 2 MiB of weights per law: holding
+        # both laws' grids at once, or a copy of one, would pass 24 MiB
+        dgp = gaussian_k3()
+        tracemalloc.start()
+        try:
+            true_ate(dgp, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
