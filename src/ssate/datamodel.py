@@ -10,7 +10,6 @@ from a file or built in memory, is validated once, by ``from_arrays``.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from array import array
 from contextlib import contextmanager
@@ -214,6 +213,7 @@ def make_fold_plan(n: int, n_folds: int, seed: int) -> FoldPlan:
 _PLAIN_HEADER = re.compile(rb'[ !#-~]+\r?\n')
 _PLAIN_BYTES = b"0123456789.,+-eENA\r\n"
 _CHUNK_ROWS = 512
+_BULK_BYTES = 1 << 16
 
 
 def _check_header(path, header: list, tail: tuple) -> None:
@@ -270,8 +270,8 @@ def _stream(path, tail: tuple, na_tail: int = 0):
 
 
 def _bulk(path, tail: tuple, na_tail: int = 0):
-    """``_stream``'s result for the CSV at ``path``, parsed in one pass by
-    numpy's C reader, or None when only ``_stream`` may read the file.
+    """``_stream``'s result for the CSV at ``path``, parsed by numpy's C
+    reader, or None when only ``_stream`` may read the file.
 
     The reader converts each token with PyOS_string_to_double, as float()
     does, so the table is returned only where that provably makes it
@@ -280,38 +280,41 @@ def _bulk(path, tail: tuple, na_tail: int = 0):
     (the reader would skip a blank one) and the header's field count; and
     every value is finite but in the last ``na_tail`` columns, where a NaN
     is exactly an ``NA`` token. A file with an error is never returned.
+    The file is checked a block of whole lines at a time, then parsed line by line.
     """
     with open(path, "rb") as fh:
-        head, body = fh.readline(), fh.read()
-    # a first line of data keeps numpy from warning of a file without any
-    if not _PLAIN_HEADER.fullmatch(head) or not body or body.startswith((b"\n", b"\r\n")):
-        return None
-    header = head.rstrip(b"\r\n").decode("ascii").split(",")
-    try:
-        _check_header(path, header, tail)
-    except DimMismatch:
-        return None
-    if body.translate(None, _PLAIN_BYTES):
-        return None
-    chars = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(chars == ord("\n"))
-    if (body.count(b"\r") != np.count_nonzero(chars[ends - 1] == ord("\r"))
-            or np.diff(ends, prepend=-1, append=len(body)).max() > csv.field_size_limit()):
-        return None
-    del chars  # so that the NA replacement below frees the file's bytes
-    if na_tail:
-        # [+-]?NAN is the only token of the dialect that reads as NaN. When
-        # every N opens a field ",NA", the fields that become NAN here are
-        # exactly the NA tokens not in the first column.
-        if body.count(b"N") != body.count(b",NA"):
+        head = fh.readline()
+        if not _PLAIN_HEADER.fullmatch(head):
             return None
-        body = body.replace(b",NA", b",NAN")
-    try:
-        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2,
-                           encoding="ascii")
-    except ValueError:
-        return None
-    rows = len(ends) + (not body.endswith(b"\n"))
+        header = head.rstrip(b"\r\n").decode("ascii").split(",")
+        try:
+            _check_header(path, header, tail)
+        except DimMismatch:
+            return None
+        rows, limit = 0, csv.field_size_limit()
+        for lines in iter(lambda: fh.readlines(_BULK_BYTES), []):
+            block = b"".join(lines)
+            chars = np.frombuffer(block, np.uint8)
+            ends = np.flatnonzero(chars == ord("\n"))
+            # numpy would skip a blank line, and warn of it under max_rows;
+            # [+-]?NAN is the only token of the dialect that reads as NaN. When
+            # every N opens a field ",NA", the fields that become NAN below are
+            # exactly the NA tokens not in the first column.
+            if (b"\n" in lines or b"\r\n" in lines or block.translate(None, _PLAIN_BYTES)
+                    or block.count(b"\r") != np.count_nonzero(chars[ends - 1] == ord("\r"))
+                    or np.diff(ends, prepend=-1, append=len(block)).max() > limit
+                    or na_tail and block.count(b"N") != block.count(b",NA")):
+                return None
+            rows += len(lines)
+        if not rows:  # numpy would warn of a file without data
+            return None
+        fh.seek(len(head))
+        lines = (line.replace(b",NA", b",NAN") for line in fh) if na_tail else fh
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, encoding="ascii",
+                               max_rows=rows)
+        except ValueError:
+            return None
     head_cols, tail_cols = np.hsplit(table, [len(header) - na_tail])
     if table.shape != (rows, len(header)) or not np.isfinite(head_cols).all():
         return None

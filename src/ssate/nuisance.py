@@ -166,11 +166,12 @@ def fit_outcome_both(
 # ---------------------------------------------------------------------------
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # a max is exact, so the running max over the few columns equals
-    # logits.max(axis=1) bit for bit and skips a slow strided reduction
-    z = logits - functools.reduce(np.maximum, logits.T)[:, None]
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    # written over logits, which the caller made for it; a max is exact, so the running max
+    # over the columns equals logits.max(axis=1) bit for bit and skips a strided reduction
+    np.subtract(logits, functools.reduce(np.maximum, logits.T)[:, None], out=logits)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 @dataclass
@@ -196,24 +197,27 @@ def fit_gmodel_mle(
     data: OneSampleDataset,
     basis: BasisSpec = BasisSpec(),
     clip_eps: float = DEFAULT_CLIP_EPS,
-) -> GModel:
-    """Full-batch multinomial maximum likelihood for the joint class label."""
+) -> GModel | EModel:
+    """Full-batch multinomial maximum likelihood for the joint class label; with no
+    unlabeled row, pi = 1 and g(d|x) = e(d|x), which ``fit_e_model`` fits."""
     labels = np.where(data.o == 0, 2, np.where(data.d == 1, 0, 1))
     counts = np.bincount(labels, minlength=3)
-    if np.any(counts == 0):
+    if np.any(counts[:2] == 0):
         missing = [("(o=1,d=1)", "(o=1,d=0)", "(o=0)")[c] for c in range(3) if counts[c] == 0]
         raise ClassAbsent(f"class(es) {', '.join(missing)} absent from the sample")
+    if counts[2] == 0:
+        return fit_e_model(data.x, data.d, basis, clip_eps)
     fb = basis.fit(data.x)
     phi = fb.transform(data.x)
     n, p = phi.shape
-    rows = np.arange(n)
-    onehot = (labels[:, None] == np.arange(2)).astype(float)  # the two free classes
+    own = np.arange(n) * 3 + labels  # each row's own class in the flat (n, 3) probabilities
+    onehot = labels[:, None] == np.arange(2)  # the two free classes, subtracted as 1.0 or 0.0
     w = np.zeros((3, p))  # last row pinned at zero; the free rows are set per call
 
     def nll_grad_hess(w_free: np.ndarray):
         w[:2] = w_free.reshape(2, p)
         probs = _softmax(phi @ w.T)
-        ll = np.sum(np.log(probs[rows, labels]))
+        ll = np.sum(np.log(probs.take(own)))
         resid = probs[:, :2] - onehot
         grad = (resid.T @ phi).ravel() / n
         def hess():  # block Hessian of the multinomial NLL for the two free classes

@@ -18,6 +18,7 @@ from .errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum
 from .nuisance import BregmanGenerator
 
 _GH_NODES = 64
+_NODE_BLOCK = _GH_NODES**2  # nodes per block of points the bounds are evaluated on
 
 
 def _set_vector(dgp, name: str, size: int):
@@ -107,6 +108,10 @@ class DiscreteXDgp:
             raise DomainViolation("DGP has no unlabeled covariate law q0")
         return self.xs, self.q
 
+    def _node_blocks(self, law: str):  # the support points are one block
+        x, w = self.nodes_p() if law == "p" else self.nodes_q()
+        return [x], w
+
     def p_pdf(self, x: np.ndarray) -> np.ndarray:
         return self.p[self._lookup(x)]
 
@@ -193,15 +198,20 @@ class GaussianLinearDgp:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.column_stack([np.ones(len(x)), x])
 
-    def _nodes(self, mean: np.ndarray, var: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Tensor nodes stacked into one array; weights as outer products ((1*w0)*w1)*w2."""
+    def _node_blocks(self, law: str):
+        """Law "p" or "q"'s tensor nodes in blocks of whole leading-axis slices (at most
+        ``_NODE_BLOCK`` nodes, or one slice), and all weights as products ((1*w0)*w1)*w2."""
+        mean, var = (self.p_mean, self.p_var) if law == "p" else self._q_law()
         t, w = np.polynomial.hermite.hermgauss(_GH_NODES)
-        axes = np.ix_(*(mean[j] + np.sqrt(2.0 * var[j]) * t for j in range(self.k)))
-        pts = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, self.k)
-        return pts, reduce(np.multiply.outer, [w / np.sqrt(np.pi)] * self.k, 1.0).ravel()
+        axes = [mean[j] + np.sqrt(2.0 * var[j]) * t for j in range(self.k)]
+        step = max(1, _NODE_BLOCK // _GH_NODES ** (self.k - 1))
+        blocks = (np.stack(np.broadcast_arrays(*np.ix_(axes[0][i:i + step], *axes[1:])), axis=-1)
+                  .reshape(-1, self.k) for i in range(0, _GH_NODES, step))
+        return blocks, reduce(np.multiply.outer, [w / np.sqrt(np.pi)] * self.k, 1.0).ravel()
 
     def nodes_p(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._nodes(self.p_mean, self.p_var)
+        blocks, w = self._node_blocks("p")
+        return np.concatenate(list(blocks)), w
 
     def _q_law(self) -> Tuple[np.ndarray, np.ndarray]:
         if self.q_mean is None:
@@ -209,7 +219,8 @@ class GaussianLinearDgp:
         return self.q_mean, self.q_var
 
     def nodes_q(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._nodes(*self._q_law())
+        blocks, w = self._node_blocks("q")
+        return np.concatenate(list(blocks)), w
 
     def _normal_pdf(self, x, mean, var):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -290,18 +301,24 @@ class BoundReport:
     beta_star: Optional[float] = None
 
 
-def _tau_terms(dgp, x: np.ndarray, w: np.ndarray):
-    """The weights, tau(x) and their weighted sum on one law's nodes."""
-    tau_x = dgp.mu(1, x) - dgp.mu(0, x)
-    return w, tau_x, float(np.sum(w * tau_x))
+def _tau_terms(dgp, law: str, **laws):
+    """On ``law``'s nodes: the weights, tau(x), their weighted sum and, by name, each of
+    ``laws``, filled in one block of nodes at a time so that no array of all points is held."""
+    blocks, w = dgp._node_blocks(law)
+    laws["tau"] = lambda x: dgp.mu(1, x) - dgp.mu(0, x)
+    at, lo = {name: np.empty(len(w)) for name in laws}, 0
+    for x in blocks:
+        for name, fn in laws.items():
+            at[name][lo:lo + len(x)] = fn(x)
+        lo += len(x)
+    tau_x = at.pop("tau")
+    return w, tau_x, float(np.sum(w * tau_x)), at
 
 
 def true_ate(dgp, beta: float = 1.0) -> float:
-    """ATE under the evaluation density beta * p0 + (1 - beta) * q0; the p nodes
-    are freed before the q nodes are built."""
-    tau_p = _tau_terms(dgp, *dgp.nodes_p())[2]
-    return tau_p if beta == 1.0 else (
-        beta * tau_p + (1.0 - beta) * _tau_terms(dgp, *dgp.nodes_q())[2])
+    """ATE under the evaluation density beta * p0 + (1 - beta) * q0."""
+    tau_p = _tau_terms(dgp, "p")[2]
+    return tau_p if beta == 1.0 else beta * tau_p + (1.0 - beta) * _tau_terms(dgp, "q")[2]
 
 
 def _het(w: np.ndarray, tau_x: np.ndarray, tau0: float) -> float:
@@ -315,8 +332,8 @@ def _core(dgp, x: np.ndarray, prob) -> np.ndarray:
 
 
 class _Terms:
-    """A DGP's bounds from its laws evaluated once per node, summed in each formula's
-    order of operations; the p nodes are freed before the q nodes are built. ``report``
+    """A DGP's bounds from its laws evaluated once per node, summed in each formula's order
+    of operations; the p nodes' laws are summed before the q nodes are built. ``report``
     holds tau0, V_hahn and the ``one_sample`` bounds; ``two_sample`` readies the sweep."""
 
     def __init__(self, dgp, one_sample: bool = False, two_sample: bool = False,
@@ -326,20 +343,24 @@ class _Terms:
         if alpha is not None and not 0.0 < alpha < 1.0:
             raise BadAlpha("labeled fraction alpha must lie in (0, 1)")
         self.alpha, self.grid_step = alpha, grid_step
-        x, w = dgp.nodes_p()
-        self.w, self.tau_x, self.tau = _tau_terms(dgp, x, w)
-        het = _het(w, self.tau_x, self.tau)
-        self.core_e = w * _core(dgp, x, dgp.e)
+        laws = {"core_e": lambda x: _core(dgp, x, dgp.e)}
+        if one_sample:
+            laws["core_g"] = lambda x: _core(dgp, x, dgp.g)
+            laws["ipw"] = lambda x: ((dgp.sigma2(1, x) + dgp.mu(1, x) ** 2) / dgp.g(1, x)
+                                     + (dgp.sigma2(0, x) + dgp.mu(0, x) ** 2) / dgp.g(0, x))
+        if two_sample:
+            laws.update(p=dgp.p_pdf, q=dgp.q_pdf)
+        self.w, self.tau_x, self.tau, at = _tau_terms(dgp, "p", **laws)
+        w, het = self.w, _het(self.w, self.tau_x, self.tau)
+        self.core_e = w * at.pop("core_e")
         self.report = report = BoundReport(tau0=self.tau, v_hahn=float(np.sum(self.core_e)) + het)
         if one_sample:
-            report.v_tilde_os = float(np.sum(w * _core(dgp, x, dgp.g)))
+            report.v_tilde_os = float(np.sum(w * at.pop("core_g")))
             report.v_os = report.v_tilde_os + het
-            ey2 = [dgp.sigma2(d, x) + dgp.mu(d, x) ** 2 for d in (1, 0)]
-            report.v_ipw = float(np.sum(w * (ey2[0] / dgp.g(1, x) + ey2[1] / dgp.g(0, x))))
+            report.v_ipw = float(np.sum(w * at.pop("ipw")))
         if two_sample:
-            self.p, self.q = dgp.p_pdf(x), dgp.q_pdf(x)
-            del x
-            self.wq, self.tau_qx, self.tau_q = _tau_terms(dgp, *dgp.nodes_q())
+            self.p, self.q = at["p"], at["q"]
+            self.wq, self.tau_qx, self.tau_q, _ = _tau_terms(dgp, "q")
 
     def v_tilde_ts(self, beta: float) -> float:
         return float(np.sum(self.core_e * ((beta * self.p + (1.0 - beta) * self.q) / self.p) ** 2))

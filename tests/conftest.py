@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,13 @@ def gaussian_k3():
         e_coef=[0.0, 0.3, -0.2, 0.1], pi_coef=[0.4, 0.2, 0.1, -0.1],
         q_mean=[0.12, -0.01, -0.09], q_var=[1.1, 0.95, 0.93],
     )
+
+
+def traced_peak(fn) -> float:
+    """The peak of the memory tracemalloc sees allocated while ``fn()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

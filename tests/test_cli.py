@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,13 @@ class TestEstimateOs:
         err = capsys.readouterr().err
         assert err.startswith(f"estimate-os: estimation failed: {message}")
         assert err.count("\n") == 1
+
+    def test_fully_labeled_input(self, tmp_path):
+        x, d, y = sample_one(dgp_d1(), 600, 92).labeled_arrays()
+        path = tmp_path / "full.csv"
+        write_one_sample_csv(OneSampleDataset.from_arrays(x, [1] * len(x), d, y), path)
+        code, doc = run_json(["estimate-os", "--input", str(path)], tmp_path / "r.json")
+        assert code == 0 and math.isfinite(doc["report"]["tau_hat"])
 
     def test_riesz_modes_near_truth(self, files, tmp_path):
         taus = {}
@@ -543,17 +551,23 @@ class TestSimulate:
 
 
 def test_blas_thread_count_leaves_output_unchanged(tmp_path):
-    # the same estimate, byte for byte, under one and two OpenBLAS threads
-    path = tmp_path / "os.csv"
+    # the same estimates, byte for byte, under one and two OpenBLAS threads
+    path, lab, unl = tmp_path / "os.csv", tmp_path / "lab.csv", tmp_path / "unl.csv"
     write_one_sample_csv(sample_one(gaussian_k3(), 20_000, 4), path)
+    two = sample_two(gaussian_k3(), 10_000, 10_000, 4)
+    write_labeled_csv(two, lab)
+    write_unlabeled_csv(two, unl)
     src = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = ["estimate-os", "--input", str(path), "--degree", "3"]
-        run = subprocess.run([sys.executable, "-m", "ssate.cli", *argv], env=env,
-                             capture_output=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
-    assert outputs[0] == outputs[1]
+    for argv in (["estimate-os", "--input", str(path)],
+                 ["estimate-os", "--input", str(path), "--riesz-mode", "kl-riesz"],
+                 ["estimate-ts", "--labeled", str(lab), "--unlabeled", str(unl),
+                  "--beta-star", "0.5"]):
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-m", "ssate.cli", *argv, "--degree", "3"],
+                                 env=env, capture_output=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1], argv

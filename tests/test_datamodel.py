@@ -27,6 +27,8 @@ from ssate.errors import (
     SsateError,
 )
 
+from conftest import gaussian_k3, traced_peak
+
 
 def one_sample_csv(tmp_path, text):
     path = tmp_path / "os.csv"
@@ -379,6 +381,15 @@ def _streamed(read, *paths):
         return _outcome(read, *paths)
 
 
+def _in_blocks():
+    """Patch ``_bulk``'s block size to its default, then to a few bytes, so
+    that each block holds one line and every check runs across blocks."""
+    for size in (datamodel._BULK_BYTES, 5):
+        with mock.patch.object(datamodel, "_BULK_BYTES", size):
+            yield
+
+
+@pytest.mark.filterwarnings("error")  # a warning from numpy's reader would reach stderr
 class TestBulkRead:
     """``_bulk`` returns exactly ``_stream``'s table, or defers to it."""
 
@@ -389,12 +400,13 @@ class TestBulkRead:
             path = os.path.join(tmp, "os.csv")
             with open(path, "wb") as fh:
                 fh.write(text)
-            bulk = datamodel._bulk(path, ("o", "d", "y"), 2)
-            if bulk is not None:
-                for got, want in zip(bulk, datamodel._stream(path, ("o", "d", "y"), 2)):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
-            assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
+            for _ in _in_blocks():
+                bulk = datamodel._bulk(path, ("o", "d", "y"), 2)
+                if bulk is not None:
+                    for got, want in zip(bulk, datamodel._stream(path, ("o", "d", "y"), 2)):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
 
     @given(labeled=csv_file(("d", "y"), na_row=False), unlabeled=csv_file((), na_row=False))
     @settings(max_examples=300, deadline=None)
@@ -404,8 +416,9 @@ class TestBulkRead:
             for path, text in ((lab, labeled), (unl, unlabeled)):
                 with open(path, "wb") as fh:
                     fh.write(text)
-            assert (_outcome(read_two_sample_csv, lab, unl)
-                    == _streamed(read_two_sample_csv, lab, unl))
+            for _ in _in_blocks():
+                assert (_outcome(read_two_sample_csv, lab, unl)
+                        == _streamed(read_two_sample_csv, lab, unl))
 
     @pytest.mark.parametrize("text", [
         "x1,o,d,y\n0.0,1,1,-NAN\n", "x1,o,d,y\n0.0,1,1,NAN\n", "x1,o,d,y\n0.0,1,+NA,1.0\n",
@@ -418,7 +431,8 @@ class TestBulkRead:
     def test_one_sample_edge_cases_agree_with_stream(self, tmp_path, text):
         path = tmp_path / "os.csv"
         path.write_bytes(text.encode())
-        assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
+        for _ in _in_blocks():
+            assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
 
     @pytest.mark.parametrize("labeled, unlabeled", [
         ("x1,d,y\n0.0,NA,1.0\n", "x1\n0.0\n"), ("x1,d,y\n0.0,1,NAN\n", "x1\n0.0\n"),
@@ -429,7 +443,8 @@ class TestBulkRead:
         lab, unl = tmp_path / "lab.csv", tmp_path / "unl.csv"
         lab.write_bytes(labeled.encode())
         unl.write_bytes(unlabeled.encode())
-        assert _outcome(read_two_sample_csv, lab, unl) == _streamed(read_two_sample_csv, lab, unl)
+        for _ in _in_blocks():
+            assert _outcome(read_two_sample_csv, lab, unl) == _streamed(read_two_sample_csv, lab, unl)
 
     @pytest.mark.parametrize("eol", ["\r\n", "\n"])
     def test_writer_output_takes_the_bulk_path(self, tmp_path, d1, eol):
@@ -438,8 +453,21 @@ class TestBulkRead:
         path = tmp_path / "os.csv"
         write_one_sample_csv(sample_one(d1, 300, 5), path)
         path.write_bytes(path.read_bytes().replace(b"\r\n", eol.encode()))
-        assert datamodel._bulk(path, ("o", "d", "y"), 2) is not None
-        assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
+        for _ in _in_blocks():
+            assert datamodel._bulk(path, ("o", "d", "y"), 2) is not None
+            assert _outcome(read_one_sample_csv, path) == _streamed(read_one_sample_csv, path)
+
+    def test_read_holds_no_copy_of_the_file(self, tmp_path):
+        # beyond the table numpy fills and the dataset made from it, the read
+        # holds a block of lines and small masks; a copy of the 3.7 MiB file would pass
+        from ssate import sample_one
+
+        path = tmp_path / "os.csv"
+        write_one_sample_csv(sample_one(gaussian_k3(), 50_000, 6), path)
+        ds = read_one_sample_csv(path)
+        table_mib = ds.n * (ds.k + 3) * 8 / 2**20
+        dataset_mib = sum(a.nbytes for a in vars(ds).values()) / 2**20
+        assert traced_peak(lambda: read_one_sample_csv(path)) < table_mib + dataset_mib + 2
 
     def test_over_long_field_is_an_input_error(self, tmp_path):
         path = one_sample_csv(tmp_path, "x1,o,d,y\n0.0,1,1,2.0\n0.0,1,1," + "1" * 131_073 + "\n")

@@ -33,7 +33,7 @@ from ssate.errors import (
 from ssate.nuisance import _riesz_arm_objectives, riesz_loss_grad
 from ssate.optimize import OptimizerConfig, minimize_gd, minimize_newton
 
-from conftest import random_one_sample
+from conftest import gaussian_k3, random_one_sample, traced_peak
 
 
 def zero_outcome_model(x):
@@ -126,6 +126,20 @@ class TestGModel:
         )
         with pytest.raises(ClassAbsent):
             fit_gmodel_mle(data)
+
+    def test_fully_labeled_sample_fits_e(self, d1):
+        # with no o=0 row pi is 1, so g(d|x) = e(d|x)
+        x, d, y = sample_one(d1, 2000, 8).labeled_arrays()
+        data = OneSampleDataset.from_arrays(x, np.ones(len(x)), d, y)
+        got = fit_gmodel_mle(data, clip_eps=0.02).arms(x)
+        want = fit_e_model(x, d, clip_eps=0.02).arms(x)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_peak_memory(self):
+        # phi is 1.5 MiB at 50k rows and degree 1, and each (n, 3) array of
+        # class probabilities 1.1 MiB: the softmax's own temporaries would pass 7 MiB
+        data = sample_one(gaussian_k3(), 50_000, 9)
+        assert traced_peak(lambda: fit_gmodel_mle(data)) < 7
 
 
 class TestRieszLoss:

@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from ssate.errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMin
 from ssate.estimators import score_os_vec
 from ssate.oracle import dgp_from_dict, dgp_to_dict, oracle_bounds
 
-from conftest import gaussian_k3
+from conftest import gaussian_k3, traced_peak
 
 
 def random_discrete_dgp(rng, two_sample=False):
@@ -354,23 +353,23 @@ class TestLawsCarried:
 
 
 class TestOneGridPerLaw:
-    """Each law's quadrature nodes are built once per call, the p nodes freed
+    """Each law's quadrature nodes are built once per call, the p nodes' laws summed
     before the q nodes are built, and no settings error waits for a grid."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        for name in ("nodes_p", "nodes_q"):
-            def counted(dgp, name=name, build=getattr(GaussianLinearDgp, name)):
-                calls.append(name)
-                return build(dgp)
-            monkeypatch.setattr(GaussianLinearDgp, name, counted)
+
+        def counted(dgp, law, build=GaussianLinearDgp._node_blocks):
+            calls.append(law)
+            return build(dgp, law)
+        monkeypatch.setattr(GaussianLinearDgp, "_node_blocks", counted)
         return calls
 
     def test_oracle_bounds_builds_each_law_once(self, builds):
         report = oracle_bounds(gaussian_k3(), alpha=0.5)
         assert report.v_os is not None and report.beta_star is not None
-        assert sorted(builds) == ["nodes_p", "nodes_q"]
+        assert builds == ["p", "q"]
 
     @pytest.mark.parametrize("call", [
         lambda dgp: bound_v_ts(dgp, 0.5, 1.5),
@@ -386,13 +385,12 @@ class TestOneGridPerLaw:
         assert builds == []
 
     def test_true_ate_peak_memory(self):
-        # 64^3 nodes take 6 MiB of points and 2 MiB of weights per law: holding
-        # both laws' grids at once, or a copy of one, would pass 24 MiB
-        dgp = gaussian_k3()
-        tracemalloc.start()
-        try:
-            true_ate(dgp, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
+        # the laws are evaluated one block of 64^2 nodes at a time, so only the
+        # 2 MiB arrays of weights, tau(x) and their product are whole: a 6 MiB
+        # array of all the 64^3 points, or a copy of one, would pass 8 MiB
+        assert traced_peak(lambda: true_ate(gaussian_k3(), 0.5)) < 8
+
+    def test_oracle_bounds_peak_memory(self):
+        # the p pass holds the weights and six laws of 2 MiB each at 64^3 nodes,
+        # and one product of them; the points of all nodes (6 MiB) would pass 20 MiB
+        assert traced_peak(lambda: oracle_bounds(gaussian_k3(), alpha=0.5)) < 20
