@@ -11,15 +11,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .datamodel import read_one_sample_csv, read_two_sample_csv
 from .errors import ReportIncomplete, SsateError
-from .estimators import NuisanceConfig, check_run_args, estimate_os_eff, estimate_ts_eff
+from .estimators import (RIESZ_MODES, NuisanceConfig, check_run_args, estimate_os_eff,
+                         estimate_ts_eff)
 from .oracle import dgp_from_dict, oracle_bounds
 from .simharness import (
     McConfig,
@@ -79,47 +79,56 @@ def _load_config_file(path: Optional[str]) -> dict:
     return cfg
 
 
-# parsed arguments that are not settings of the run
-_NOT_SETTINGS = ("command", "func", "config", "output")
+class _Key(NamedTuple):
+    type: object  # str, int, float, dict for any object, or the table of an object's keys
+    default: object = None  # what the envelope's config echoes when the key is not given
 
-# the settings a command echoes with these values when none is given
-_RUN_DEFAULTS = {"folds": 2, "seed": 0, "level": 0.95}
-_DEFAULTS = {"estimate-os": _RUN_DEFAULTS, "estimate-ts": _RUN_DEFAULTS,
-             "bounds": {"grid_step": 0.01}}
 
-# the JSON type of every config key a command reads; that of an object is
-# the table of its own keys, and it takes no other. "dgp", a path for bounds
-# and an object for simulate, is checked by those commands
-_TYPES = {
-    **dict.fromkeys(("input", "labeled", "unlabeled", "riesz_mode", "study", "scenario",
-                     "estimator"), str),
-    **dict.fromkeys(("folds", "seed", "degree", "reps", "threads", "n", "m", "l",
-                     "n_labeled", "ratio"), int),
-    **dict.fromkeys(("level", "ridge_lambda", "clip_eps", "clip_c", "beta-star", "beta_star",
-                     "alpha", "grid_step"), float),
-}
-_TYPES["nuisance"] = {f.name: _TYPES[f.name] for f in fields(NuisanceConfig)}
-_TYPES["hook"] = {"kind": str, "c": float}
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
-
-# the keys a command reads besides its options' dests; simulate's depend on
-# the study, and cmd_simulate checks them
-_NUISANCE_KEYS = {f.name for f in fields(NuisanceConfig)}
-_MORE_KEYS = {"estimate-os": _NUISANCE_KEYS, "estimate-ts": _NUISANCE_KEYS, "bounds": set()}
-
-# the config keys each simulate study reads
-_STUDY_RUN = ("dgp", "study", "scenario", "nuisance", "folds", "seed", "level", "reps",
-              "beta_star", "threads")
-_STUDY_KEYS = {"mc": {*_STUDY_RUN, "estimator", "hook", "n", "m", "l"},
-               "infinite-unlabeled": {*_STUDY_RUN, "n_labeled", "ratio"}}
+# The keys each command reads, and each simulate study; a key its table lacks is
+# one it does not read. simulate's own table holds both studies' keys, so each
+# key it is given is type-checked before its study is known.
+_NUISANCE = {"degree": _Key(int), "ridge_lambda": _Key(float), "clip_eps": _Key(float),
+             "clip_c": _Key(float), "riesz_mode": _Key(str)}
+_ESTIMATE = {"seed": _Key(int, 0), "level": _Key(float, 0.95), "folds": _Key(int, 2), **_NUISANCE}
+_RUN = {"seed": _Key(int), "level": _Key(float), "reps": _Key(int), "threads": _Key(int),
+        "folds": _Key(int), "dgp": _Key(dict), "study": _Key(str), "scenario": _Key(str),
+        "nuisance": _Key(_NUISANCE), "beta_star": _Key(float)}
+_STUDIES = {"mc": {**_RUN, "estimator": _Key(str), "n": _Key(int), "m": _Key(int),
+                   "l": _Key(int), "hook": _Key({"kind": _Key(str), "c": _Key(float)})},
+            "infinite-unlabeled": {**_RUN, "n_labeled": _Key(int), "ratio": _Key(int)}}
+_KEYS = {"estimate-os": {**_ESTIMATE, "input": _Key(str)},
+         "estimate-ts": {**_ESTIMATE, "labeled": _Key(str), "unlabeled": _Key(str),
+                         "beta-star": _Key(float)},
+         "bounds": {"dgp": _Key(str), "alpha": _Key(float), "grid_step": _Key(float, 0.01)},
+         "simulate": {**_STUDIES["mc"], **_STUDIES["infinite-unlabeled"]}}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", dict: "a JSON object"}
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    """The command's defaults, the --config file on them, then every option
-    given on the command line on top; a null, at any depth, is an absent key."""
-    flags = {key: val for key, val in vars(args).items() if key not in _NOT_SETTINGS}
-    return {**_DEFAULTS.get(args.command, {}),
-            **_without_nulls(_load_config_file(args.config)), **_without_nulls(flags)}
+    """The command's defaults, the --config file on them, then every option given
+    on the command line on top; a null, at any depth, is an absent key."""
+    keys = _KEYS[args.command]
+    return {**{key: k.default for key, k in keys.items() if k.default is not None},
+            **_without_nulls(_load_config_file(args.config)),
+            **{key: val for key, val in vars(args).items() if key in keys and val is not None}}
+
+
+def _checked(command: str, cfg: dict) -> dict:
+    """``cfg`` with every key type-checked; then a key the command, or its
+    simulate study, does not read is a config error."""
+    keys = _KEYS[command]
+    cfg = {key: _typed(key, val, keys[key].type) if key in keys else val
+           for key, val in cfg.items()}
+    reads, reader = keys, command
+    if command == "simulate":
+        study = cfg.get("study", "mc")
+        if study not in _STUDIES:
+            raise SsateError(f"unknown study {study!r}")
+        reads, reader = _STUDIES[study], f"the {study} study"
+    for key in cfg:
+        if key not in reads:
+            raise SsateError(f"config {key!r} is not read by {reader}")
+    return cfg
 
 
 def _without_nulls(cfg: dict) -> dict:
@@ -127,28 +136,26 @@ def _without_nulls(cfg: dict) -> dict:
             for key, val in cfg.items() if val is not None}
 
 
-def _typed(key: str, val, want=None):
-    """``val`` checked against ``want``, a type or a table of an object's
-    keys, by default the key's in ``_TYPES``: a number as an int or float,
-    an object key by key, any value of an unknown key as it is. A bool, a
-    string for a number, a fraction for an integer or a key an object's
-    table lacks is a config error rather than being coerced or dropped."""
-    want = want or _TYPES.get(key)
+def _typed(key: str, val, want):
+    """``val`` checked against ``want``, a key's type: a number as an int or
+    float, an object key by key against the table of its keys. A bool, a string
+    for a number, a fraction for an integer or a key an object's table lacks is
+    a config error rather than being coerced or dropped."""
     if type(val) in (int, float) and (want is float or want is int and val % 1 == 0):
         return want(val)
     if isinstance(want, dict) and isinstance(val, dict):
         for inner in val:
             if inner not in want:
                 raise SsateError(f"config {key!r} has no key {inner!r}")
-        return {inner: _typed(inner, v, want[inner]) for inner, v in val.items()}
-    if want is None or want is str and isinstance(val, str):
+        return {inner: _typed(inner, v, want[inner].type) for inner, v in val.items()}
+    if want in (str, dict) and isinstance(val, want):
         return val
     name = "a JSON object" if isinstance(want, dict) else _TYPE_NAMES[want]
     raise SsateError(f"config {key!r} must be {name}, got {val!r}")
 
 
 def _nuisance_from(cfg: dict) -> NuisanceConfig:
-    kwargs = {f.name: cfg[f.name] for f in fields(NuisanceConfig) if f.name in cfg}
+    kwargs = {key: cfg[key] for key in _NUISANCE if key in cfg}
     try:
         return NuisanceConfig(**kwargs)
     except ValueError as exc:
@@ -186,7 +193,7 @@ def cmd_estimate_ts(cfg: dict):
 
 
 def cmd_bounds(cfg: dict):
-    path = _typed("dgp", cfg.get("dgp", ""), str)
+    path = cfg.get("dgp")
     if not path:
         raise SsateError("a DGP spec JSON file is required (--dgp)")
     with open(path) as fh:
@@ -197,46 +204,28 @@ def cmd_bounds(cfg: dict):
 
 
 def cmd_simulate(cfg: dict):
-    study = cfg.get("study", "mc")
-    if study not in _STUDY_KEYS:
-        raise SsateError(f"unknown study {study!r}")
-    for key in cfg:
-        if key not in _STUDY_KEYS[study]:
-            raise SsateError(f"config {key!r} is not read by the {study} study")
     if not cfg.get("dgp"):
         raise SsateError("the config file must carry an inline 'dgp' spec")
     dgp = dgp_from_dict(cfg["dgp"])
-    # seed, level and reps, when not given, take the study's own defaults
-    run = {"nuisance": _nuisance_from(cfg.get("nuisance", {})), "n_folds": cfg.get("folds", 2),
-           "scenario": cfg.get("scenario", "one-sample"),
-           **{key: cfg[key] for key in ("seed", "level", "reps", "beta_star") if key in cfg}}
-    if study == "infinite-unlabeled":  # whose n_labeled has no default: None is rejected
-        report = run_infinite_unlabeled_study(dgp, _typed("n_labeled", cfg.get("n_labeled")),
-                                              ratio=cfg.get("ratio", 100),
-                                              threads=cfg.get("threads"), **run)
-    else:
-        hook = cfg.get("hook")
-        if hook is not None and "kind" not in hook:
+    # the study gets only the keys it was given; the rest take its own defaults
+    run = {"n_folds" if key == "folds" else key: val for key, val in cfg.items()
+           if key not in ("dgp", "study", "threads")}
+    if "nuisance" in cfg:
+        run["nuisance"] = _nuisance_from(cfg["nuisance"])
+    if cfg.get("study") == "infinite-unlabeled":
+        if "n_labeled" not in cfg:
+            raise SsateError("an infinite-unlabeled study needs an 'n_labeled'")
+        return run_infinite_unlabeled_study(dgp, threads=cfg.get("threads"), **run).to_dict()
+    if "hook" in cfg:
+        if "kind" not in cfg["hook"]:
             raise SsateError("config 'hook' needs a 'kind'")
-        sizes = {key: cfg[key] for key in ("n", "m", "l") if key in cfg}
-        mc = McConfig(dgp=dgp, estimator=cfg.get("estimator", "os-eff"),
-                      hook=None if hook is None else Misspec(**hook), **run, **sizes)
-        report = run_mc(mc, threads=cfg.get("threads"))
-    return report.to_dict()
+        run["hook"] = Misspec(**cfg["hook"])
+    return run_mc(McConfig(dgp=dgp, **run), threads=cfg.get("threads")).to_dict()
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-def _add_common(sub: argparse.ArgumentParser, seeded: bool = True):
-    """--config and --output, and for a command that reads them --seed and --level."""
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--output", help="write the JSON report here instead of stdout")
-    if seeded:
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--level", type=float)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -245,41 +234,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # each option's dest is its config key
-    def estimator_parser(name: str, summary: str, func):
+    estimate = ("seed", "level", "folds", "degree", "ridge_lambda", "clip_eps")
+    extra = {"input": {"help": "one-sample CSV (x1..xk,o,d,y with NA)"},
+             "riesz_mode": {"choices": RIESZ_MODES},
+             "labeled": {"help": "labeled CSV (x1..xk,d,y)"},
+             "unlabeled": {"help": "unlabeled CSV (x1..xk)"},
+             "dgp": {"help": "DGP spec JSON file"},
+             "alpha": {"help": "labeled fraction for the two-sample bounds"},
+             "threads": {"help": "worker processes; SSATE_THREADS honored when absent"}}
+    for name, summary, func, options in (
+            ("estimate-os", "one-sample efficient estimate from CSV", cmd_estimate_os,
+             (*estimate, "input", "riesz_mode")),
+            ("estimate-ts", "two-sample efficient estimate from CSVs", cmd_estimate_ts,
+             (*estimate, "labeled", "unlabeled", "beta-star")),
+            ("bounds", "closed-form efficiency bounds for a DGP spec", cmd_bounds,
+             ("dgp", "alpha", "grid_step")),
+            ("simulate", "Monte Carlo study from a config file", cmd_simulate,
+             ("seed", "level", "reps", "threads"))):
         p = sub.add_parser(name, help=summary)
-        _add_common(p)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--degree", type=int)
-        p.add_argument("--ridge-lambda", type=float)
-        p.add_argument("--clip-eps", type=float)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
+        for key in options:  # each option sets its config key, and takes that key's type
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEYS[name][key].type,
+                           **extra.get(key, {}))
         p.set_defaults(func=func)
-        return p
-
-    p = estimator_parser("estimate-os", "one-sample efficient estimate from CSV", cmd_estimate_os)
-    p.add_argument("--input", help="one-sample CSV (x1..xk,o,d,y with NA)")
-    p.add_argument("--riesz-mode", choices=["mle-g", "ls-riesz", "kl-riesz"])
-
-    p = estimator_parser("estimate-ts", "two-sample efficient estimate from CSVs", cmd_estimate_ts)
-    p.add_argument("--labeled", help="labeled CSV (x1..xk,d,y)")
-    p.add_argument("--unlabeled", help="unlabeled CSV (x1..xk)")
-    p.add_argument("--beta-star", type=float, dest="beta-star")
-
-    p = sub.add_parser("bounds", help="closed-form efficiency bounds for a DGP spec")
-    _add_common(p, seeded=False)
-    p.add_argument("--dgp", help="DGP spec JSON file")
-    p.add_argument("--alpha", type=float, help="labeled fraction for the two-sample bounds")
-    p.add_argument("--grid-step", type=float)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("simulate", help="Monte Carlo study from a config file")
-    _add_common(p)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--threads", type=int,
-                   help="worker processes; SSATE_THREADS honored when absent")
-    p.set_defaults(func=cmd_simulate)
-
     return parser
 
 
@@ -293,13 +271,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     incomplete = None
     try:
-        cfg = _merged(args)
-        if args.command in _MORE_KEYS:
-            reads = _MORE_KEYS[args.command] | (set(vars(args)) - set(_NOT_SETTINGS))
-            for key in cfg:
-                if key not in reads:
-                    raise SsateError(f"config {key!r} is not read by {args.command}")
-        report = args.func({key: _typed(key, val) for key, val in cfg.items()})
+        cfg = _merged(args)  # echoed as given; the command gets the checked copy
+        report = args.func(_checked(args.command, cfg))
     except ReportIncomplete as exc:  # a study: emit the partial report, then fail
         incomplete = exc
         partial = exc.partial_report.to_dict() if exc.partial_report else None

@@ -65,6 +65,8 @@ class DiscreteXDgp:
     family = "DiscreteX"
     has_pi = property(lambda self: self.pi1 is not None)  # the optional laws it carries
     has_q = property(lambda self: self.q is not None)
+    # whether q0 is 0 where p0 > 0: at a support point with no q mass
+    q_vanishes = property(lambda self: self.q is not None and bool(np.any(self.q == 0.0)))
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
@@ -172,6 +174,7 @@ class GaussianLinearDgp:
     family = "GaussianLinear"
     has_pi = property(lambda self: self.pi_coef is not None)  # the optional laws it carries
     has_q = property(lambda self: self.q_mean is not None)
+    q_vanishes = False  # a normal q0 is positive everywhere
 
     def __post_init__(self):
         k = np.size(self.p_mean)

@@ -151,7 +151,7 @@ _SCENARIOS = ("one-sample", "two-sample")
 @dataclass(frozen=True)
 class McConfig:
     dgp: object
-    scenario: str  # "one-sample" | "two-sample"
+    scenario: str = "one-sample"  # or "two-sample"
     estimator: str = "os-eff"  # os-eff | os-ipw | os-ra (one-sample) | ts-eff (two-sample)
     n: Optional[int] = None
     m: Optional[int] = None
@@ -173,8 +173,7 @@ class McConfig:
         overrides = _hook_overrides(self.hook, self.dgp, spec.takes)
         if self.hook is not None and not overrides:
             raise ValueError(f"hook {self.hook.kind!r} overrides no nuisance of {self.estimator}")
-        if ("r_override" in overrides and self.dgp.has_q
-                and np.any(self.dgp.q_pdf(self.dgp.nodes_p()[0]) == 0.0)):
+        if "r_override" in overrides and self.dgp.q_vanishes:
             raise DomainViolation(f"hook {self.hook.kind!r} divides by q0, which is 0 where p0 > 0")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
@@ -236,12 +235,16 @@ def _rep_record(config: McConfig, r: int):
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SSATE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """``threads``, else SSATE_THREADS, else the CPU count. A count below 1 is a
+    ValueError naming the argument or variable it came from."""
+    source, count = "threads", threads
+    if count is None:
+        source, count = "SSATE_THREADS", os.environ.get("SSATE_THREADS") or None
+    if count is None:
+        return os.cpu_count() or 1
+    if int(count) < 1:
+        raise ValueError(f"{source} must be >= 1, got {count!r}")
+    return int(count)
 
 
 # (worker count, executor): the process's worker pool, reused by run_mc
@@ -279,11 +282,11 @@ def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
     count stays the same; its workers are forked then, so module state the
     parent changes afterwards does not reach them.
     """
-    # the oracle values first: a DGP they reject fails before any replication
-    tau0 = oracle.true_ate(config.dgp, config.beta_star if config.beta_star is not None else 1.0)
-    bound = _ESTIMATORS[config.estimator].bound(config)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(resolve_threads(threads), cpus or 1)
+    # the oracle values next: a DGP they reject fails before any replication
+    tau0 = oracle.true_ate(config.dgp, config.beta_star if config.beta_star is not None else 1.0)
+    bound = _ESTIMATORS[config.estimator].bound(config)
     records = (_map_reps(config, workers) if workers > 1
                else [_rep_record(config, r) for r in range(1, config.reps + 1)])
 
@@ -323,15 +326,6 @@ def run_mc(config: McConfig, threads: Optional[int] = None) -> McReport:
             partial_report=report,
         )
     return report
-
-
-def _shrink_pi(dgp, factor: float):
-    """Scale the observation probability of a discrete DGP by a factor."""
-    if dgp.family != "DiscreteX":
-        raise ValueError("pi-shrinking emulation implemented for discrete DGPs only")
-    if not dgp.has_pi:
-        raise ValueError("one-sample study needs an observation probability")
-    return replace(dgp, pi1=dgp.pi1 * factor)
 
 
 def run_infinite_unlabeled_study(
@@ -376,12 +370,16 @@ def run_infinite_unlabeled_study(
 
     if beta_star is not None:
         raise ValueError("one-sample studies take no beta_star")
+    if dgp.family != "DiscreteX":  # checked before any node grid is built
+        raise ValueError("pi-shrinking emulation implemented for discrete DGPs only")
+    if not dgp.has_pi:
+        raise ValueError("one-sample study needs an observation probability")
     # one-sample: shrink pi0 with n * E[pi_shrunk] held at n_labeled
     xp, wp = dgp.nodes_p()
     e_pi = float(np.sum(wp * dgp.pi(xp)))
     n = int(round((1 + ratio) * n_labeled))
     shrink = n_labeled / (n * e_pi)
-    shrunk = _shrink_pi(dgp, shrink)
+    shrunk = replace(dgp, pi1=dgp.pi1 * shrink)
     min_g = min(float(np.min(shrunk.g(1, xp))), float(np.min(shrunk.g(0, xp))))
     # keep the clamp well below the true joint probabilities of the
     # shrunk DGP, otherwise clipping would bias the inverse weights

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ssate import dgp_d1, sample_one, sample_two
-from ssate.cli import _nuisance_from, main
+from ssate.cli import _nuisance_from, build_parser, main
 from ssate.datamodel import (
     OneSampleDataset,
     write_labeled_csv,
@@ -149,6 +150,23 @@ WRONG_TYPES = [
     ("simulate", {"nuisance": {"degree": True}}, "'degree' must be an integer, got True"),
     # a key the default mc study does not read is checked all the same
     ("simulate", {"n_labeled": "x"}, "'n_labeled' must be an integer, got 'x'"),
+    ("estimate-os", {"folds": 2.5}, "'folds' must be an integer, got 2.5"),
+    ("estimate-os", {"seed": "1"}, "'seed' must be an integer, got '1'"),
+    ("estimate-os", {"level": True}, "'level' must be a number, got True"),
+    ("estimate-os", {"degree": 1.5}, "'degree' must be an integer, got 1.5"),
+    ("estimate-os", {"ridge_lambda": "x"}, "'ridge_lambda' must be a number, got 'x'"),
+    ("estimate-ts", {"clip_eps": [0.1]}, "'clip_eps' must be a number, got [0.1]"),
+    ("estimate-ts", {"clip_c": "5"}, "'clip_c' must be a number, got '5'"),
+    ("estimate-ts", {"beta-star": "0.5"}, "'beta-star' must be a number, got '0.5'"),
+    ("simulate", {"beta_star": False}, "'beta_star' must be a number, got False"),
+    ("bounds", {"alpha": "0.5"}, "'alpha' must be a number, got '0.5'"),
+    ("bounds", {"grid_step": [0.01]}, "'grid_step' must be a number, got [0.01]"),
+    ("simulate", {"reps": 2.5}, "'reps' must be an integer, got 2.5"),
+    ("simulate", {"threads": "2"}, "'threads' must be an integer, got '2'"),
+    ("simulate", {"n": 1.5}, "'n' must be an integer, got 1.5"),
+    ("simulate", {"m": "100"}, "'m' must be an integer, got '100'"),
+    ("simulate", {"l": True}, "'l' must be an integer, got True"),
+    ("simulate", {"ratio": "10"}, "'ratio' must be an integer, got '10'"),
 ]
 WRONG_TYPE_IDS = [command + "-" + message.split()[0].strip("'")
                   for command, _, message in WRONG_TYPES]
@@ -164,6 +182,22 @@ UNREAD_KEYS = [
     ("estimate-ts", {"input": "os.csv"}, "input"),
     ("bounds", {"alpah": 0.5}, "alpah"),
     ("bounds", {"degree": 2}, "degree"),
+    ("bounds", {"input": "os.csv"}, "input"),
+    ("bounds", {"folds": 2}, "folds"),
+    ("bounds", {"seed": 1}, "seed"),
+    ("bounds", {"level": 0.9}, "level"),
+    ("bounds", {"ridge_lambda": 1.0}, "ridge_lambda"),
+    ("bounds", {"clip_eps": 0.01}, "clip_eps"),
+    ("bounds", {"clip_c": 10.0}, "clip_c"),
+    ("bounds", {"l": 100}, "l"),
+    # a key the command does not read is rejected as such, whatever its type
+    ("estimate-os", {"alpha": "0.5"}, "alpha"),
+    ("estimate-ts", {"grid_step": [0.01]}, "grid_step"),
+    ("estimate-os", {"reps": 3}, "reps"),
+    ("estimate-ts", {"threads": 0}, "threads"),
+    ("estimate-os", {"n": 100}, "n"),
+    ("estimate-ts", {"m": 100}, "m"),
+    ("estimate-ts", {"ratio": 10}, "ratio"),
 ]
 
 
@@ -256,6 +290,11 @@ class TestConfigErrors:
         *(({"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, key: val},
            f"config {key!r} is not read by the infinite-unlabeled study")
           for key, val in (("estimator", "os-eff"), ("n", 100), ("m", 100), ("l", 100))),
+        # a worker count below 1, which no study runs on one worker instead
+        ({"threads": 0}, "threads must be >= 1, got 0"),
+        ({"threads": -3}, "threads must be >= 1, got -3"),
+        ({"study": "infinite-unlabeled", "ratio": 10},
+         "an infinite-unlabeled study needs an 'n_labeled'"),
     ])
     def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, message, capsys):
         assert main(["simulate", "--config", str(simulate_config(tmp_path, extra))]) == 2
@@ -263,6 +302,19 @@ class TestConfigErrors:
         assert "replications failed" not in err
         if message is not None:
             assert err == f"simulate: {message}\n"
+
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--threads", "0"], "2", "threads must be >= 1, got 0"),
+        (["--threads", "-3"], None, "threads must be >= 1, got -3"),
+        ([], "0", "SSATE_THREADS must be >= 1, got '0'"),
+    ], ids=["flag-0", "flag-negative", "env-0"])
+    def test_simulate_worker_count_below_1_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                  flags, env, message):
+        if env is not None:
+            monkeypatch.setenv("SSATE_THREADS", env)
+        argv = ["simulate", "--config", str(simulate_config(tmp_path, {})), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
 
     @pytest.mark.parametrize("command", ["estimate-os", "estimate-ts", "bounds", "simulate"])
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
@@ -406,6 +458,23 @@ def test_nuisance_options_are_the_config_fields():
     for key, val in values.items():
         assert getattr(_nuisance_from({key: val}), key) == val
         assert getattr(together, key) == val
+
+
+def test_each_command_offers_its_options():
+    # the options of every subcommand, in the order its --help lists them
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {name: [opt for action in sub._actions for opt in action.option_strings]
+               for name, sub in commands.choices.items()}
+    common = ["-h", "--help", "--config", "--output"]
+    estimate = [*common, "--seed", "--level", "--folds", "--degree", "--ridge-lambda",
+                "--clip-eps"]
+    assert offered == {
+        "estimate-os": [*estimate, "--input", "--riesz-mode"],
+        "estimate-ts": [*estimate, "--labeled", "--unlabeled", "--beta-star"],
+        "bounds": [*common, "--dgp", "--alpha", "--grid-step"],
+        "simulate": [*common, "--seed", "--level", "--reps", "--threads"],
+    }
 
 
 class TestEstimateTs:

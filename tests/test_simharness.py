@@ -17,8 +17,14 @@ from ssate import (
 from ssate import simharness
 from ssate.errors import BadFoldCount, BadLevel, DomainViolation, ReportIncomplete, SsateError
 from ssate.estimators import NuisanceConfig
-from ssate.oracle import bound_v_tilde_os
+from ssate.oracle import GaussianLinearDgp, bound_v_tilde_os
 from ssate.simharness import resolve_threads
+
+from conftest import gaussian_k3
+
+
+def _no_grid(self, law):
+    raise AssertionError(f"built the {law} quadrature grid")
 
 
 class TestSampling:
@@ -210,6 +216,17 @@ class TestMcConfigChecks:
             run_mc(config, threads=1)
         assert calls == []
 
+    def test_true_r_hook_on_a_gaussian_q0(self, monkeypatch):
+        # a normal q0 is positive everywhere, however narrow, so p0/q0 is defined;
+        # the check builds no quadrature grid, on whose far nodes q0 underflows to 0
+        dgp = GaussianLinearDgp(p_mean=[0.0], p_var=[1.0], mu1_coef=[1.0, 0.5],
+                                mu0_coef=[0.0, 0.2], s2_1=1.0, s2_0=1.0, e_coef=[0.0, 0.3],
+                                q_mean=[0.0], q_var=[0.05])
+        monkeypatch.setattr(GaussianLinearDgp, "_node_blocks", _no_grid)
+        for kind in ("true-r", "true-nuisance"):
+            McConfig(dgp, "two-sample", estimator="ts-eff", m=100, l=100, beta_star=0.5,
+                     hook=Misspec(kind))
+
     def test_infinite_unlabeled_study_is_checked(self, d1):
         with pytest.raises(BadFoldCount):
             run_infinite_unlabeled_study(d1, n_labeled=20, ratio=10, reps=2, n_folds=1000)
@@ -223,6 +240,14 @@ class TestMcConfigChecks:
 
 
 class TestInfiniteUnlabeled:
+    @pytest.mark.parametrize("pi_coef", [[0.4, 0.2, 0.1, -0.1], None], ids=["pi", "no-pi"])
+    def test_one_sample_needs_a_discrete_dgp(self, monkeypatch, pi_coef):
+        # the family is checked before the DGP's quadrature grid is built
+        monkeypatch.setattr(GaussianLinearDgp, "_node_blocks", _no_grid)
+        with pytest.raises(ValueError, match="discrete DGPs only"):
+            run_infinite_unlabeled_study(replace(gaussian_k3(), pi_coef=pi_coef),
+                                         n_labeled=20, ratio=10, reps=2)
+
     def test_ratio_floor(self, d1):
         with pytest.raises(ValueError):
             run_infinite_unlabeled_study(d1, n_labeled=100, ratio=5)
@@ -262,6 +287,16 @@ class TestThreads:
     def test_env_honored(self, monkeypatch):
         monkeypatch.setenv("SSATE_THREADS", "5")
         assert resolve_threads(None) == 5
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_1(self, monkeypatch, count):
+        # a worker count below 1 is an error naming its source, not one worker
+        monkeypatch.setenv("SSATE_THREADS", "2")
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {count}$"):
+            resolve_threads(count)
+        monkeypatch.setenv("SSATE_THREADS", str(count))
+        with pytest.raises(ValueError, match=f"^SSATE_THREADS must be >= 1, got '{count}'$"):
+            resolve_threads(None)
 
 
 def _report(cfg, threads):
