@@ -139,10 +139,14 @@ def _without_nulls(cfg: dict) -> dict:
 def _typed(key: str, val, want):
     """``val`` checked against ``want``, a key's type: a number as an int or
     float, an object key by key against the table of its keys. A bool, a string
-    for a number, a fraction for an integer or a key an object's table lacks is
-    a config error rather than being coerced or dropped."""
+    for a number, a fraction for an integer, an integer past the float range or a
+    key an object's table lacks is a config error rather than being coerced or
+    dropped."""
     if type(val) in (int, float) and (want is float or want is int and val % 1 == 0):
-        return want(val)
+        try:
+            return want(val)
+        except OverflowError:
+            raise SsateError(f"config {key!r} is too large for a float") from None
     if isinstance(want, dict) and isinstance(val, dict):
         for inner in val:
             if inner not in want:

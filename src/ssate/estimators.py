@@ -202,25 +202,39 @@ def estimate_os_eff(
     diagnostics = []
     for ((fold, comp),) in _folds(n_folds, (data.n, seed)):
         diag = {"n_train": int(comp.sum())}
-        train = data.rows(comp)
-        mu = mu_override if mu_override is not None else _fit_mu(*train.labeled_arrays(), config)
-        xf = data.x[fold]
-        if g_override is not None or config.riesz_mode == "mle-g":
-            g = _fitted(g_override, lambda: fit_gmodel_mle(
-                train, basis=config.basis, clip_eps=config.clip_eps), diag, "g_converged")
-            g1, g0 = arms(g, xf)
-            a1, a0 = 1.0 / g1, -1.0 / g0
-        else:
-            gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
-            riesz = fit_riesz(train, gen=gen, basis=config.basis)
-            diag["riesz_converged"] = riesz.converged
-            a1, a0 = riesz.a1_a0(xf)
-        scores[fold] = score_os_vec(data.o[fold], data.d[fold], data.y[fold],
-                                    *arms(mu, xf), a1, a0)
+        # the training rows die with _os_fits, and the scored rows' arrays with
+        # _os_scores, so one fold's arrays are all that is alive at a time
+        mu, weights = _os_fits(data.rows(comp), config, mu_override, g_override, diag)
+        scores[fold] = _os_scores(data, fold, mu, weights)
         diagnostics.append(diag)
     tau, se = _mean_se(scores)
     return EstimateReport(tau, se, ci(tau, se, level), level, "OS-eff",
                           {"n": data.n, "n_labeled": data.n_labeled}, n_folds, seed, diagnostics)
+
+
+def _os_fits(train: OneSampleDataset, config: NuisanceConfig, mu_override, g_override,
+             diag: dict):
+    """A fold's outcome model and its weight function x -> (a1(x), a0(x)), fitted on
+    ``train``: the inverse of a fitted or given g, or a fitted representer."""
+    mu = mu_override if mu_override is not None else _fit_mu(*train.labeled_arrays(), config)
+    if g_override is not None or config.riesz_mode == "mle-g":
+        g = _fitted(g_override, lambda: fit_gmodel_mle(
+            train, basis=config.basis, clip_eps=config.clip_eps), diag, "g_converged")
+        return mu, functools.partial(_inverse_g, g)
+    gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
+    riesz = fit_riesz(train, gen=gen, basis=config.basis)
+    diag["riesz_converged"] = riesz.converged
+    return mu, riesz.a1_a0
+
+
+def _inverse_g(g, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    g1, g0 = arms(g, x)
+    return 1.0 / g1, -1.0 / g0
+
+
+def _os_scores(data: OneSampleDataset, fold: np.ndarray, mu, weights) -> np.ndarray:
+    xf = data.x[fold]
+    return score_os_vec(data.o[fold], data.d[fold], data.y[fold], *arms(mu, xf), *weights(xf))
 
 
 def estimate_os_ipw(
@@ -230,8 +244,7 @@ def estimate_os_ipw(
 ) -> EstimateReport:
     """Inverse-probability-weighting baseline with a supplied g(d, x): a
     fitted GModel or any callable of the same signature."""
-    g1, g0 = arms(g, data.x)
-    a = np.where(data.d == 1, 1.0 / g1, -1.0 / g0)
+    a = np.where(data.d == 1, *_inverse_g(g, data.x))
     tau, se = _mean_se(np.where(data.o == 1, a * data.y, 0.0))
     return EstimateReport(tau, se, ci(tau, se, level), level, "OS-IPW",
                           {"n": data.n, "n_labeled": data.n_labeled}, 1)

@@ -184,11 +184,18 @@ class GModel:
     clip_eps: float
     converged: bool = True
 
+    @functools.cached_property
+    def _weights_t(self) -> np.ndarray:
+        # phi @ weights.T would hand OpenBLAS a transposed operand, whose threaded
+        # kernel can stall (17-25 ms at 50k rows on 2 vCPUs, against 0.2-0.3 ms);
+        # the contiguous copy gives the same bits
+        return np.ascontiguousarray(self.weights.T)
+
     def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
         return self.arms(x)[0 if d == 1 else 1]
 
     def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        probs = _softmax(self.basis.transform(x) @ self.weights.T)
+        probs = _softmax(self.basis.transform(x) @ self._weights_t)
         lo, hi = self.clip_eps, 1.0 - self.clip_eps
         return np.clip(probs[:, 0], lo, hi), np.clip(probs[:, 1], lo, hi)
 
@@ -210,16 +217,17 @@ def fit_gmodel_mle(
     fb = basis.fit(data.x)
     phi = fb.transform(data.x)
     n, p = phi.shape
-    own = np.arange(n) * 3 + labels  # each row's own class in the flat (n, 3) probabilities
     onehot = labels[:, None] == np.arange(2)  # the two free classes, subtracted as 1.0 or 0.0
-    w = np.zeros((3, p))  # last row pinned at zero; the free rows are set per call
+    labels = labels.astype(np.int8)  # lives through every Hessian below, so one byte a row
+    wt = np.zeros((p, 3))  # GModel.weights.T, contiguous; last column pinned at zero
 
     def nll_grad_hess(w_free: np.ndarray):
-        w[:2] = w_free.reshape(2, p)
-        probs = _softmax(phi @ w.T)
-        ll = np.sum(np.log(probs.take(own)))
-        resid = probs[:, :2] - onehot
-        grad = (resid.T @ phi).ravel() / n
+        wt[:, :2] = w_free.reshape(2, p).T
+        probs = _softmax(phi @ wt)
+        # the residuals are freed before the log-likelihood's temporaries are made:
+        # each row's own class in the flat (n, 3) probabilities, then its log
+        grad = ((probs[:, :2] - onehot).T @ phi).ravel() / n
+        ll = np.sum(np.log(probs.take(np.arange(n) * 3 + labels)))
         def hess():  # block Hessian of the multinomial NLL for the two free classes
             out = np.empty((2 * p, 2 * p))
             for a, b in ((0, 0), (0, 1), (1, 1)):

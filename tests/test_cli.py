@@ -153,6 +153,7 @@ WRONG_TYPES = [
     ("estimate-os", {"folds": 2.5}, "'folds' must be an integer, got 2.5"),
     ("estimate-os", {"seed": "1"}, "'seed' must be an integer, got '1'"),
     ("estimate-os", {"level": True}, "'level' must be a number, got True"),
+    ("estimate-ts", {"level": 10**400}, "'level' is too large for a float"),
     ("estimate-os", {"degree": 1.5}, "'degree' must be an integer, got 1.5"),
     ("estimate-os", {"ridge_lambda": "x"}, "'ridge_lambda' must be a number, got 'x'"),
     ("estimate-ts", {"clip_eps": [0.1]}, "'clip_eps' must be a number, got [0.1]"),
@@ -628,6 +629,7 @@ def test_blas_thread_count_leaves_output_unchanged(tmp_path):
     write_unlabeled_csv(two, unl)
     src = str(Path(__file__).resolve().parent.parent / "src")
     for argv in (["estimate-os", "--input", str(path)],
+                 ["estimate-os", "--input", str(path), "--riesz-mode", "ls-riesz"],
                  ["estimate-os", "--input", str(path), "--riesz-mode", "kl-riesz"],
                  ["estimate-ts", "--labeled", str(lab), "--unlabeled", str(unl),
                   "--beta-star", "0.5"]):

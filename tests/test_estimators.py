@@ -18,7 +18,7 @@ from ssate.errors import BadFoldCount, BadLevel, DomainViolation, NonfiniteValue
 from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
 from ssate.nuisance import FittedBasis, OutcomeModel, fit_riesz
 
-from conftest import random_one_sample, random_two_sample
+from conftest import gaussian_k3, random_one_sample, random_two_sample, traced_peak
 
 
 def const_model(x, m1, m0, clip_c=1e6):
@@ -174,6 +174,13 @@ class TestOsEff:
         }
         taus = [r.tau_hat for r in reps.values()]
         assert max(taus) - min(taus) <= 0.02
+
+    def test_peak_memory(self):
+        # a 50k-row fold's training rows are 1.5 MiB and its g fit's design and
+        # class probabilities 2.7 MiB, for a 7.6 MiB peak; a fold's x and
+        # predictions kept into the next fold's fits (2.7 MiB more) would pass 8 MiB
+        data = sample_one(gaussian_k3(), 100_000, 9)
+        assert traced_peak(lambda: estimate_os_eff(data)) < 8
 
 
 def test_ts_rejects_riesz_mode(d2_sample_2k):

@@ -578,3 +578,25 @@ def _oracle_pins(dgp) -> dict:
 @pytest.mark.parametrize("name", sorted(ORACLE_PINS))
 def test_oracle_is_pinned(name):
     assert _oracle_pins(ORACLE_DGPS[name]()) == ORACLE_PINS[name]
+
+
+# recorded before the g fit multiplied by contiguous weights: a 25k-row fold is
+# past OpenBLAS's threading threshold, which no 360-row pin above reaches
+LARGE_N_PINS = {
+    1: {'tau_hat': '0x1.07a8137d166aep+0', 'se': '0x1.8d80927b34913p-7',
+        'ci': ['0x1.0191e5602328ap+0', '0x1.0dbe419a09ad2p+0']},
+    3: {'tau_hat': '0x1.07cc28ef25630p+0', 'se': '0x1.8f0a21945896dp-7',
+        'ci': ['0x1.01aff41925e5ep+0', '0x1.0de85dc524e02p+0']},
+}
+
+
+@pytest.fixture(scope="module")
+def large_sample():
+    return sample_one(gaussian_k3(), 50_000, 23)
+
+
+@pytest.mark.parametrize("degree", sorted(LARGE_N_PINS))
+def test_large_n_estimate_is_pinned(degree, large_sample):
+    rep = estimate_os_eff(large_sample, n_folds=2, seed=4, config=NuisanceConfig(degree=degree))
+    assert {"tau_hat": rep.tau_hat.hex(), "se": rep.se.hex(),
+            "ci": [v.hex() for v in rep.ci]} == LARGE_N_PINS[degree]
