@@ -7,7 +7,6 @@ efficiency-bound oracles, and a Monte Carlo harness."""
 __version__ = "0.1.0"
 
 from .datamodel import (
-    FoldPlan,
     OneSampleDataset,
     TwoSampleDataset,
     make_fold_plan,
@@ -29,10 +28,10 @@ from .estimators import (
 from .nuisance import (
     LSIF,
     UKL,
-    BasisSpec,
     BregmanGenerator,
     DensityRatioModel,
     EModel,
+    FittedBasis,
     GModel,
     OutcomeModel,
     RieszModel,

@@ -13,7 +13,7 @@ import csv
 import re
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,10 +142,6 @@ class TwoSampleDataset:
     def k(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def n_total(self) -> int:
-        return self.m + self.l
-
     @staticmethod
     def from_arrays(x, d, y, z) -> "TwoSampleDataset":
         """Validate and freeze the labeled (x, d, y) and unlabeled z arrays."""
@@ -170,32 +166,16 @@ class TwoSampleDataset:
                                 _as_readonly(z))
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Deterministic balanced partition of {0..n-1} into folds 1..n_folds."""
-
-    n: int
-    n_folds: int
-    seed: int
-    assignment: np.ndarray = field(repr=False)  # (n,) int, values in 1..n_folds
-
-    def indices(self, b: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == b)
-
-    def masks(self):
-        for b in range(1, self.n_folds + 1):
-            yield b, self.assignment == b
-
-
-def make_fold_plan(n: int, n_folds: int, seed: int) -> FoldPlan:
-    """Seeded shuffle of indices followed by round-robin fold assignment."""
+def make_fold_plan(n: int, n_folds: int, seed: int) -> np.ndarray:
+    """Each row's fold in 1..n_folds, read-only: a seeded shuffle of the
+    indices followed by round-robin assignment."""
     if n_folds < 2 or n_folds > n:
         raise BadFoldCount(f"fold count must satisfy 2 <= L <= n, got L={n_folds}, n={n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=np.int64)
     assignment[perm] = (np.arange(n) % n_folds) + 1
-    return FoldPlan(n=n, n_folds=n_folds, seed=seed, assignment=_as_readonly(assignment))
+    return _as_readonly(assignment)
 
 
 # ---------------------------------------------------------------------------

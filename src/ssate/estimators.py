@@ -16,7 +16,6 @@ from .errors import BadFoldCount, BadLevel, DomainViolation, FoldTooSmall, Nonfi
 from .nuisance import (
     LSIF,
     UKL,
-    BasisSpec,
     arms,
     assemble_v_beta,
     fit_density_ratio,
@@ -52,10 +51,6 @@ class NuisanceConfig:
         if self.riesz_mode not in RIESZ_MODES:
             raise ValueError(f"riesz_mode must be one of {RIESZ_MODES}")
 
-    @property
-    def basis(self) -> BasisSpec:
-        return BasisSpec(degree=self.degree)
-
 
 @dataclass
 class EstimateReport:
@@ -75,31 +70,36 @@ class EstimateReport:
 
 def ci(tau_hat: float, se: float, level: float) -> Tuple[float, float]:
     """Normal-approximation interval tau_hat +/- z * se."""
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    z = _quantile(level)
     if not (math.isfinite(tau_hat) and math.isfinite(se)):
         raise NonfiniteValue(f"estimate is not finite: tau_hat {tau_hat}, se {se}")
     if se < 0.0:
         raise ValueError("se must be nonnegative")
-    z = _quantile(level)
     return (tau_hat - z * se, tau_hat + z * se)
 
 
 @functools.lru_cache(maxsize=16)
 def _quantile(level: float) -> float:
-    """Two-sided normal quantile, cached: a scipy call costs tens of microseconds."""
-    return float(norm.ppf(0.5 * (1.0 + level)))
+    """Two-sided normal quantile, cached: a scipy call costs tens of microseconds.
+    Raises BadLevel for a level outside (0, 1), or one so near 1 that
+    0.5 * (1 + level) rounds to 1 and the quantile is infinite."""
+    if not 0.0 < level < 1.0:
+        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    z = float(norm.ppf(0.5 * (1.0 + level)))
+    if not math.isfinite(z):
+        raise BadLevel(f"confidence level {level} is too close to 1: "
+                       "its normal quantile is infinite")
+    return z
 
 
 def check_run_args(n_folds: int, level: float, n: int, beta_star: Optional[float] = None,
                    riesz_mode: str = "mle-g") -> None:
     """Reject a fold count outside 1..n, ``n`` the smallest sample, a level
-    outside (0, 1), or, in a two-sample run (one given a ``beta_star``), a
+    ``ci`` rejects, or, in a two-sample run (one given a ``beta_star``), a
     ``beta_star`` outside [0, 1] or a ``riesz_mode`` other than "mle-g"."""
     if not 1 <= n_folds <= n:
         raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {n_folds}")
-    if not 0.0 < level < 1.0:
-        raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    _quantile(level)
     if beta_star is not None and not 0.0 <= beta_star <= 1.0:
         raise DomainViolation(f"beta_star must lie in [0, 1], got {beta_star}")
     if beta_star is not None and riesz_mode != "mle-g":  # its weights come from fitted e and r
@@ -158,8 +158,8 @@ def _folds(n_folds: int, *samples):
     together; n_folds=1 fits and scores on all rows."""
     if n_folds == 1:
         return [tuple((np.ones(n, dtype=bool),) * 2 for n, _ in samples)]
-    return zip(*([(mask, ~mask) for _, mask in make_fold_plan(n, n_folds, seed).masks()]
-                 for n, seed in samples))
+    return zip(*([(plan == b, plan != b) for b in range(1, n_folds + 1)]
+                 for plan in (make_fold_plan(n, n_folds, seed) for n, seed in samples)))
 
 
 def _fitted(override, fit, diag: dict, key: str):
@@ -173,7 +173,7 @@ def _fitted(override, fit, diag: dict, key: str):
 def _fit_mu(x: np.ndarray, d: np.ndarray, y: np.ndarray, config: NuisanceConfig):
     if not (np.any(d == 1) and np.any(d == 0)):
         raise FoldTooSmall("a fold complement lacks labeled rows in some arm")
-    return fit_outcome_both(x, d, y, basis=config.basis,
+    return fit_outcome_both(x, d, y, degree=config.degree,
                             ridge_lambda=config.ridge_lambda, clip_c=config.clip_c)
 
 
@@ -219,10 +219,10 @@ def _os_fits(train: OneSampleDataset, config: NuisanceConfig, mu_override, g_ove
     mu = mu_override if mu_override is not None else _fit_mu(*train.labeled_arrays(), config)
     if g_override is not None or config.riesz_mode == "mle-g":
         g = _fitted(g_override, lambda: fit_gmodel_mle(
-            train, basis=config.basis, clip_eps=config.clip_eps), diag, "g_converged")
+            train, degree=config.degree, clip_eps=config.clip_eps), diag, "g_converged")
         return mu, functools.partial(_inverse_g, g)
     gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
-    riesz = fit_riesz(train, gen=gen, basis=config.basis)
+    riesz = fit_riesz(train, gen=gen, degree=config.degree)
     diag["riesz_converged"] = riesz.converged
     return mu, riesz.a1_a0
 
@@ -295,8 +295,8 @@ def estimate_ts_eff(
         x, d, y = data.x[cm], data.d[cm], data.y[cm]
         mu = mu_override if mu_override is not None else _fit_mu(x, d, y, config)
         e = _fitted(e_override, lambda: fit_e_model(
-            x, d, basis=config.basis, clip_eps=config.clip_eps), diag, "e_converged")
-        r = _fitted(r_override, lambda: fit_density_ratio(x, data.z[cu], basis=config.basis),
+            x, d, degree=config.degree, clip_eps=config.clip_eps), diag, "e_converged")
+        r = _fitted(r_override, lambda: fit_density_ratio(x, data.z[cu], degree=config.degree),
                     diag, "r_converged")
         v = assemble_v_beta(e, r, beta_star)
         xf = data.x[fm]
@@ -305,6 +305,7 @@ def estimate_ts_eff(
         s_x_lab[fm] = mu1 - mu0
         s_x_unl[fu] = score_ts_x(data.z[fu], mu)
         diagnostics.append(diag)
+        del xf, mu1, mu0  # as in estimate_os_eff, let the fold's arrays go before the next fits
 
     n_total = m + l
     tau = float(

@@ -41,33 +41,23 @@ DEFAULT_R_CLIP = (0.01, 100.0)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BasisSpec:
-    """Feature map: an intercept plus the powers 1..degree of each coordinate."""
+class FittedBasis:
+    """Feature map on k coordinates: an intercept plus the powers 1..degree of each."""
 
-    degree: int = 1
+    degree: int
+    k: int
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
-    def fit(self, x: np.ndarray) -> "FittedBasis":
-        return FittedBasis(spec=self, k=np.atleast_2d(np.asarray(x, dtype=float)).shape[1])
-
-
-@dataclass(frozen=True)
-class FittedBasis:
-    """BasisSpec bound to the covariate dimension k."""
-
-    spec: BasisSpec
-    k: int
-
     @property
     def dim(self) -> int:
-        return 1 + self.k * self.spec.degree
+        return 1 + self.k * self.degree
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        powers = [x**t if t > 1 else x for t in range(1, self.spec.degree + 1)]
+        powers = [x**t if t > 1 else x for t in range(1, self.degree + 1)]
         return np.column_stack([np.ones(x.shape[0])] + powers)
 
 
@@ -138,7 +128,7 @@ def fit_outcome_both(
     x: np.ndarray,
     d: np.ndarray,
     y: np.ndarray,
-    basis: BasisSpec = BasisSpec(),
+    degree: int = 1,
     ridge_lambda: float = 1e-6,
     clip_c: Optional[float] = None,
 ) -> OutcomeModel:
@@ -148,7 +138,7 @@ def fit_outcome_both(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.asarray(d)
     y = np.asarray(y, dtype=float)
-    fb = basis.fit(x)
+    fb = FittedBasis(degree, x.shape[1])
     phi = fb.transform(x)  # row by row, so phi[mask] is the arm's own transform
     coef = {}
     for arm in (1, 0):
@@ -180,29 +170,25 @@ class GModel:
     called as g(d, x) for the clipped joint probability of (o=1, d)."""
 
     basis: FittedBasis
-    weights: np.ndarray  # (3, p); last row pinned at zero
+    # (p, 3), C-contiguous, last column pinned at zero: phi @ a transposed (3, p) array
+    # would hand OpenBLAS a transposed operand, whose threaded kernel can stall
+    # (17-25 ms at 50k rows on 2 vCPUs, against 0.2-0.3 ms)
+    weights: np.ndarray
     clip_eps: float
     converged: bool = True
-
-    @functools.cached_property
-    def _weights_t(self) -> np.ndarray:
-        # phi @ weights.T would hand OpenBLAS a transposed operand, whose threaded
-        # kernel can stall (17-25 ms at 50k rows on 2 vCPUs, against 0.2-0.3 ms);
-        # the contiguous copy gives the same bits
-        return np.ascontiguousarray(self.weights.T)
 
     def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
         return self.arms(x)[0 if d == 1 else 1]
 
     def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        probs = _softmax(self.basis.transform(x) @ self._weights_t)
+        probs = _softmax(self.basis.transform(x) @ self.weights)
         lo, hi = self.clip_eps, 1.0 - self.clip_eps
         return np.clip(probs[:, 0], lo, hi), np.clip(probs[:, 1], lo, hi)
 
 
 def fit_gmodel_mle(
     data: OneSampleDataset,
-    basis: BasisSpec = BasisSpec(),
+    degree: int = 1,
     clip_eps: float = DEFAULT_CLIP_EPS,
 ) -> GModel | EModel:
     """Full-batch multinomial maximum likelihood for the joint class label; with no
@@ -213,13 +199,13 @@ def fit_gmodel_mle(
         missing = [("(o=1,d=1)", "(o=1,d=0)", "(o=0)")[c] for c in range(3) if counts[c] == 0]
         raise ClassAbsent(f"class(es) {', '.join(missing)} absent from the sample")
     if counts[2] == 0:
-        return fit_e_model(data.x, data.d, basis, clip_eps)
-    fb = basis.fit(data.x)
+        return fit_e_model(data.x, data.d, degree, clip_eps)
+    fb = FittedBasis(degree, data.k)
     phi = fb.transform(data.x)
     n, p = phi.shape
     onehot = labels[:, None] == np.arange(2)  # the two free classes, subtracted as 1.0 or 0.0
     labels = labels.astype(np.int8)  # lives through every Hessian below, so one byte a row
-    wt = np.zeros((p, 3))  # GModel.weights.T, contiguous; last column pinned at zero
+    wt = np.zeros((p, 3))  # GModel.weights; last column pinned at zero
 
     def nll_grad_hess(w_free: np.ndarray):
         wt[:, :2] = w_free.reshape(2, p).T
@@ -239,8 +225,8 @@ def fit_gmodel_mle(
         return -ll / n, grad, hess
 
     res = minimize_newton(nll_grad_hess, np.zeros(2 * p))
-    weights = np.vstack([res.x.reshape(2, p), np.zeros(p)])
-    return GModel(basis=fb, weights=weights, clip_eps=clip_eps, converged=res.converged)
+    wt[:, :2] = res.x.reshape(2, p).T  # the last point evaluated may be a rejected trial
+    return GModel(basis=fb, weights=wt, clip_eps=clip_eps, converged=res.converged)
 
 
 @dataclass
@@ -279,14 +265,14 @@ def _fit_logistic(phi: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, bool
 def fit_e_model(
     x: np.ndarray,
     d: np.ndarray,
-    basis: BasisSpec = BasisSpec(),
+    degree: int = 1,
     clip_eps: float = DEFAULT_CLIP_EPS,
 ) -> EModel:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.asarray(d)
     if not (np.any(d == 1) and np.any(d == 0)):
         raise ClassAbsent("both treatment arms must be present")
-    fb = basis.fit(x)
+    fb = FittedBasis(degree, x.shape[1])
     weights, converged = _fit_logistic(fb.transform(x), (d == 1).astype(float))
     return EModel(basis=fb, weights=weights, clip_eps=clip_eps, converged=converged)
 
@@ -311,13 +297,13 @@ class DensityRatioModel:
 def fit_density_ratio(
     labeled_x: np.ndarray,
     unlabeled_z: np.ndarray,
-    basis: BasisSpec = BasisSpec(),
+    degree: int = 1,
 ) -> DensityRatioModel:
     labeled_x = np.atleast_2d(np.asarray(labeled_x, dtype=float))
     unlabeled_z = np.atleast_2d(np.asarray(unlabeled_z, dtype=float))
     pooled = np.vstack([labeled_x, unlabeled_z])
     source = np.concatenate([np.ones(len(labeled_x)), np.zeros(len(unlabeled_z))])
-    fb = basis.fit(pooled)
+    fb = FittedBasis(degree, pooled.shape[1])
     weights, converged = _fit_logistic(fb.transform(pooled), source)
     return DensityRatioModel(
         basis=fb,
@@ -494,7 +480,7 @@ _CONSISTENT_RTOL = math.sqrt(np.finfo(float).eps)
 def fit_riesz(
     data: OneSampleDataset,
     gen: BregmanGenerator = LSIF,
-    basis: BasisSpec = BasisSpec(),
+    degree: int = 1,
     residuals: Optional[np.ndarray] = None,
 ) -> RieszModel:
     """Minimize the empirical divergence exactly, one arm at a time.
@@ -513,7 +499,7 @@ def fit_riesz(
     """
     if data.n_labeled < 1:
         raise InsufficientArmData("representer fitting needs at least one labeled row")
-    fb = basis.fit(data.x)
+    fb = FittedBasis(degree, data.k)
     p = fb.dim
     thetas, converged = [], True
     objectives = _riesz_arm_objectives(data, gen, fb, residuals)
@@ -579,7 +565,7 @@ def ddml_iterate(
     data: OneSampleDataset,
     n_steps: int,
     gen: BregmanGenerator = LSIF,
-    basis: BasisSpec = BasisSpec(),
+    degree: int = 1,
     ridge_lambda: float = 1e-6,
     clip_c: Optional[float] = None,
 ) -> Tuple[OutcomeModel, RieszModel, list]:
@@ -591,12 +577,12 @@ def ddml_iterate(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     xl, dl, yl = data.labeled_arrays()
-    mu = fit_outcome_both(xl, dl, yl, basis=basis, ridge_lambda=ridge_lambda, clip_c=clip_c)
+    mu = fit_outcome_both(xl, dl, yl, degree=degree, ridge_lambda=ridge_lambda, clip_c=clip_c)
     alpha = None
     trace = []
     for _ in range(n_steps):
         res = yl - mu.predict_rows(dl, xl)
-        alpha = fit_riesz(data, gen, basis, residuals=res)
+        alpha = fit_riesz(data, gen, degree, residuals=res)
         mu = tmle_fluctuate(mu, alpha, xl, dl, yl)
         av = np.where(dl == 1, *alpha.a1_a0(xl))
         score = float(np.sum(av * (yl - mu.predict_rows(dl, xl)))) / data.n

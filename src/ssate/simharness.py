@@ -128,13 +128,13 @@ _ESTIMATORS = {
     "os-ipw": _Estimator(
         "one-sample", ("g_override",),
         lambda c, data, seed, g_override=None: estimate_os_ipw(
-            data, fit_gmodel_mle(data, basis=c.nuisance.basis, clip_eps=c.nuisance.clip_eps)
+            data, fit_gmodel_mle(data, degree=c.nuisance.degree, clip_eps=c.nuisance.clip_eps)
             if g_override is None else g_override, level=c.level),
         lambda c: oracle.bound_v_ipw(c.dgp)),
     "os-ra": _Estimator(
         "one-sample", ("mu_override",),
         lambda c, data, seed, mu_override=None: estimate_os_ra(
-            data, fit_outcome_both(*data.labeled_arrays(), basis=c.nuisance.basis,
+            data, fit_outcome_both(*data.labeled_arrays(), degree=c.nuisance.degree,
                                    ridge_lambda=c.nuisance.ridge_lambda, clip_c=c.nuisance.clip_c)
             if mu_override is None else mu_override, level=c.level),
         lambda c: None),

@@ -12,7 +12,7 @@ import pytest
 from ssate import (
     LSIF,
     UKL,
-    BasisSpec,
+    FittedBasis,
     McConfig,
     Misspec,
     RieszModel,
@@ -104,7 +104,7 @@ def test_criterion_06_riesz_oracle_equivalence(d1):
 
 def test_criterion_07_gradient_checks(d1):
     data = sample_one(d1, 400, 43)
-    basis = BasisSpec().fit(data.x)
+    basis = FittedBasis(1, data.k)
     rng = np.random.default_rng(44)
     residuals = rng.uniform(0.3, 2.0, size=data.n_labeled)
     checked = 0

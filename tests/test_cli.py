@@ -228,6 +228,13 @@ class TestConfigErrors:
         assert main(["estimate-os", "--input", str(files["os"])] + flags) == 2
         assert "estimation failed" not in capsys.readouterr().err
 
+    def test_level_with_infinite_quantile_exit_2(self, files, capsys):
+        # 0.5 * (1 + level) rounds to 1.0, so the interval would be (-inf, inf)
+        argv = ["estimate-os", "--input", str(files["os"]), "--level", "0.9999999999999999"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("estimate-os: confidence level 0.9999999999999999 "
+                                           "is too close to 1: its normal quantile is infinite\n")
+
     @pytest.mark.parametrize("flags", [["--level", "1.5"], ["--folds", "301"],
                                        ["--degree", "0"], ["--beta-star", "1.5"]])
     def test_bad_two_sample_flag_exit_2(self, files, flags):
@@ -296,6 +303,9 @@ class TestConfigErrors:
         ({"threads": -3}, "threads must be >= 1, got -3"),
         ({"study": "infinite-unlabeled", "ratio": 10},
          "an infinite-unlabeled study needs an 'n_labeled'"),
+        # 0.5 * (1 + level) rounds to 1.0, so the normal quantile is infinite
+        ({"level": 0.9999999999999999},
+         "confidence level 0.9999999999999999 is too close to 1: its normal quantile is infinite"),
     ])
     def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, message, capsys):
         assert main(["simulate", "--config", str(simulate_config(tmp_path, extra))]) == 2

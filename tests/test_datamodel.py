@@ -132,12 +132,12 @@ class TestValidateTwoSample:
 class TestFoldPlan:
     def test_equal_sizes(self):
         plan = make_fold_plan(10, 2, seed=7)
-        sizes = [len(plan.indices(b)) for b in (1, 2)]
+        sizes = [len(np.flatnonzero(plan == b)) for b in (1, 2)]
         assert sizes == [5, 5]
 
     def test_near_equal_sizes(self):
         plan = make_fold_plan(7, 3, seed=1)
-        sizes = sorted(len(plan.indices(b)) for b in (1, 2, 3))
+        sizes = sorted(len(np.flatnonzero(plan == b)) for b in (1, 2, 3))
         assert sizes == [2, 2, 3]
 
     def test_bad_fold_count(self):
@@ -149,7 +149,12 @@ class TestFoldPlan:
     def test_deterministic(self):
         a = make_fold_plan(31, 4, seed=9)
         b = make_fold_plan(31, 4, seed=9)
-        assert np.array_equal(a.assignment, b.assignment)
+        assert np.array_equal(a, b)
+
+    def test_read_only(self):
+        plan = make_fold_plan(10, 2, seed=7)
+        with pytest.raises(ValueError):
+            plan[0] = 2
 
     @given(
         n=st.integers(min_value=2, max_value=200),
@@ -161,9 +166,9 @@ class TestFoldPlan:
         if n_folds > n:
             n_folds = n
         plan = make_fold_plan(n, n_folds, seed)
-        all_idx = np.concatenate([plan.indices(b) for b in range(1, n_folds + 1)])
+        all_idx = np.concatenate([np.flatnonzero(plan == b) for b in range(1, n_folds + 1)])
         assert sorted(all_idx.tolist()) == list(range(n))
-        sizes = [len(plan.indices(b)) for b in range(1, n_folds + 1)]
+        sizes = [len(np.flatnonzero(plan == b)) for b in range(1, n_folds + 1)]
         assert max(sizes) - min(sizes) <= 1
 
 

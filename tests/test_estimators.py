@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ssate import (
-    BasisSpec,
     GModel,
     OneSampleDataset,
     ci,
@@ -22,16 +21,16 @@ from conftest import gaussian_k3, random_one_sample, random_two_sample, traced_p
 
 
 def const_model(x, m1, m0, clip_c=1e6):
-    basis = BasisSpec().fit(x)
+    basis = FittedBasis(1, x.shape[1])
     return OutcomeModel(basis=basis,
                         coef={1: np.array([m1, 0.0]), 0: np.array([m0, 0.0])}, clip_c=clip_c)
 
 
 def const_gmodel(x, g1, g0):
     # intercept-only multinomial weights reproducing exact class probabilities
-    basis = BasisSpec().fit(x)
+    basis = FittedBasis(1, x.shape[1])
     rest = 1.0 - g1 - g0
-    w = np.array([[np.log(g1 / rest), 0.0], [np.log(g0 / rest), 0.0], [0.0, 0.0]])
+    w = np.array([[np.log(g1 / rest), np.log(g0 / rest), 0.0], [0.0, 0.0, 0.0]])
     return GModel(basis=basis, weights=w, clip_eps=1e-6)
 
 
@@ -47,6 +46,9 @@ class TestCi:
     def test_bad_level(self, d1):
         with pytest.raises(BadLevel):
             ci(0.0, 1.0, 1.5)
+        # 0.5 * (1 + level) rounds to 1.0, so the quantile would be infinite
+        with pytest.raises(BadLevel, match="0.9999999999999999"):
+            ci(0.0, 1.0, 0.9999999999999999)
         # the efficient estimators check their run arguments before any fitting
         data = sample_one(d1, 100, 1)
         with pytest.raises(BadLevel):
@@ -181,6 +183,13 @@ class TestOsEff:
         # predictions kept into the next fold's fits (2.7 MiB more) would pass 8 MiB
         data = sample_one(gaussian_k3(), 100_000, 9)
         assert traced_peak(lambda: estimate_os_eff(data)) < 8
+
+
+def test_ts_peak_memory():
+    # the peak, 8.3 MiB, is in a fold's density-ratio fit; the previous fold's
+    # covariates and predictions kept into it (0.95 MiB more) would pass 8.75 MiB
+    data = sample_two(gaussian_k3(), 50_000, 50_000, 9)
+    assert traced_peak(lambda: estimate_ts_eff(data, beta_star=0.5)) < 8.75
 
 
 def test_ts_rejects_riesz_mode(d2_sample_2k):

@@ -4,7 +4,6 @@ import pytest
 from ssate import (
     LSIF,
     UKL,
-    BasisSpec,
     BregmanGenerator,
     GModel,
     OutcomeModel,
@@ -30,19 +29,24 @@ from ssate.errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from ssate.nuisance import _riesz_arm_objectives, riesz_loss_grad
+from ssate.nuisance import FittedBasis, _riesz_arm_objectives, riesz_loss_grad
 from ssate.optimize import OptimizerConfig, minimize_gd, minimize_newton
 
 from conftest import gaussian_k3, random_one_sample, traced_peak
 
 
 def zero_outcome_model(x):
-    basis = BasisSpec().fit(x)
+    basis = FittedBasis(1, x.shape[1])
     p = basis.dim
     return OutcomeModel(basis=basis, coef={1: np.zeros(p), 0: np.zeros(p)}, clip_c=1e6)
 
 
 class TestFitOutcome:
+    def test_degree_below_one(self):
+        x, d, y = np.zeros((4, 1)), np.array([1, 1, 0, 0]), np.zeros(4)
+        with pytest.raises(ValueError, match="degree"):
+            fit_outcome_both(x, d, y, degree=0)
+
     def test_interpolation(self):
         x = np.array([[0.0], [1.0]])
         d = np.array([1, 1])
@@ -113,9 +117,9 @@ class TestGModel:
         assert np.allclose(g(0, grid), 0.25, atol=0.03)
 
     def test_clamp(self):
-        basis = BasisSpec().fit(np.zeros((1, 1)))
+        basis = FittedBasis(1, 1)
         # weights force a tiny raw probability for class (o=1, d=1)
-        weights = np.array([[-10.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        weights = np.array([[-10.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         g = GModel(basis=basis, weights=weights, clip_eps=0.05)
         assert np.allclose(g(1, np.zeros((1, 1))), 0.05)
 
@@ -148,7 +152,7 @@ class TestRieszLoss:
     def test_hand_example_lsif(self):
         x = np.array([[0.0]])
         data = OneSampleDataset.from_arrays(x, [1], [1], [0.0])
-        basis = BasisSpec().fit(x)
+        basis = FittedBasis(1, x.shape[1])
         model = RieszModel(generator=LSIF, basis=basis,
                            theta1=np.array([4.0, 0.0]), theta0=np.array([-4.0, 0.0]))
         # -2 * (4 - (-4)) + 16 = 0
@@ -156,7 +160,7 @@ class TestRieszLoss:
 
     def test_zero_model(self, d1):
         data = sample_one(d1, 100, 7)
-        basis = BasisSpec().fit(data.x)
+        basis = FittedBasis(1, data.k)
         model = RieszModel(generator=LSIF, basis=basis,
                            theta1=np.zeros(2), theta0=np.zeros(2))
         assert riesz_loss(model, data) == 0.0
@@ -167,7 +171,7 @@ class TestRieszLoss:
         x = np.array([[0.0], [0.0]])
         lab = OneSampleDataset.from_arrays(x[:1], [1], [1], [0.0])
         both = OneSampleDataset.from_arrays(x, [1, 0], [1, 0], [0.0, 0.0])
-        basis = BasisSpec().fit(x[:1])
+        basis = FittedBasis(1, x.shape[1])
         model = RieszModel(generator=LSIF, basis=basis,
                            theta1=np.array([3.0, 0.0]), theta0=np.array([0.0, 0.0]))
         loss_lab = riesz_loss(model, lab)     # (-6 + 9) / 1
@@ -178,7 +182,7 @@ class TestRieszLoss:
     @pytest.mark.parametrize("gen", [LSIF, UKL])
     def test_gradient_matches_finite_differences(self, gen, d1):
         data = sample_one(d1, 300, 8)
-        basis = BasisSpec().fit(data.x)
+        basis = FittedBasis(1, data.k)
         rng = np.random.default_rng(9)
         residuals = rng.uniform(0.5, 2.0, size=data.n_labeled)
         for weighted in (False, True):
@@ -274,7 +278,7 @@ class TestFitRiesz:
         # but the moment lies in their range and a1, a0 stay unique
         data = sample_one(d1, 400, 28)
         linear = fit_riesz(data, gen=gen)
-        quadratic = fit_riesz(data, gen=gen, basis=BasisSpec(degree=2))
+        quadratic = fit_riesz(data, gen=gen, degree=2)
         assert quadratic.converged
         assert np.allclose(quadratic.a1(data.x), linear.a1(data.x), rtol=0, atol=1e-9)
         assert np.allclose(quadratic.a0(data.x), linear.a0(data.x), rtol=0, atol=1e-9)
@@ -327,7 +331,7 @@ class TestMinimizeNewton:
         # on this arm the last Newton step's predicted decrease is below
         # the loss's round-off while the gradient norm is ~1e-8
         data = random_one_sample(np.random.default_rng(35), n=300)
-        fun_grad_hess = _riesz_arm_objectives(data, UKL, BasisSpec().fit(data.x))[1]
+        fun_grad_hess = _riesz_arm_objectives(data, UKL, FittedBasis(1, data.k))[1]
         res = minimize_newton(fun_grad_hess, np.zeros(2))
         assert res.converged
         assert res.n_iter < 20
@@ -467,7 +471,7 @@ class TestDensityRatio:
     def test_trivial_classifier_exact_one(self):
         from ssate.nuisance import DensityRatioModel
 
-        basis = BasisSpec().fit(np.zeros((1, 1)))
+        basis = FittedBasis(1, 1)
         m = DensityRatioModel(basis=basis, weights=np.zeros(2),
                               prior_correction=1.0, clip=(0.01, 100.0))
         assert np.allclose(m(np.array([[5.0]])), 1.0)
@@ -475,7 +479,7 @@ class TestDensityRatio:
     def test_clip(self):
         from ssate.nuisance import DensityRatioModel
 
-        basis = BasisSpec().fit(np.zeros((1, 1)))
+        basis = FittedBasis(1, 1)
         m = DensityRatioModel(basis=basis, weights=np.array([0.0, 10.0]),
                               prior_correction=1.0, clip=(0.5, 2.0))
         vals = m(np.array([[-5.0], [5.0]]))
@@ -536,7 +540,7 @@ class TestArms:
 
     def models(self, data):
         xl, dl, yl = data.labeled_arrays()
-        mu = fit_outcome_both(xl, dl, yl, basis=BasisSpec(degree=2))
+        mu = fit_outcome_both(xl, dl, yl, degree=2)
         fluctuated = mu
         for gen in (LSIF, UKL):
             fluctuated = tmle_fluctuate(fluctuated, fit_riesz(data, gen=gen), xl, dl, yl)
@@ -575,7 +579,7 @@ class TestArms:
 
     @pytest.mark.parametrize("gen", [LSIF, UKL], ids=["LSIF", "UKL"])
     def test_riesz_pair(self, continuous, gen):
-        model = fit_riesz(continuous, gen=gen, basis=BasisSpec(degree=2))
+        model = fit_riesz(continuous, gen=gen, degree=2)
         a1, a0 = model.a1_a0(continuous.x)
         assert same_bits(a1, model.a1(continuous.x))
         assert same_bits(a0, model.a0(continuous.x))
