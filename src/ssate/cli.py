@@ -177,7 +177,7 @@ def cmd_estimate_os(cfg: dict):
         raise SsateError("an input CSV is required (--input)")
     data = read_one_sample_csv(cfg["input"])
     nuisance = _nuisance_from(cfg)
-    check_run_args(cfg["folds"], cfg["level"], data.n)
+    check_run_args(cfg["folds"], cfg["level"], data.n, cfg["seed"])
     return lambda: estimate_os_eff(data, n_folds=cfg["folds"], seed=cfg["seed"],
                                    config=nuisance, level=cfg["level"]).to_dict()
 
@@ -191,7 +191,8 @@ def cmd_estimate_ts(cfg: dict):
     data = read_two_sample_csv(cfg["labeled"], cfg["unlabeled"])
     nuisance = _nuisance_from(cfg)
     beta = cfg["beta-star"]
-    check_run_args(cfg["folds"], cfg["level"], min(data.m, data.l), beta, nuisance.riesz_mode)
+    check_run_args(cfg["folds"], cfg["level"], min(data.m, data.l), cfg["seed"], beta,
+                   nuisance.riesz_mode)
     return lambda: estimate_ts_eff(data, beta_star=beta, n_folds=cfg["folds"], seed=cfg["seed"],
                                    config=nuisance, level=cfg["level"]).to_dict()
 

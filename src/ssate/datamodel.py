@@ -352,11 +352,15 @@ def read_one_sample_csv(path) -> OneSampleDataset:
 
 def write_one_sample_csv(data: OneSampleDataset, path) -> None:
     def columns(rows):
-        lab = (data.o[rows] == 1).tolist()
-        return [*map(_floats, data.x[rows].T),
-                ["1" if oi else "0" for oi in lab],
-                [s if oi else MISSING_TOKEN for s, oi in zip(map(str, data.d[rows].tolist()), lab)],
-                [s if oi else MISSING_TOKEN for s, oi in zip(_floats(data.y[rows]), lab)]]
+        o = data.o[rows] == 1
+        lab = o.tolist()
+
+        def labeled(strings):  # the labeled rows' strings in order, NA in the others
+            it = iter(strings)
+            return [next(it) if oi else MISSING_TOKEN for oi in lab]
+
+        return [*map(_floats, data.x[rows].T), ["1" if oi else "0" for oi in lab],
+                labeled(map(str, data.d[rows][o].tolist())), labeled(_floats(data.y[rows][o]))]
 
     _write(path, data.k, ("o", "d", "y"), data.n, columns)
 

@@ -92,14 +92,17 @@ def _quantile(level: float) -> float:
     return z
 
 
-def check_run_args(n_folds: int, level: float, n: int, beta_star: Optional[float] = None,
-                   riesz_mode: str = "mle-g") -> None:
+def check_run_args(n_folds: int, level: float, n: int, seed: int,
+                   beta_star: Optional[float] = None, riesz_mode: str = "mle-g") -> None:
     """Reject a fold count outside 1..n, ``n`` the smallest sample, a level
-    ``ci`` rejects, or, in a two-sample run (one given a ``beta_star``), a
-    ``beta_star`` outside [0, 1] or a ``riesz_mode`` other than "mle-g"."""
+    ``ci`` rejects, a negative seed, which no random generator takes, or, in a
+    two-sample run (one given a ``beta_star``), a ``beta_star`` outside [0, 1]
+    or a ``riesz_mode`` other than "mle-g"."""
     if not 1 <= n_folds <= n:
         raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {n_folds}")
     _quantile(level)
+    if seed < 0:
+        raise DomainViolation(f"seed must be >= 0, got {seed}")
     if beta_star is not None and not 0.0 <= beta_star <= 1.0:
         raise DomainViolation(f"beta_star must lie in [0, 1], got {beta_star}")
     if beta_star is not None and riesz_mode != "mle-g":  # its weights come from fitted e and r
@@ -197,7 +200,7 @@ def estimate_os_eff(
     representer (least-squares or KL generator). Overrides replace the
     corresponding fitted nuisance with a fixed function of (d, x).
     """
-    check_run_args(n_folds, level, data.n)
+    check_run_args(n_folds, level, data.n, seed)
     scores = np.empty(data.n)
     diagnostics = []
     for ((fold, comp),) in _folds(n_folds, (data.n, seed)):
@@ -286,7 +289,7 @@ def estimate_ts_eff(
     Only ``riesz_mode`` "mle-g" applies: the weights come from fitted e and r.
     """
     m, l = data.m, data.l
-    check_run_args(n_folds, level, min(m, l), beta_star, config.riesz_mode)
+    check_run_args(n_folds, level, min(m, l), seed, beta_star, config.riesz_mode)
     seed_m, seed_l = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     s_xdy, s_x_lab, s_x_unl = np.empty(m), np.empty(m), np.empty(l)
     diagnostics = []

@@ -43,8 +43,56 @@ def _check_prob(name: str, p: np.ndarray):
 # DGP families
 # ---------------------------------------------------------------------------
 
+class _Dgp:
+    """What every DGP family derives the same way from its own laws. A family states its
+    spec name ``family``, k, ``has_pi``, ``has_q``, ``q_vanishes``, ``_law_fields`` and, for a
+    law "p" or "q", ``_node_blocks`` and ``_pdf``; then mu, sigma2, ``_e1``, ``_pi``, sample_x."""
+
+    def _law(self, law: str) -> list:
+        """The fields that give covariate law ``law``, "p" or "q"."""
+        if law == "q" and not self.has_q:
+            raise DomainViolation("DGP has no unlabeled covariate law q0")
+        return [getattr(self, name) for name in self._law_fields[law]]
+
+    def _nodes(self, law: str) -> Tuple[np.ndarray, np.ndarray]:
+        blocks, w = self._node_blocks(law)
+        return np.concatenate(list(blocks)), w
+
+    def nodes_p(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._nodes("p")
+
+    def nodes_q(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._nodes("q")
+
+    def p_pdf(self, x: np.ndarray) -> np.ndarray:
+        return self._pdf("p", x)
+
+    def q_pdf(self, x: np.ndarray) -> np.ndarray:
+        return self._pdf("q", x)
+
+    def e(self, d: int, x: np.ndarray) -> np.ndarray:
+        e1 = self._e1(x)
+        return e1 if d == 1 else 1.0 - e1
+
+    def pi(self, x: np.ndarray) -> np.ndarray:
+        if not self.has_pi:
+            raise DomainViolation("DGP has no observation probability pi0")
+        return self._pi(x)
+
+    def g(self, d: int, x: np.ndarray) -> np.ndarray:
+        return self.pi(x) * self.e(d, x)
+
+    def _draw_laws(self, x: np.ndarray, with_pi: bool):
+        """Yield, for the samplers, pi(x) when ``with_pi``, then e(1, x), mu(1, x),
+        mu(0, x), sigma2(1, x) and sigma2(0, x), each computed when it is drawn."""
+        if with_pi:
+            yield self.pi(x)
+        for law, d in ((self.e, 1), (self.mu, 1), (self.mu, 0), (self.sigma2, 1), (self.sigma2, 0)):
+            yield law(d, x)
+
+
 @dataclass(frozen=True)
-class DiscreteXDgp:
+class DiscreteXDgp(_Dgp):
     """Finite-support covariate DGP with tabulated nuisances.
 
     ``q`` is the unlabeled covariate law of the two-sample scenario;
@@ -67,6 +115,7 @@ class DiscreteXDgp:
     has_q = property(lambda self: self.q is not None)
     # whether q0 is 0 where p0 > 0: at a support point with no q mass
     q_vanishes = property(lambda self: self.q is not None and bool(np.any(self.q == 0.0)))
+    _law_fields = {"p": ("p",), "q": ("q",)}  # the masses on the support points
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
@@ -102,23 +151,11 @@ class DiscreteXDgp:
             raise DomainViolation(f"covariate {bad} is not a support point of the DGP")
         return out
 
-    def nodes_p(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.xs, self.p
-
-    def nodes_q(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.q is None:
-            raise DomainViolation("DGP has no unlabeled covariate law q0")
-        return self.xs, self.q
-
     def _node_blocks(self, law: str):  # the support points are one block
-        x, w = self.nodes_p() if law == "p" else self.nodes_q()
-        return [x], w
+        return [self.xs], self._law(law)[0]
 
-    def p_pdf(self, x: np.ndarray) -> np.ndarray:
-        return self.p[self._lookup(x)]
-
-    def q_pdf(self, x: np.ndarray) -> np.ndarray:
-        return self.nodes_q()[1][self._lookup(x)]
+    def _pdf(self, law: str, x: np.ndarray) -> np.ndarray:
+        return self._law(law)[0][self._lookup(x)]
 
     def mu(self, d: int, x: np.ndarray) -> np.ndarray:
         return (self.mu1 if d == 1 else self.mu0)[self._lookup(x)]
@@ -126,22 +163,14 @@ class DiscreteXDgp:
     def sigma2(self, d: int, x: np.ndarray) -> np.ndarray:
         return (self.s2_1 if d == 1 else self.s2_0)[self._lookup(x)]
 
-    def e(self, d: int, x: np.ndarray) -> np.ndarray:
-        e1 = self.e1[self._lookup(x)]
-        return e1 if d == 1 else 1.0 - e1
+    def _e1(self, x: np.ndarray) -> np.ndarray:
+        return self.e1[self._lookup(x)]
 
-    def pi(self, x: np.ndarray) -> np.ndarray:
-        if self.pi1 is None:
-            raise DomainViolation("DGP has no observation probability pi0")
+    def _pi(self, x: np.ndarray) -> np.ndarray:
         return self.pi1[self._lookup(x)]
 
-    def g(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self.pi(x) * self.e(d, x)
-
     def _draw_laws(self, x: np.ndarray, with_pi: bool):
-        """Yield, for the samplers, pi(x) when ``with_pi``, then e(1, x),
-        mu(1, x), mu(0, x), sigma2(1, x) and sigma2(0, x), all from one
-        support lookup. ``pi`` on the support points raises without pi1."""
+        """As ``_Dgp._draw_laws``, all from one support lookup (``pi`` raises without pi1)."""
         s = self._lookup(x)
         if with_pi:
             yield self.pi(self.xs)[s]
@@ -149,12 +178,12 @@ class DiscreteXDgp:
             yield table[s]
 
     def sample_x(self, rng: np.random.Generator, n: int, law: str = "p") -> np.ndarray:
-        masses = self.p if law == "p" else self.nodes_q()[1]
+        masses = self._law(law)[0]
         return self.xs[rng.choice(len(masses), size=n, p=masses)]
 
 
 @dataclass(frozen=True)
-class GaussianLinearDgp:
+class GaussianLinearDgp(_Dgp):
     """Gaussian covariates (diagonal covariance), linear outcome means,
     constant conditional variances, logistic observation/treatment models.
     Coefficient vectors are intercept-first of length k + 1.
@@ -175,6 +204,7 @@ class GaussianLinearDgp:
     has_pi = property(lambda self: self.pi_coef is not None)  # the optional laws it carries
     has_q = property(lambda self: self.q_mean is not None)
     q_vanishes = False  # a normal q0 is positive everywhere
+    _law_fields = {"p": ("p_mean", "p_var"), "q": ("q_mean", "q_var")}
 
     def __post_init__(self):
         k = np.size(self.p_mean)
@@ -204,7 +234,7 @@ class GaussianLinearDgp:
     def _node_blocks(self, law: str):
         """Law "p" or "q"'s tensor nodes in blocks of whole leading-axis slices (at most
         ``_NODE_BLOCK`` nodes, or one slice), and all weights as products ((1*w0)*w1)*w2."""
-        mean, var = (self.p_mean, self.p_var) if law == "p" else self._q_law()
+        mean, var = self._law(law)
         t, w = np.polynomial.hermite.hermgauss(_GH_NODES)
         axes = [mean[j] + np.sqrt(2.0 * var[j]) * t for j in range(self.k)]
         step = max(1, _NODE_BLOCK // _GH_NODES ** (self.k - 1))
@@ -212,29 +242,11 @@ class GaussianLinearDgp:
                   .reshape(-1, self.k) for i in range(0, _GH_NODES, step))
         return blocks, reduce(np.multiply.outer, [w / np.sqrt(np.pi)] * self.k, 1.0).ravel()
 
-    def nodes_p(self) -> Tuple[np.ndarray, np.ndarray]:
-        blocks, w = self._node_blocks("p")
-        return np.concatenate(list(blocks)), w
-
-    def _q_law(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.q_mean is None:
-            raise DomainViolation("DGP has no unlabeled covariate law q0")
-        return self.q_mean, self.q_var
-
-    def nodes_q(self) -> Tuple[np.ndarray, np.ndarray]:
-        blocks, w = self._node_blocks("q")
-        return np.concatenate(list(blocks)), w
-
-    def _normal_pdf(self, x, mean, var):
+    def _pdf(self, law: str, x: np.ndarray) -> np.ndarray:
+        mean, var = self._law(law)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         z = (x - mean) ** 2 / var
         return np.exp(-0.5 * z.sum(axis=1)) / np.sqrt(np.prod(2.0 * np.pi * var))
-
-    def p_pdf(self, x: np.ndarray) -> np.ndarray:
-        return self._normal_pdf(x, self.p_mean, self.p_var)
-
-    def q_pdf(self, x: np.ndarray) -> np.ndarray:
-        return self._normal_pdf(x, *self._q_law())
 
     def mu(self, d: int, x: np.ndarray) -> np.ndarray:
         return self._aug(x) @ (self.mu1_coef if d == 1 else self.mu0_coef)
@@ -243,27 +255,14 @@ class GaussianLinearDgp:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.full(len(x), self.s2_1 if d == 1 else self.s2_0)
 
-    def e(self, d: int, x: np.ndarray) -> np.ndarray:
-        e1 = 1.0 / (1.0 + np.exp(-(self._aug(x) @ self.e_coef)))
-        return e1 if d == 1 else 1.0 - e1
+    def _e1(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-(self._aug(x) @ self.e_coef)))
 
-    def pi(self, x: np.ndarray) -> np.ndarray:
-        if self.pi_coef is None:
-            raise DomainViolation("DGP has no observation probability pi0")
+    def _pi(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(self._aug(x) @ self.pi_coef)))
 
-    def g(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self.pi(x) * self.e(d, x)
-
-    def _draw_laws(self, x: np.ndarray, with_pi: bool):
-        """As ``DiscreteXDgp._draw_laws``, each law computed when it is drawn."""
-        if with_pi:
-            yield self.pi(x)
-        for law, d in ((self.e, 1), (self.mu, 1), (self.mu, 0), (self.sigma2, 1), (self.sigma2, 0)):
-            yield law(d, x)
-
     def sample_x(self, rng: np.random.Generator, n: int, law: str = "p") -> np.ndarray:
-        mean, var = (self.p_mean, self.p_var) if law == "p" else self._q_law()
+        mean, var = self._law(law)
         return mean + rng.standard_normal((n, self.k)) * np.sqrt(var)
 
 
@@ -439,7 +438,7 @@ def brute_force_riesz(
     exact population expectation. Returns arrays (a1_star, a0_star) over
     the support order of the DGP.
     """
-    if dgp.family != "DiscreteX":
+    if not isinstance(dgp, DiscreteXDgp):
         raise DomainViolation("brute-force oracle requires a discrete-covariate DGP")
     n_steps = int(round((grid_hi - grid_lo) / grid_step))
     grid = np.linspace(grid_lo, grid_hi, n_steps + 1)
@@ -491,7 +490,7 @@ def dgp_to_dict(dgp) -> dict:
 def dgp_from_dict(spec: dict):
     if not isinstance(spec, dict):
         raise DomainViolation(f"a DGP spec must be a JSON object, got {type(spec).__name__}")
-    cls = {"DiscreteX": DiscreteXDgp, "GaussianLinear": GaussianLinearDgp}.get(spec.get("family"))
+    cls = {c.family: c for c in _Dgp.__subclasses__()}.get(spec.get("family"))
     if cls is None:
         raise DomainViolation(f"unknown DGP family {spec.get('family')!r}")
     try:

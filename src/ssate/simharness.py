@@ -189,7 +189,7 @@ class McConfig:
                 raise ValueError("two-sample studies need beta_star")
         check_run_args(self.n_folds, self.level,
                        self.n if self.scenario == "one-sample" else min(self.m, self.l),
-                       self.beta_star, self.nuisance.riesz_mode)
+                       self.seed, self.beta_star, self.nuisance.riesz_mode)
 
 
 @dataclass
@@ -235,16 +235,21 @@ def _rep_record(config: McConfig, r: int):
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """``threads``, else SSATE_THREADS, else the CPU count. A count below 1 is a
-    ValueError naming the argument or variable it came from."""
+    """``threads``, else SSATE_THREADS, else the CPU count. A count below 1, or an
+    SSATE_THREADS that is not an integer, is a ValueError naming the argument or
+    variable it came from."""
     source, count = "threads", threads
     if count is None:
         source, count = "SSATE_THREADS", os.environ.get("SSATE_THREADS") or None
     if count is None:
         return os.cpu_count() or 1
-    if int(count) < 1:
+    try:
+        workers = int(count)
+    except ValueError:  # SSATE_THREADS=abc or 1.5
+        raise ValueError(f"{source} must be an integer, got {count!r}") from None
+    if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {count!r}")
-    return int(count)
+    return workers
 
 
 # (worker count, executor): the process's worker pool, reused by run_mc
@@ -370,7 +375,7 @@ def run_infinite_unlabeled_study(
 
     if beta_star is not None:
         raise ValueError("one-sample studies take no beta_star")
-    if dgp.family != "DiscreteX":  # checked before any node grid is built
+    if not isinstance(dgp, oracle.DiscreteXDgp):  # checked before any node grid is built
         raise ValueError("pi-shrinking emulation implemented for discrete DGPs only")
     if not dgp.has_pi:
         raise ValueError("one-sample study needs an observation probability")

@@ -117,6 +117,27 @@ def test_run_py_datamodel_names_exist():
     assert not missing, missing
 
 
+def test_run_py_ssate_names_exist():
+    """Every ``oracle.``, ``simharness.`` and ``estimators.`` attribute that
+    perfbench/run.py uses, and every name it imports from ssate, exists there."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            if owner in ("oracle", "simharness", "estimators"):
+                used.add(("ssate." + owner, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ssate":
+            used.update((node.module, alias.name) for alias in node.names)
+    assert {("ssate.oracle", "dgp_d1"), ("ssate.oracle", "dgp_d2"), ("ssate.oracle", "true_ate"),
+            ("ssate.oracle", "GaussianLinearDgp"), ("ssate.simharness", "McConfig"),
+            ("ssate.simharness", "run_mc"), ("ssate.simharness", "sample_one"),
+            ("ssate.simharness", "sample_two"), ("ssate.estimators", "NuisanceConfig")} <= used
+    missing = sorted(f"{module}.{name}" for module, name in used
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing, missing
+
+
 def test_traced_cli_reads_through_datamodel(spans, tmp_path):
     path = tmp_path / "os.csv"
     write_one_sample_csv(sample_one(dgp_d1(), 300, 1), path)

@@ -223,7 +223,8 @@ class TestConfigErrors:
         path.write_text(json.dumps({"input": str(files["os"]), **cfg}))
         assert main(["estimate-os", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("flags", [["--level", "1.5"], ["--folds", "1000"], ["--folds", "0"]])
+    @pytest.mark.parametrize("flags", [["--level", "1.5"], ["--folds", "1000"], ["--folds", "0"],
+                                       ["--seed", "-1"]])
     def test_bad_flag_exit_2(self, files, flags, capsys):
         assert main(["estimate-os", "--input", str(files["os"])] + flags) == 2
         assert "estimation failed" not in capsys.readouterr().err
@@ -236,7 +237,8 @@ class TestConfigErrors:
                                            "is too close to 1: its normal quantile is infinite\n")
 
     @pytest.mark.parametrize("flags", [["--level", "1.5"], ["--folds", "301"],
-                                       ["--degree", "0"], ["--beta-star", "1.5"]])
+                                       ["--degree", "0"], ["--beta-star", "1.5"],
+                                       ["--seed", "-1"]])
     def test_bad_two_sample_flag_exit_2(self, files, flags):
         argv = ["estimate-ts", "--labeled", str(files["lab"]), "--unlabeled", str(files["unl"]),
                 "--beta-star", "0.5"]
@@ -306,6 +308,10 @@ class TestConfigErrors:
         # 0.5 * (1 + level) rounds to 1.0, so the normal quantile is infinite
         ({"level": 0.9999999999999999},
          "confidence level 0.9999999999999999 is too close to 1: its normal quantile is infinite"),
+        # no seed below 0 is taken, though replication r draws from seed + r, r >= 1
+        ({"seed": -5}, "seed must be >= 0, got -5"),
+        ({"dgp": None}, "the config file must carry an inline 'dgp' spec"),
+        ({"study": "nope"}, "unknown study 'nope'"),
     ])
     def test_simulate_bad_run_config_exit_2(self, tmp_path, extra, message, capsys):
         assert main(["simulate", "--config", str(simulate_config(tmp_path, extra))]) == 2
@@ -313,6 +319,17 @@ class TestConfigErrors:
         assert "replications failed" not in err
         if message is not None:
             assert err == f"simulate: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate-ts", "--unlabeled", "unl.csv", "--beta-star", "0.5"],
+         "labeled and unlabeled CSVs are required"),
+        (["estimate-ts", "--labeled", "lab.csv", "--beta-star", "0.5"],
+         "labeled and unlabeled CSVs are required"),
+        (["bounds", "--alpha", "0.5"], "a DGP spec JSON file is required (--dgp)"),
+    ], ids=["ts-no-labeled", "ts-no-unlabeled", "bounds-no-dgp"])
+    def test_missing_input_file_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{argv[0]}: {message}\n"
 
     @pytest.mark.parametrize("flags, env, message", [
         (["--threads", "0"], "2", "threads must be >= 1, got 0"),

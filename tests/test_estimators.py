@@ -192,6 +192,14 @@ def test_ts_peak_memory():
     assert traced_peak(lambda: estimate_ts_eff(data, beta_star=0.5)) < 8.75
 
 
+def test_negative_seed_rejected_before_any_fit(d1, d2_sample_2k):
+    # no random generator takes a seed below 0; numpy's own error would come from a fold plan
+    with pytest.raises(DomainViolation, match=r"^seed must be >= 0, got -1$"):
+        estimate_os_eff(sample_one(d1, 100, 1), seed=-1)
+    with pytest.raises(DomainViolation, match=r"^seed must be >= 0, got -1$"):
+        estimate_ts_eff(d2_sample_2k, beta_star=0.5, seed=-1)
+
+
 def test_ts_rejects_riesz_mode(d2_sample_2k):
     # the two-sample weights come from fitted e and r; no Riesz mode exists yet
     with pytest.raises(ValueError, match="riesz_mode"):

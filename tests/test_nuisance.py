@@ -366,6 +366,26 @@ class TestMinimizeNewton:
         assert counts["fun"] == res.n_iter + 1  # no rejected line-search trial
         assert counts["hess"] == res.n_iter
 
+    @pytest.mark.parametrize("hess, max_iter, converged", [
+        (lambda x: -1e-12 * np.eye(len(x)), 5000, True),  # plus the ridge, exactly singular
+        (lambda x: -np.eye(len(x)), 5000, True),  # the Newton direction ascends
+        (lambda x: np.diag(np.cosh(x)), 3, False),  # true Newton, stopped by max_iter
+    ], ids=["solve-fails", "not-descent", "max-iter"])
+    def test_exits(self, hess, max_iter, converged):
+        # on sum(cosh(x)) the first two fall back to the gradient, which converges; without
+        # the fallback the first raises LinAlgError and the second stalls in its line search
+        def fun_grad_hess(x):
+            return float(np.sum(np.cosh(x))), np.sinh(x), lambda: hess(x)
+
+        res = minimize_newton(fun_grad_hess, np.array([3.0, -2.0]),
+                              OptimizerConfig(max_iter=max_iter))
+        assert res.converged is converged
+        assert (res.grad_norm <= 1e-8) is converged
+        if converged:
+            assert np.all(np.abs(res.x) <= 1e-8) and res.n_iter < max_iter
+        else:
+            assert res.n_iter == max_iter
+
 
 class TestTmle:
     def test_constant_representer_on_treated(self):

@@ -298,6 +298,12 @@ class TestThreads:
         with pytest.raises(ValueError, match=f"^SSATE_THREADS must be >= 1, got '{count}'$"):
             resolve_threads(None)
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_env_not_an_integer(self, monkeypatch, value):
+        monkeypatch.setenv("SSATE_THREADS", value)
+        with pytest.raises(ValueError, match=f"^SSATE_THREADS must be an integer, got '{value}'$"):
+            resolve_threads(None)
+
 
 def _report(cfg, threads):
     """run_mc's report, or the partial report of a study with too many failures."""
