@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check of counts.
 
 Each error carries a stable ``code`` string so the CLI can report
 machine-readable failure categories.
 """
+
+import numbers
 
 
 class SsateError(ValueError):
@@ -77,3 +79,10 @@ class ReportIncomplete(SsateError):
     def __init__(self, message, partial_report=None):
         super().__init__(message)
         self.partial_report = partial_report
+
+
+def check_integer(name: str, value, error: type = SsateError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer: a fractional
+    count would be truncated or rejected by numpy, in a message that names no setting."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

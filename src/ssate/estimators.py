@@ -12,7 +12,9 @@ import numpy as np
 from scipy.stats import norm
 
 from .datamodel import OneSampleDataset, TwoSampleDataset, make_fold_plan
-from .errors import BadFoldCount, BadLevel, DomainViolation, FoldTooSmall, NonfiniteValue
+from .errors import (
+    BadFoldCount, BadLevel, DomainViolation, FoldTooSmall, NonfiniteValue, check_integer,
+)
 from .nuisance import (
     LSIF,
     UKL,
@@ -94,13 +96,16 @@ def _quantile(level: float) -> float:
 
 def check_run_args(n_folds: int, level: float, n: int, seed: int,
                    beta_star: Optional[float] = None, riesz_mode: str = "mle-g") -> None:
-    """Reject a fold count outside 1..n, ``n`` the smallest sample, a level
-    ``ci`` rejects, a negative seed, which no random generator takes, or, in a
-    two-sample run (one given a ``beta_star``), a ``beta_star`` outside [0, 1]
-    or a ``riesz_mode`` other than "mle-g"."""
+    """Reject a fold count that is not an integer in 1..n, ``n`` the smallest
+    sample, a level ``ci`` rejects, a seed that is not an integer >= 0, which
+    no random generator takes, or, in a two-sample run (one given a
+    ``beta_star``), a ``beta_star`` outside [0, 1] or a ``riesz_mode`` other
+    than "mle-g"."""
+    check_integer("n_folds", n_folds, BadFoldCount)
     if not 1 <= n_folds <= n:
         raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {n_folds}")
     _quantile(level)
+    check_integer("seed", seed, DomainViolation)
     if seed < 0:
         raise DomainViolation(f"seed must be >= 0, got {seed}")
     if beta_star is not None and not 0.0 <= beta_star <= 1.0:

@@ -317,8 +317,14 @@ def _tau_terms(dgp, law: str, **laws):
     return w, tau_x, float(np.sum(w * tau_x)), at
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:  # NaN fails too
+        raise DomainViolation(f"beta must lie in [0, 1], got {beta}")
+
+
 def true_ate(dgp, beta: float = 1.0) -> float:
     """ATE under the evaluation density beta * p0 + (1 - beta) * q0."""
+    _check_beta(beta)
     tau_p = _tau_terms(dgp, "p")[2]
     return tau_p if beta == 1.0 else beta * tau_p + (1.0 - beta) * _tau_terms(dgp, "q")[2]
 
@@ -400,10 +406,12 @@ def bound_v_hahn(dgp) -> float:
 
 
 def bound_v_tilde_ts(dgp, beta: float) -> float:
+    _check_beta(beta)
     return _Terms(dgp, two_sample=True).v_tilde_ts(beta)
 
 
 def bound_v_ts(dgp, beta: float, alpha: float) -> float:
+    _check_beta(beta)
     return _Terms(dgp, two_sample=True, alpha=alpha).v_ts(beta)
 
 
@@ -435,42 +443,31 @@ def brute_force_riesz(
 
     The objective separates across support cells and across arms, so each
     cell's (a1, a0) is an independent one-dimensional grid argmin of the
-    exact population expectation. Returns arrays (a1_star, a0_star) over
+    exact population expectation, taken for all cells at once from one
+    (cells x grid) objective per arm. Returns arrays (a1_star, a0_star) over
     the support order of the DGP.
     """
     if not isinstance(dgp, DiscreteXDgp):
         raise DomainViolation("brute-force oracle requires a discrete-covariate DGP")
     n_steps = int(round((grid_hi - grid_lo) / grid_step))
     grid = np.linspace(grid_lo, grid_hi, n_steps + 1)
-    x = dgp.xs
-    g1 = dgp.g(1, x)
-    g0 = dgp.g(0, x)
-    s = len(g1)
-    a1_star = np.empty(s)
-    a0_star = np.empty(s)
-    for c in range(s):
-        if gen.tag == "LSIF":
-            obj1 = g1[c] * grid**2 - 2.0 * grid
-            obj0 = g0[c] * grid**2 + 2.0 * grid
-        else:
-            obj1 = np.where(grid > 1.0,
-                            g1[c] * (np.log(np.maximum(grid - 1.0, 1e-300)) + grid)
-                            - np.log(np.maximum(grid - 1.0, 1e-300)),
-                            np.inf)
-            obj0 = np.where(grid < -1.0,
-                            g0[c] * (np.log(np.maximum(-grid - 1.0, 1e-300)) - grid)
-                            - np.log(np.maximum(-grid - 1.0, 1e-300)),
-                            np.inf)
-        for obj, out in ((obj1, a1_star), (obj0, a0_star)):
-            finite = np.isfinite(obj)
-            idx = int(np.argmin(np.where(finite, obj, np.inf)))
-            fin_idx = np.nonzero(finite)[0]
-            if idx == fin_idx[0] or idx == fin_idx[-1]:
-                raise GridExcludesMinimum(
-                    f"grid argmin {grid[idx]:g} lies on the grid boundary; widen the grid"
-                )
-            out[c] = grid[idx]
-    return a1_star, a0_star
+    g1, g0 = (dgp.g(d, dgp.xs)[:, None] for d in (1, 0))
+    if gen.tag == "LSIF":
+        objs = (g1 * grid**2 - 2.0 * grid, g0 * grid**2 + 2.0 * grid)
+    else:
+        log1, log0 = np.log(np.maximum(grid - 1.0, 1e-300)), np.log(np.maximum(-grid - 1.0, 1e-300))
+        objs = (np.where(grid > 1.0, g1 * (log1 + grid) - log1, np.inf),
+                np.where(grid < -1.0, g0 * (log0 - grid) - log0, np.inf))
+    stars = []
+    for obj in objs:
+        finite = np.flatnonzero(np.isfinite(obj).all(axis=0))  # the arm's domain on the grid
+        idx = np.argmin(obj, axis=1)
+        edge = idx[~np.isin(idx, finite[1:-1])]  # not strictly inside the finite range
+        if len(edge):
+            raise GridExcludesMinimum(
+                f"grid argmin {grid[edge[0]]:g} lies on the grid boundary; widen the grid")
+        stars.append(grid[idx])
+    return stars[0], stars[1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .datamodel import OneSampleDataset, TwoSampleDataset
-from .errors import DomainViolation, ReportIncomplete, SsateError
+from .errors import DomainViolation, ReportIncomplete, SsateError, check_integer
 from .estimators import (
     NuisanceConfig,
     check_run_args,
@@ -175,6 +175,9 @@ class McConfig:
             raise ValueError(f"hook {self.hook.kind!r} overrides no nuisance of {self.estimator}")
         if "r_override" in overrides and self.dgp.q_vanishes:
             raise DomainViolation(f"hook {self.hook.kind!r} divides by q0, which is 0 where p0 > 0")
+        for name in ("reps", "n", "m", "l"):  # each count, where it is given
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name), ValueError)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.scenario == "one-sample":
@@ -235,14 +238,16 @@ def _rep_record(config: McConfig, r: int):
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """``threads``, else SSATE_THREADS, else the CPU count. A count below 1, or an
-    SSATE_THREADS that is not an integer, is a ValueError naming the argument or
-    variable it came from."""
+    """``threads``, else SSATE_THREADS, else the CPU count. A count that is not an
+    integer, or is below 1, is a ValueError naming the argument or variable it
+    came from."""
     source, count = "threads", threads
     if count is None:
         source, count = "SSATE_THREADS", os.environ.get("SSATE_THREADS") or None
     if count is None:
         return os.cpu_count() or 1
+    if source == "threads":  # int() would truncate 1.5 to one worker
+        check_integer(source, count, ValueError)
     try:
         workers = int(count)
     except ValueError:  # SSATE_THREADS=abc or 1.5
@@ -352,52 +357,38 @@ def run_infinite_unlabeled_study(
     labeled-sample limit bound. One-sample: the observation probability is
     shrunk at fixed expected labeled count, and the variance is normalized
     by n times the shrink factor, whose limit matches the reduced bound of
-    the unshrunk DGP.
+    the unshrunk DGP. ``McConfig`` checks the scenario and the run settings.
     """
-    if scenario not in _SCENARIOS:
-        raise ValueError("scenario must be one-sample or two-sample")
+    check_integer("n_labeled", n_labeled, ValueError)
     if n_labeled < 1:
         raise ValueError("n_labeled must be >= 1")
+    check_integer("ratio", ratio, ValueError)
     if ratio < 10:
         raise ValueError("ratio must be >= 10 for the limit emulation")
+    run = dict(scenario=scenario, reps=reps, n_folds=n_folds, beta_star=beta_star, seed=seed,
+               level=level)
     if scenario == "two-sample":
-        m = n_labeled
-        config = McConfig(
-            dgp=dgp, scenario="two-sample", estimator="ts-eff",
-            m=m, l=ratio * m, reps=reps, n_folds=n_folds,
-            beta_star=beta_star, nuisance=nuisance, seed=seed, level=level,
-        )
-        report = run_mc(config, threads=threads)
-        n_total = m + ratio * m
-        report.scaled_variance = report.scaled_variance * m / n_total
-        report.bound_value = oracle.bound_v_tilde_ts(dgp, beta_star)
-        return report
-
-    if beta_star is not None:
-        raise ValueError("one-sample studies take no beta_star")
-    if not isinstance(dgp, oracle.DiscreteXDgp):  # checked before any node grid is built
-        raise ValueError("pi-shrinking emulation implemented for discrete DGPs only")
-    if not dgp.has_pi:
-        raise ValueError("one-sample study needs an observation probability")
-    # one-sample: shrink pi0 with n * E[pi_shrunk] held at n_labeled
-    xp, wp = dgp.nodes_p()
-    e_pi = float(np.sum(wp * dgp.pi(xp)))
-    n = int(round((1 + ratio) * n_labeled))
-    shrink = n_labeled / (n * e_pi)
-    shrunk = replace(dgp, pi1=dgp.pi1 * shrink)
-    min_g = min(float(np.min(shrunk.g(1, xp))), float(np.min(shrunk.g(0, xp))))
-    # keep the clamp well below the true joint probabilities of the
-    # shrunk DGP, otherwise clipping would bias the inverse weights
-    clip_eps = min(nuisance.clip_eps, 0.1 * min_g)
-    nuisance_adj = replace(nuisance, clip_eps=clip_eps)
-    config = McConfig(
-        dgp=shrunk, scenario="one-sample", estimator="os-eff",
-        n=n, reps=reps, n_folds=n_folds,
-        nuisance=nuisance_adj, seed=seed, level=level,
-    )
+        m, l = n_labeled, ratio * n_labeled
+        config = McConfig(dgp, estimator="ts-eff", m=m, l=l, nuisance=nuisance, **run)
+        rescale, bound = (lambda v: v * m / (m + l)), oracle.bound_v_tilde_ts(dgp, beta_star)
+    else:
+        if not isinstance(dgp, oracle.DiscreteXDgp):  # checked before any node grid is built
+            raise ValueError("pi-shrinking emulation implemented for discrete DGPs only")
+        if not dgp.has_pi:
+            raise ValueError("one-sample study needs an observation probability")
+        # shrink pi0 with n * E[pi_shrunk] held at n_labeled
+        xp, wp = dgp.nodes_p()
+        n = int(round((1 + ratio) * n_labeled))
+        shrink = n_labeled / (n * float(np.sum(wp * dgp.pi(xp))))
+        shrunk = replace(dgp, pi1=dgp.pi1 * shrink)
+        # keep the clamp well below the true joint probabilities of the
+        # shrunk DGP, otherwise clipping would bias the inverse weights
+        min_g = min(float(np.min(shrunk.g(1, xp))), float(np.min(shrunk.g(0, xp))))
+        nuisance = replace(nuisance, clip_eps=min(nuisance.clip_eps, 0.1 * min_g))
+        config = McConfig(shrunk, estimator="os-eff", n=n, nuisance=nuisance, **run)
+        # n * shrink = n_labeled / E_p[pi0]; its limit value normalizes the
+        # variance against the fixed-labeled-count bound of the base DGP
+        rescale, bound = (lambda v: v * shrink), oracle.bound_v_tilde_os(dgp)
     report = run_mc(config, threads=threads)
-    # n * shrink = n_labeled / E_p[pi0]; its limit value normalizes the
-    # variance against the fixed-labeled-count bound of the base DGP
-    report.scaled_variance = report.scaled_variance * shrink
-    report.bound_value = oracle.bound_v_tilde_os(dgp)
+    report.scaled_variance, report.bound_value = rescale(report.scaled_variance), bound
     return report

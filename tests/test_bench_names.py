@@ -12,6 +12,9 @@ both.
 import ast
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +138,29 @@ def test_run_py_ssate_names_exist():
             ("ssate.simharness", "sample_two"), ("ssate.estimators", "NuisanceConfig")} <= used
     missing = sorted(f"{module}.{name}" for module, name in used
                      if not hasattr(importlib.import_module(module), name))
+    assert not missing, missing
+
+
+def test_run_py_importtime_modules_are_imported():
+    """``importtime()`` in perfbench/run.py takes the median of the samples of each
+    module named in its ``samples`` dict, and raises when a fresh ``import ssate`` no
+    longer loads one of them: dropping such an import must fail here first."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "importtime")
+    samples = next(node.value for node in ast.walk(func) if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "samples")
+    modules = {ast.literal_eval(key) for key in samples.keys}
+    assert "ssate" in modules
+    root = PERFBENCH.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ssate"], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    missing = sorted(modules - imported)
     assert not missing, missing
 
 

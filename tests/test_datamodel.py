@@ -145,6 +145,9 @@ class TestFoldPlan:
             make_fold_plan(4, 5, seed=0)
         with pytest.raises(BadFoldCount):
             make_fold_plan(4, 1, seed=0)
+        # a fractional count is no count of folds, not one rounded to 3
+        with pytest.raises(BadFoldCount, match=r"^n_folds must be an integer, got 2.5$"):
+            make_fold_plan(10, 2.5, seed=0)
 
     def test_deterministic(self):
         a = make_fold_plan(31, 4, seed=9)

@@ -13,7 +13,7 @@ from ssate import (
     sample_two,
     score_ts_x,
 )
-from ssate.errors import BadFoldCount, BadLevel, DomainViolation, NonfiniteValue
+from ssate.errors import BadFoldCount, BadLevel, DomainViolation, NonfiniteValue, SsateError
 from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
 from ssate.nuisance import FittedBasis, OutcomeModel, fit_riesz
 
@@ -198,6 +198,16 @@ def test_negative_seed_rejected_before_any_fit(d1, d2_sample_2k):
         estimate_os_eff(sample_one(d1, 100, 1), seed=-1)
     with pytest.raises(DomainViolation, match=r"^seed must be >= 0, got -1$"):
         estimate_ts_eff(d2_sample_2k, beta_star=0.5, seed=-1)
+
+
+@pytest.mark.parametrize("setting, value", [("seed", 1.5), ("seed", "3"), ("n_folds", 2.5)])
+def test_non_integer_setting_rejected_before_any_fit(d1, d2_sample_2k, setting, value):
+    # numpy's own errors, from a fold plan, name no setting
+    message = rf"^{setting} must be an integer, got {value!r}$"
+    with pytest.raises(SsateError, match=message):
+        estimate_os_eff(sample_one(d1, 100, 1), **{setting: value})
+    with pytest.raises(SsateError, match=message):
+        estimate_ts_eff(d2_sample_2k, beta_star=0.5, **{setting: value})
 
 
 def test_ts_rejects_riesz_mode(d2_sample_2k):

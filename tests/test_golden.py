@@ -24,6 +24,7 @@ from ssate import (
     fit_gmodel_mle,
     fit_outcome_both,
     fit_riesz,
+    run_infinite_unlabeled_study,
     run_mc,
     sample_one,
     sample_two,
@@ -33,6 +34,7 @@ from ssate.datamodel import write_labeled_csv, write_one_sample_csv, write_unlab
 from ssate.estimators import NuisanceConfig
 from ssate.nuisance import LSIF, UKL, ddml_iterate, tmle_fluctuate
 from ssate.oracle import GaussianLinearDgp, dgp_to_dict
+from ssate.oracle import DiscreteXDgp
 from ssate import dgp_d1, oracle
 
 from conftest import gaussian_k3
@@ -600,3 +602,87 @@ def test_large_n_estimate_is_pinned(degree, large_sample):
     rep = estimate_os_eff(large_sample, n_folds=2, seed=4, config=NuisanceConfig(degree=degree))
     assert {"tau_hat": rep.tau_hat.hex(), "se": rep.se.hex(),
             "ci": [v.hex() for v in rep.ci]} == LARGE_N_PINS[degree]
+
+
+# recorded before the limit study ran one run_mc call for both regimes and the
+# brute-force oracle minimized all cells at once: the limit study's whole report
+# for each regime, and the float hex of each brute-force argmin
+LIMIT_STUDY_CASES = {
+    "limit/one-sample": {"scenario": "one-sample"},
+    "limit/two-sample": {"scenario": "two-sample", "beta_star": 0.5},
+}
+LIMIT_STUDY_PINS = {
+    'limit/one-sample': {'bound_value': 8.0,
+                         'coverage': 1.0,
+                         'estimator': 'os-eff',
+                         'failures': [],
+                         'level': 0.95,
+                         'mc_bias': -0.5001381532714915,
+                         'mc_se_of_bias': 0.26746380904411426,
+                         'mean_se': 0.5588592365203088,
+                         'mean_tau_hat': -0.00013815327149143317,
+                         'reps_completed': 6,
+                         'scaled_variance': 42.92213348903185,
+                         'scenario': 'one-sample',
+                         'seed': 13,
+                         'sizes': {'n': 550},
+                         'tau0': 0.5},
+    'limit/two-sample': {'bound_value': 4.0,
+                         'coverage': 1.0,
+                         'estimator': 'ts-eff',
+                         'failures': [],
+                         'level': 0.95,
+                         'mc_bias': 0.16515352389477755,
+                         'mc_se_of_bias': 0.13341927704224915,
+                         'mean_se': 0.31981416190866047,
+                         'mean_tau_hat': 0.6651535238947776,
+                         'reps_completed': 6,
+                         'scaled_variance': 5.340211045942928,
+                         'scenario': 'two-sample',
+                         'seed': 13,
+                         'sizes': {'l': 500, 'm': 50},
+                         'tau0': 0.5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_STUDY_CASES))
+def test_limit_study_is_pinned(case):
+    report = run_infinite_unlabeled_study(dgp_d1(), n_labeled=50, ratio=10, reps=6, seed=13,
+                                          threads=1, **LIMIT_STUDY_CASES[case])
+    assert report.to_dict() == LIMIT_STUDY_PINS[case]
+
+
+def three_cell_dgp():
+    """A 3-point support whose g(1|x) and g(0|x) differ from cell to cell."""
+    return DiscreteXDgp(
+        xs=np.array([[0.0], [1.0], [2.0]]), p=np.array([0.3, 0.5, 0.2]),
+        pi1=np.array([0.6, 0.8, 0.5]), e1=np.array([0.4, 0.5, 0.7]),
+        mu1=np.array([0.5, 1.0, 2.0]), mu0=np.array([0.0, 0.3, 0.4]),
+        s2_1=np.array([1.0, 0.5, 2.0]), s2_0=np.array([1.0, 1.5, 0.8]),
+        q=np.array([0.2, 0.3, 0.5]))
+
+
+BRUTE_FORCE_DGPS = {"d1": dgp_d1, "three-cell": three_cell_dgp}
+BRUTE_FORCE_GENS = {"LSIF": LSIF, "UKL": UKL}
+BRUTE_FORCE_PINS = {
+    'd1/LSIF': {'a0': ['-0x1.0000000000000p+2', '-0x1.0000000000000p+2'],
+                'a1': ['0x1.0000000000000p+2', '0x1.0000000000000p+2']},
+    'd1/UKL': {'a0': ['-0x1.0000000000000p+2', '-0x1.0000000000000p+2'],
+               'a1': ['0x1.0000000000000p+2', '0x1.0000000000000p+2']},
+    'three-cell/LSIF': {'a0': ['-0x1.63d70a3d70a3ep+1', '-0x1.4000000000000p+1',
+                               '-0x1.aae147ae147aep+2'],
+                        'a1': ['0x1.0ae147ae147aep+2', '0x1.4000000000000p+1',
+                               '0x1.6e147ae147ae0p+1']},
+    'three-cell/UKL': {'a0': ['-0x1.63d70a3d70a3ep+1', '-0x1.4000000000000p+1',
+                              '-0x1.aae147ae147aep+2'],
+                       'a1': ['0x1.0ae147ae147aep+2', '0x1.4000000000000p+1',
+                              '0x1.6e147ae147ae0p+1']},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRUTE_FORCE_PINS))
+def test_brute_force_riesz_is_pinned(case):
+    dgp, gen = case.split("/")
+    a1, a0 = oracle.brute_force_riesz(BRUTE_FORCE_DGPS[dgp](), BRUTE_FORCE_GENS[gen])
+    assert {"a1": [float(v).hex() for v in a1],
+            "a0": [float(v).hex() for v in a0]} == BRUTE_FORCE_PINS[case]

@@ -192,6 +192,11 @@ class TestBruteForce:
         with pytest.raises(GridExcludesMinimum):
             brute_force_riesz(d1, LSIF, grid_lo=0.0, grid_hi=2.0)
 
+    def test_grid_outside_an_arms_domain(self, d1):
+        # the UKL a0 objective is finite only below -1, so this grid holds none of it
+        with pytest.raises(GridExcludesMinimum):
+            brute_force_riesz(d1, UKL, grid_lo=1.5, grid_hi=9.0)
+
 
 class TestGaussianFamily:
     def make(self):
@@ -377,12 +382,25 @@ class TestOneGridPerLaw:
         lambda dgp: beta_star(dgp, 0.5, grid_step=-0.01),
         lambda dgp: oracle_bounds(dgp, alpha=1.0),
         lambda dgp: oracle_bounds(dgp, grid_step=float("nan")),
+        lambda dgp: true_ate(dgp, 2.0),
+        lambda dgp: true_ate(dgp, float("nan")),
+        lambda dgp: bound_v_tilde_ts(dgp, -1.0),
+        lambda dgp: bound_v_ts(dgp, 2.0, 0.5),
     ], ids=["bound_v_ts-alpha", "beta_star-alpha", "beta_star-grid_step",
-            "oracle_bounds-alpha", "oracle_bounds-grid_step"])
+            "oracle_bounds-alpha", "oracle_bounds-grid_step", "true_ate-beta",
+            "true_ate-beta-nan", "bound_v_tilde_ts-beta", "bound_v_ts-beta"])
     def test_settings_checked_before_any_grid(self, builds, call):
-        with pytest.raises(ValueError):  # BadAlpha is one
+        with pytest.raises(ValueError):  # BadAlpha and DomainViolation are ones
             call(gaussian_k3())
         assert builds == []
+
+    @pytest.mark.parametrize("call", [
+        lambda dgp: true_ate(dgp, 2.0), lambda dgp: bound_v_tilde_ts(dgp, -1.0),
+        lambda dgp: bound_v_ts(dgp, 2.0, 0.5)])
+    def test_beta_outside_unit_interval(self, d1, call):
+        # no mixture of p0 and q0 has a weight outside [0, 1]
+        with pytest.raises(DomainViolation, match=r"^beta must lie in \[0, 1\]"):
+            call(d1)
 
     def test_true_ate_peak_memory(self):
         # the laws are evaluated one block of 64^2 nodes at a time, so only the

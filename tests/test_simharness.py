@@ -159,6 +159,17 @@ class TestMcConfigChecks:
                      beta_star=beta, reps=2)
         assert err.value.code == "DOMAIN-VIOLATION"
 
+    @pytest.mark.parametrize("scenario, field", [
+        ("one-sample", "n_folds"), ("one-sample", "reps"), ("one-sample", "n"),
+        ("two-sample", "n_folds"), ("two-sample", "reps"), ("two-sample", "m"),
+        ("two-sample", "l")])
+    def test_counts_are_integers(self, d1, scenario, field):
+        # a fractional count is rejected here, not truncated or met by a TypeError in a rep
+        study = ({"n": 100} if scenario == "one-sample"
+                 else {"estimator": "ts-eff", "m": 100, "l": 100, "beta_star": 0.5})
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 2.5$"):
+            McConfig(dgp=d1, scenario=scenario, **{"reps": 3, **study, field: 2.5})
+
     def test_one_sample_beta_star(self, d1):
         # no one-sample estimator reads beta_star, but tau0 would be taken at it
         with pytest.raises(ValueError, match="take no beta_star"):
@@ -237,6 +248,13 @@ class TestMcConfigChecks:
                     {"n_labeled": 20, "beta_star": 0.5}):
             with pytest.raises(ValueError):
                 run_infinite_unlabeled_study(d1, **{"ratio": 10, "reps": 2, **bad})
+        # a fractional count names its setting, in either regime
+        for bad, setting in (({"n_labeled": 20.5}, "n_labeled"), ({"ratio": 10.5}, "ratio"),
+                             ({"reps": 2.5}, "reps"), ({"n_folds": 2.5}, "n_folds")):
+            for regime in ({}, {"scenario": "two-sample", "beta_star": 0.5}):
+                with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
+                    run_infinite_unlabeled_study(
+                        d1, **{"n_labeled": 20, "ratio": 10, "reps": 2, **regime, **bad})
 
 
 class TestInfiniteUnlabeled:
@@ -297,6 +315,16 @@ class TestThreads:
         monkeypatch.setenv("SSATE_THREADS", str(count))
         with pytest.raises(ValueError, match=f"^SSATE_THREADS must be >= 1, got '{count}'$"):
             resolve_threads(None)
+
+    @pytest.mark.parametrize("count", [1.5, "2", 2.0])
+    def test_explicit_not_an_integer(self, d1, monkeypatch, count):
+        # int() would truncate 1.5 to one worker; no study runs on a count it was not given
+        monkeypatch.setenv("SSATE_THREADS", "2")
+        message = f"^threads must be an integer, got {count!r}$"
+        with pytest.raises(ValueError, match=message):
+            resolve_threads(count)
+        with pytest.raises(ValueError, match=message):
+            run_mc(McConfig(dgp=d1, scenario="one-sample", n=50, reps=2), threads=count)
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_env_not_an_integer(self, monkeypatch, value):
