@@ -170,6 +170,7 @@ class TwoSampleDataset:
 def make_fold_plan(n: int, n_folds: int, seed: int) -> np.ndarray:
     """Each row's fold in 1..n_folds, read-only: a seeded shuffle of the
     indices followed by round-robin assignment."""
+    check_integer("n", n)  # its range is the fold count's: 2 <= L <= n
     check_integer("n_folds", n_folds, BadFoldCount)
     if n_folds < 2 or n_folds > n:
         raise BadFoldCount(f"fold count must satisfy 2 <= L <= n, got L={n_folds}, n={n}")

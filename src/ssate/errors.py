@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of counts.
+"""Exception types shared across the package, and the checks of counts and of betas.
 
 Each error carries a stable ``code`` string so the CLI can report
 machine-readable failure categories.
@@ -81,8 +81,16 @@ class ReportIncomplete(SsateError):
         self.partial_report = partial_report
 
 
-def check_integer(name: str, value, error: type = SsateError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an integer: a fractional
-    count would be truncated or rejected by numpy, in a message that names no setting."""
-    if not isinstance(value, numbers.Integral):
+def check_integer(name: str, value, error: type = SsateError, low=None) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer, not a bool, and at
+    least ``low`` if given: numpy would truncate a fraction, or reject it naming no setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value!r}")
+
+
+def check_beta(name: str, value) -> None:
+    """Raise DomainViolation naming ``name`` unless the mixture weight ``value`` is in [0, 1]."""
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise DomainViolation(f"{name} must lie in [0, 1], got {value}")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -13,7 +12,8 @@ from scipy.stats import norm
 
 from .datamodel import OneSampleDataset, TwoSampleDataset, make_fold_plan
 from .errors import (
-    BadFoldCount, BadLevel, DomainViolation, FoldTooSmall, NonfiniteValue, check_integer,
+    BadFoldCount, BadLevel, DomainViolation, FoldTooSmall, NonfiniteValue, check_beta,
+    check_integer,
 )
 from .nuisance import (
     LSIF,
@@ -42,8 +42,7 @@ class NuisanceConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it: JSON configs may hold NaN
-        if not (isinstance(self.degree, numbers.Integral) and self.degree >= 1):
-            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
+        check_integer("degree", self.degree, ValueError, low=1)
         if not 0.0 <= self.ridge_lambda < math.inf:
             raise ValueError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
         if not 0.0 < self.clip_eps < 0.5:
@@ -105,13 +104,11 @@ def check_run_args(n_folds: int, level: float, n: int, seed: int,
     if not 1 <= n_folds <= n:
         raise BadFoldCount(f"fold count must satisfy 1 <= L <= {n}, got {n_folds}")
     _quantile(level)
-    check_integer("seed", seed, DomainViolation)
-    if seed < 0:
-        raise DomainViolation(f"seed must be >= 0, got {seed}")
-    if beta_star is not None and not 0.0 <= beta_star <= 1.0:
-        raise DomainViolation(f"beta_star must lie in [0, 1], got {beta_star}")
-    if beta_star is not None and riesz_mode != "mle-g":  # its weights come from fitted e and r
-        raise DomainViolation(f"a two-sample run needs riesz_mode 'mle-g', got {riesz_mode!r}")
+    check_integer("seed", seed, DomainViolation, low=0)
+    if beta_star is not None:
+        check_beta("beta_star", beta_star)
+        if riesz_mode != "mle-g":  # its weights come from fitted e and r
+            raise DomainViolation(f"a two-sample run needs riesz_mode 'mle-g', got {riesz_mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .errors import (
     NonfiniteValue,
     SingularSystem,
     ZeroDenominator,
+    check_beta,
+    check_integer,
 )
 from .optimize import OptimizerConfig, minimize_newton
 
@@ -48,8 +50,7 @@ class FittedBasis:
     k: int
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        check_integer("degree", self.degree, ValueError, low=1)
 
     @property
     def dim(self) -> int:
@@ -574,8 +575,7 @@ def ddml_iterate(
     Returns the final outcome and representer models plus the per-step
     magnitude of the empirical score residual |sum alpha * (y - mu)| / n.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_integer("n_steps", n_steps, ValueError, low=1)
     xl, dl, yl = data.labeled_arrays()
     mu = fit_outcome_both(xl, dl, yl, degree=degree, ridge_lambda=ridge_lambda, clip_c=clip_c)
     alpha = None
@@ -614,6 +614,5 @@ class VBeta:
 def assemble_v_beta(e_model, r_model, beta: float) -> VBeta:
     """Compose a propensity e(d, x) and a density ratio r(x), fitted models
     or plain callables alike, into v_beta."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
+    check_beta("beta", beta)
     return VBeta(e_fn=e_model, r_fn=r_model, beta=float(beta))

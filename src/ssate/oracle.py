@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum
+from .errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum, check_beta
 from .nuisance import BregmanGenerator
 
 _GH_NODES = 64
@@ -317,14 +317,9 @@ def _tau_terms(dgp, law: str, **laws):
     return w, tau_x, float(np.sum(w * tau_x)), at
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:  # NaN fails too
-        raise DomainViolation(f"beta must lie in [0, 1], got {beta}")
-
-
 def true_ate(dgp, beta: float = 1.0) -> float:
     """ATE under the evaluation density beta * p0 + (1 - beta) * q0."""
-    _check_beta(beta)
+    check_beta("beta", beta)
     tau_p = _tau_terms(dgp, "p")[2]
     return tau_p if beta == 1.0 else beta * tau_p + (1.0 - beta) * _tau_terms(dgp, "q")[2]
 
@@ -339,6 +334,11 @@ def _core(dgp, x: np.ndarray, prob) -> np.ndarray:
     return dgp.sigma2(1, x) / prob(1, x) + dgp.sigma2(0, x) / prob(0, x)
 
 
+def _check_grid_step(grid_step: float) -> None:
+    if not grid_step > 0.0:  # NaN fails too
+        raise ValueError("grid_step must be positive")
+
+
 class _Terms:
     """A DGP's bounds from its laws evaluated once per node, summed in each formula's order
     of operations; the p nodes' laws are summed before the q nodes are built. ``report``
@@ -346,8 +346,7 @@ class _Terms:
 
     def __init__(self, dgp, one_sample: bool = False, two_sample: bool = False,
                  alpha: Optional[float] = None, grid_step: float = 0.01):
-        if not grid_step > 0.0:  # NaN fails too
-            raise ValueError("grid_step must be positive")
+        _check_grid_step(grid_step)
         if alpha is not None and not 0.0 < alpha < 1.0:
             raise BadAlpha("labeled fraction alpha must lie in (0, 1)")
         self.alpha, self.grid_step = alpha, grid_step
@@ -406,12 +405,12 @@ def bound_v_hahn(dgp) -> float:
 
 
 def bound_v_tilde_ts(dgp, beta: float) -> float:
-    _check_beta(beta)
+    check_beta("beta", beta)
     return _Terms(dgp, two_sample=True).v_tilde_ts(beta)
 
 
 def bound_v_ts(dgp, beta: float, alpha: float) -> float:
-    _check_beta(beta)
+    check_beta("beta", beta)
     return _Terms(dgp, two_sample=True, alpha=alpha).v_ts(beta)
 
 
@@ -449,6 +448,9 @@ def brute_force_riesz(
     """
     if not isinstance(dgp, DiscreteXDgp):
         raise DomainViolation("brute-force oracle requires a discrete-covariate DGP")
+    _check_grid_step(grid_step)
+    if not -np.inf < grid_lo < grid_hi < np.inf:  # NaN fails too
+        raise ValueError(f"grid needs finite grid_lo < grid_hi, got {grid_lo} and {grid_hi}")
     n_steps = int(round((grid_hi - grid_lo) / grid_step))
     grid = np.linspace(grid_lo, grid_hi, n_steps + 1)
     g1, g0 = (dgp.g(d, dgp.xs)[:, None] for d in (1, 0))

@@ -33,6 +33,7 @@ from . import oracle
 def sample_one(dgp, n: int, seed: int) -> OneSampleDataset:
     """n i.i.d. one-sample rows: X ~ p0, O ~ pi0(.|X), D ~ e0(.|X) when
     observed, Y ~ Normal(mu0(D, X), sigma0^2(D, X))."""
+    check_integer("n", n, ValueError, low=0)
     rng = np.random.default_rng(seed)
     x = dgp.sample_x(rng, n, "p")
     laws = dgp._draw_laws(x, with_pi=True)
@@ -45,6 +46,8 @@ def sample_one(dgp, n: int, seed: int) -> OneSampleDataset:
 
 def sample_two(dgp, m: int, l: int, seed: int) -> TwoSampleDataset:
     """Independent labeled (X, D, Y) ~ p0 and unlabeled Z ~ q0 draws."""
+    check_integer("m", m, ValueError, low=0)
+    check_integer("l", l, ValueError, low=0)
     rng = np.random.default_rng(seed)
     x = dgp.sample_x(rng, m, "p")
     d, y = _draw_labeled(rng, dgp._draw_laws(x, with_pi=False), m)
@@ -175,21 +178,14 @@ class McConfig:
             raise ValueError(f"hook {self.hook.kind!r} overrides no nuisance of {self.estimator}")
         if "r_override" in overrides and self.dgp.q_vanishes:
             raise DomainViolation(f"hook {self.hook.kind!r} divides by q0, which is 0 where p0 > 0")
-        for name in ("reps", "n", "m", "l"):  # each count, where it is given
-            if getattr(self, name) is not None:
-                check_integer(name, getattr(self, name), ValueError)
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.scenario == "one-sample":
-            if self.n is None or self.n < 1:
-                raise ValueError("one-sample studies need n >= 1")
-            if self.beta_star is not None:  # no one-sample estimator reads it
-                raise ValueError("one-sample studies take no beta_star")
-        if self.scenario == "two-sample":
-            if self.m is None or self.l is None or self.m < 1 or self.l < 1:
-                raise ValueError("two-sample studies need m, l >= 1")
-            if self.beta_star is None:
-                raise ValueError("two-sample studies need beta_star")
+        sizes = ("n",) if self.scenario == "one-sample" else ("m", "l")
+        for name in ("reps", "n", "m", "l"):  # each count the scenario needs or is given
+            if name in sizes or getattr(self, name) is not None:
+                check_integer(name, getattr(self, name), ValueError, low=1)
+        if self.scenario == "one-sample" and self.beta_star is not None:  # no estimator reads it
+            raise ValueError("one-sample studies take no beta_star")
+        if self.scenario == "two-sample" and self.beta_star is None:
+            raise ValueError("two-sample studies need beta_star")
         check_run_args(self.n_folds, self.level,
                        self.n if self.scenario == "one-sample" else min(self.m, self.l),
                        self.seed, self.beta_star, self.nuisance.riesz_mode)
@@ -241,19 +237,18 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     """``threads``, else SSATE_THREADS, else the CPU count. A count that is not an
     integer, or is below 1, is a ValueError naming the argument or variable it
     came from."""
-    source, count = "threads", threads
-    if count is None:
-        source, count = "SSATE_THREADS", os.environ.get("SSATE_THREADS") or None
-    if count is None:
+    if threads is not None:  # int() would truncate 1.5 to one worker
+        check_integer("threads", threads, ValueError, low=1)
+        return int(threads)
+    count = os.environ.get("SSATE_THREADS")
+    if not count:
         return os.cpu_count() or 1
-    if source == "threads":  # int() would truncate 1.5 to one worker
-        check_integer(source, count, ValueError)
     try:
         workers = int(count)
     except ValueError:  # SSATE_THREADS=abc or 1.5
-        raise ValueError(f"{source} must be an integer, got {count!r}") from None
+        raise ValueError(f"SSATE_THREADS must be an integer, got {count!r}") from None
     if workers < 1:
-        raise ValueError(f"{source} must be >= 1, got {count!r}")
+        raise ValueError(f"SSATE_THREADS must be >= 1, got {count!r}")
     return workers
 
 
@@ -359,12 +354,8 @@ def run_infinite_unlabeled_study(
     by n times the shrink factor, whose limit matches the reduced bound of
     the unshrunk DGP. ``McConfig`` checks the scenario and the run settings.
     """
-    check_integer("n_labeled", n_labeled, ValueError)
-    if n_labeled < 1:
-        raise ValueError("n_labeled must be >= 1")
-    check_integer("ratio", ratio, ValueError)
-    if ratio < 10:
-        raise ValueError("ratio must be >= 10 for the limit emulation")
+    check_integer("n_labeled", n_labeled, ValueError, low=1)
+    check_integer("ratio", ratio, ValueError, low=10)  # fewer would not emulate the limit
     run = dict(scenario=scenario, reps=reps, n_folds=n_folds, beta_star=beta_star, seed=seed,
                level=level)
     if scenario == "two-sample":

@@ -279,7 +279,7 @@ class TestConfigErrors:
          None),
         ({"scenario": "two-sample", "estimator": "ts-eff", "m": 100, "l": 100, "beta_star": "0.5"},
          None),
-        ({"study": "infinite-unlabeled", "n_labeled": 0}, "n_labeled must be >= 1"),
+        ({"study": "infinite-unlabeled", "n_labeled": 0}, "n_labeled must be >= 1, got 0"),
         ({"study": "infinite-unlabeled", "n_labeled": 20, "ratio": 10, "scenario": "bogus"},
          "scenario must be one-sample or two-sample"),
         ({"hook": {"kind": "true-e"}}, None),

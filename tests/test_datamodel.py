@@ -148,6 +148,8 @@ class TestFoldPlan:
         # a fractional count is no count of folds, not one rounded to 3
         with pytest.raises(BadFoldCount, match=r"^n_folds must be an integer, got 2.5$"):
             make_fold_plan(10, 2.5, seed=0)
+        with pytest.raises(SsateError, match=r"^n must be an integer, got 10.5$"):
+            make_fold_plan(10.5, 2, seed=0)
 
     def test_deterministic(self):
         a = make_fold_plan(31, 4, seed=9)

@@ -200,9 +200,10 @@ def test_negative_seed_rejected_before_any_fit(d1, d2_sample_2k):
         estimate_ts_eff(d2_sample_2k, beta_star=0.5, seed=-1)
 
 
-@pytest.mark.parametrize("setting, value", [("seed", 1.5), ("seed", "3"), ("n_folds", 2.5)])
+@pytest.mark.parametrize("setting, value", [("seed", 1.5), ("seed", "3"), ("n_folds", 2.5),
+                                            ("n_folds", True), ("seed", True)])
 def test_non_integer_setting_rejected_before_any_fit(d1, d2_sample_2k, setting, value):
-    # numpy's own errors, from a fold plan, name no setting
+    # numpy's own errors, from a fold plan, name no setting; True would run one fold, uncrossed
     message = rf"^{setting} must be an integer, got {value!r}$"
     with pytest.raises(SsateError, match=message):
         estimate_os_eff(sample_one(d1, 100, 1), **{setting: value})
@@ -282,7 +283,7 @@ BAD_NUISANCE = [
     {"degree": 0}, {"degree": 1.5}, {"degree": 2.0}, {"ridge_lambda": -1.0}, {"ridge_lambda": float("inf")},
     {"ridge_lambda": float("nan")}, {"clip_eps": 0.7}, {"clip_eps": 0.5}, {"clip_eps": 0.0},
     {"clip_eps": -0.1}, {"clip_eps": float("nan")}, {"clip_c": -5.0}, {"clip_c": 0.0},
-    {"clip_c": float("nan")},
+    {"clip_c": float("nan")}, {"degree": True},
 ]
 
 

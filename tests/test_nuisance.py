@@ -24,6 +24,7 @@ from ssate import nuisance
 from ssate.datamodel import OneSampleDataset
 from ssate.errors import (
     ClassAbsent,
+    DomainViolation,
     InsufficientArmData,
     NonfiniteValue,
     SingularSystem,
@@ -46,6 +47,11 @@ class TestFitOutcome:
         x, d, y = np.zeros((4, 1)), np.array([1, 1, 0, 0]), np.zeros(4)
         with pytest.raises(ValueError, match="degree"):
             fit_outcome_both(x, d, y, degree=0)
+        # a fractional degree is no degree, not a TypeError from range()
+        with pytest.raises(ValueError, match=r"^degree must be an integer, got 2.5$"):
+            fit_e_model(x, d, degree=2.5)
+        with pytest.raises(ValueError, match=r"^degree must be an integer, got 1.5$"):
+            FittedBasis(1.5, 1)
 
     def test_interpolation(self):
         x = np.array([[0.0], [1.0]])
@@ -452,6 +458,12 @@ class TestDdml:
         assert len(trace) == 3
         assert all(t <= 1e-8 for t in trace)
 
+    @pytest.mark.parametrize("n_steps, message", [(0, "must be >= 1, got 0"),
+                                                  (1.5, "must be an integer, got 1.5")])
+    def test_bad_step_count(self, d1, n_steps, message):
+        with pytest.raises(ValueError, match=f"^n_steps {message}$"):
+            ddml_iterate(sample_one(d1, 50, 18), n_steps=n_steps)
+
     def test_plugin_estimate_near_truth(self, d1):
         data = sample_one(d1, 20000, 20)
         mu, alpha, _ = ddml_iterate(data, n_steps=3)
@@ -525,6 +537,12 @@ class TestAssembleVBeta:
         r = lambda x: np.full(len(np.atleast_2d(x)), 2.0)
         v = assemble_v_beta(e, r, 0.0)
         assert np.allclose(v(1, np.zeros((2, 1))), 1.2)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5, float("nan")])
+    def test_beta_outside_unit_interval(self, beta):
+        e = lambda d, x: np.full(len(np.atleast_2d(x)), 0.6)
+        with pytest.raises(DomainViolation, match=rf"^beta must lie in \[0, 1\], got {beta}$"):
+            assemble_v_beta(e, lambda x: np.ones(len(np.atleast_2d(x))), beta)
 
 
 def same_bits(a, b):

@@ -192,6 +192,22 @@ class TestBruteForce:
         with pytest.raises(GridExcludesMinimum):
             brute_force_riesz(d1, LSIF, grid_lo=0.0, grid_hi=2.0)
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"grid_step": 0.0}, "grid_step must be positive"),
+        ({"grid_step": -0.01}, "grid_step must be positive"),
+        ({"grid_step": float("nan")}, "grid_step must be positive"),
+        ({"grid_lo": 2.0, "grid_hi": 1.0}, "grid needs finite grid_lo < grid_hi, got 2.0 and 1.0"),
+        ({"grid_lo": 1.0, "grid_hi": 1.0}, "grid needs finite grid_lo < grid_hi, got 1.0 and 1.0"),
+        ({"grid_lo": -np.inf}, "grid needs finite grid_lo < grid_hi, got -inf and 8.0"),
+        ({"grid_hi": float("nan")}, "grid needs finite grid_lo < grid_hi, got -8.0 and nan"),
+    ], ids=["step-zero", "step-negative", "step-nan", "lo-above-hi", "lo-equals-hi", "lo-inf",
+            "hi-nan"])
+    def test_bad_grid(self, d1, grid, message):
+        # numpy's errors, or a ZeroDivisionError, would name no setting
+        for gen in (LSIF, UKL):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                brute_force_riesz(d1, gen, **grid)
+
     def test_grid_outside_an_arms_domain(self, d1):
         # the UKL a0 objective is finite only below -1, so this grid holds none of it
         with pytest.raises(GridExcludesMinimum):

@@ -51,6 +51,17 @@ class TestSampling:
         ts = sample_two(d2, 20, 1, 74)
         assert ts.l == 1
 
+    @pytest.mark.parametrize("draw, message", [
+        (lambda d1, d2: sample_one(d1, 10.5, 1), "n must be an integer, got 10.5"),
+        (lambda d1, d2: sample_one(d1, -1, 1), "n must be >= 0, got -1"),
+        (lambda d1, d2: sample_two(d2, 10.5, 5, 1), "m must be an integer, got 10.5"),
+        (lambda d1, d2: sample_two(d2, 10, True, 1), "l must be an integer, got True"),
+    ], ids=["n-fraction", "n-negative", "m-fraction", "l-bool"])
+    def test_sizes_are_integers(self, d1, d2, draw, message):
+        # numpy's own errors name no setting
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            draw(d1, d2)
+
     def test_disjoint_seeds_differ(self, d2):
         a = sample_two(d2, 100, 100, 75)
         b = sample_two(d2, 100, 100, 76)
@@ -161,14 +172,16 @@ class TestMcConfigChecks:
 
     @pytest.mark.parametrize("scenario, field", [
         ("one-sample", "n_folds"), ("one-sample", "reps"), ("one-sample", "n"),
-        ("two-sample", "n_folds"), ("two-sample", "reps"), ("two-sample", "m"),
-        ("two-sample", "l")])
+        ("one-sample", "m"), ("two-sample", "n_folds"), ("two-sample", "reps"),
+        ("two-sample", "m"), ("two-sample", "l")])
     def test_counts_are_integers(self, d1, scenario, field):
-        # a fractional count is rejected here, not truncated or met by a TypeError in a rep
+        # a fractional or bool count is rejected here, not truncated or met by a TypeError in a
+        # rep; so is one the scenario does not read
         study = ({"n": 100} if scenario == "one-sample"
                  else {"estimator": "ts-eff", "m": 100, "l": 100, "beta_star": 0.5})
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 2.5$"):
-            McConfig(dgp=d1, scenario=scenario, **{"reps": 3, **study, field: 2.5})
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+                McConfig(dgp=d1, scenario=scenario, **{"reps": 3, **study, field: value})
 
     def test_one_sample_beta_star(self, d1):
         # no one-sample estimator reads beta_star, but tau0 would be taken at it
@@ -248,9 +261,10 @@ class TestMcConfigChecks:
                     {"n_labeled": 20, "beta_star": 0.5}):
             with pytest.raises(ValueError):
                 run_infinite_unlabeled_study(d1, **{"ratio": 10, "reps": 2, **bad})
-        # a fractional count names its setting, in either regime
-        for bad, setting in (({"n_labeled": 20.5}, "n_labeled"), ({"ratio": 10.5}, "ratio"),
-                             ({"reps": 2.5}, "reps"), ({"n_folds": 2.5}, "n_folds")):
+        # a fractional or bool count names its setting, in either regime
+        for bad, setting in (({"n_labeled": 20.5}, "n_labeled"), ({"n_labeled": True}, "n_labeled"),
+                             ({"ratio": 10.5}, "ratio"), ({"reps": 2.5}, "reps"),
+                             ({"n_folds": 2.5}, "n_folds")):
             for regime in ({}, {"scenario": "two-sample", "beta_star": 0.5}):
                 with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
                     run_infinite_unlabeled_study(
@@ -316,7 +330,7 @@ class TestThreads:
         with pytest.raises(ValueError, match=f"^SSATE_THREADS must be >= 1, got '{count}'$"):
             resolve_threads(None)
 
-    @pytest.mark.parametrize("count", [1.5, "2", 2.0])
+    @pytest.mark.parametrize("count", [1.5, "2", 2.0, True])
     def test_explicit_not_an_integer(self, d1, monkeypatch, count):
         # int() would truncate 1.5 to one worker; no study runs on a count it was not given
         monkeypatch.setenv("SSATE_THREADS", "2")
