@@ -202,7 +202,7 @@ _BULK_BYTES = 1 << 16
 def _check_header(path, header: list, tail: tuple) -> None:
     """Raise DimMismatch unless ``header`` is ``x1,...,xk`` + ``tail`` for some k >= 1."""
     k = len(header) - len(tail)
-    if k < 1 or header[k:] != list(tail):
+    if k < 1 or header != [*(f"x{j + 1}" for j in range(k)), *tail]:
         raise DimMismatch(f"{path}, line 1: header must be {','.join(['x1,...,xk', *tail])}")
 
 

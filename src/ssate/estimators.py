@@ -25,6 +25,7 @@ from .nuisance import (
     fit_gmodel_mle,
     fit_outcome_both,
     fit_riesz,
+    weighted_residual,
 )
 
 RIESZ_MODES = ("mle-g", "ls-riesz", "kl-riesz")
@@ -125,23 +126,7 @@ def score_os_vec(
     alpha0: np.ndarray,
 ) -> np.ndarray:
     """Efficient one-sample score; alpha1 ~ 1/g(1|x) and alpha0 ~ -1/g(0|x) (signed)."""
-    res = np.where(d == 1, y - mu1x, y - mu0x)
-    a = np.where(d == 1, alpha1, alpha0)
-    return np.where(o == 1, a * res, 0.0) + mu1x - mu0x
-
-
-def score_ts_vec(
-    d: np.ndarray,
-    y: np.ndarray,
-    mu1x: np.ndarray,
-    mu0x: np.ndarray,
-    v1x: np.ndarray,
-    v0x: np.ndarray,
-) -> np.ndarray:
-    """Weighted-residual score of labeled two-sample rows, v = v_beta(d, x)."""
-    res = np.where(d == 1, y - mu1x, y - mu0x)
-    w = np.where(d == 1, 1.0 / v1x, -1.0 / v0x)
-    return w * res
+    return np.where(o == 1, weighted_residual(d, y, mu1x, mu0x, alpha1, alpha0), 0.0) + mu1x - mu0x
 
 
 def score_ts_x(x: np.ndarray, mu) -> np.ndarray:
@@ -225,16 +210,17 @@ def _os_fits(train: OneSampleDataset, config: NuisanceConfig, mu_override, g_ove
     if g_override is not None or config.riesz_mode == "mle-g":
         g = _fitted(g_override, lambda: fit_gmodel_mle(
             train, degree=config.degree, clip_eps=config.clip_eps), diag, "g_converged")
-        return mu, functools.partial(_inverse_g, g)
+        return mu, functools.partial(_reciprocal_pair, g)
     gen = LSIF if config.riesz_mode == "ls-riesz" else UKL
     riesz = fit_riesz(train, gen=gen, degree=config.degree)
     diag["riesz_converged"] = riesz.converged
     return mu, riesz.a1_a0
 
 
-def _inverse_g(g, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    g1, g0 = arms(g, x)
-    return 1.0 / g1, -1.0 / g0
+def _reciprocal_pair(f, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(1/f(1, x), -1/f(0, x)), the score's signed weights: f is g, or v two-sample."""
+    f1, f0 = arms(f, x)
+    return 1.0 / f1, -1.0 / f0
 
 
 def _os_scores(data: OneSampleDataset, fold: np.ndarray, mu, weights) -> np.ndarray:
@@ -249,8 +235,8 @@ def estimate_os_ipw(
 ) -> EstimateReport:
     """Inverse-probability-weighting baseline with a supplied g(d, x): a
     fitted GModel or any callable of the same signature."""
-    a = np.where(data.d == 1, *_inverse_g(g, data.x))
-    tau, se = _mean_se(np.where(data.o == 1, a * data.y, 0.0))
+    ipw = weighted_residual(data.d, data.y, 0.0, 0.0, *_reciprocal_pair(g, data.x))
+    tau, se = _mean_se(np.where(data.o == 1, ipw, 0.0))
     return EstimateReport(tau, se, ci(tau, se, level), level, "OS-IPW",
                           {"n": data.n, "n_labeled": data.n_labeled}, 1)
 
@@ -306,7 +292,7 @@ def estimate_ts_eff(
         v = assemble_v_beta(e, r, beta_star)
         xf = data.x[fm]
         mu1, mu0 = arms(mu, xf)
-        s_xdy[fm] = score_ts_vec(data.d[fm], data.y[fm], mu1, mu0, *v.arms(xf))
+        s_xdy[fm] = weighted_residual(data.d[fm], data.y[fm], mu1, mu0, *_reciprocal_pair(v, xf))
         s_x_lab[fm] = mu1 - mu0
         s_x_unl[fu] = score_ts_x(data.z[fu], mu)
         diagnostics.append(diag)

@@ -68,6 +68,19 @@ def arms(f, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return pair(x) if pair is not None else (f(1, x), f(0, x))
 
 
+def weighted_residual(d, y, mu1, mu0, a1, a0) -> np.ndarray:
+    """The arm-matched weight times the arm-matched residual, a_d(x) * (y - mu_d(x)): the
+    correction term of every efficient score, whatever the weights' source."""
+    return np.where(d == 1, a1, a0) * np.where(d == 1, y - mu1, y - mu0)
+
+
+class _ArmPair:
+    """A model of (arm, x) that evaluates both arms at once in ``arms(x)``."""
+
+    def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
+        return self.arms(x)[0 if d == 1 else 1]
+
+
 # ---------------------------------------------------------------------------
 # Outcome regression
 # ---------------------------------------------------------------------------
@@ -166,7 +179,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GModel:
+class GModel(_ArmPair):
     """Multinomial model of the 3 outcomes (o=1,d=1), (o=1,d=0), (o=0),
     called as g(d, x) for the clipped joint probability of (o=1, d)."""
 
@@ -177,9 +190,6 @@ class GModel:
     weights: np.ndarray
     clip_eps: float
     converged: bool = True
-
-    def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self.arms(x)[0 if d == 1 else 1]
 
     def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         probs = _softmax(self.basis.transform(x) @ self.weights)
@@ -231,16 +241,13 @@ def fit_gmodel_mle(
 
 
 @dataclass
-class EModel:
+class EModel(_ArmPair):
     """Binary logistic propensity model, called as e(d, x) = P(D = d | X = x)."""
 
     basis: FittedBasis
     weights: np.ndarray
     clip_eps: float
     converged: bool = True
-
-    def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self.arms(x)[0 if d == 1 else 1]
 
     def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         p1 = 1.0 / (1.0 + np.exp(-(self.basis.transform(x) @ self.weights)))
@@ -366,12 +373,6 @@ class RieszModel:
         if self.generator.tag == "LSIF":
             return u1, u0
         return 1.0 + np.exp(u1), -1.0 - np.exp(u0)
-
-    def alpha(self, o: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-        o = np.asarray(o)
-        d = np.asarray(d)
-        out = np.where(d == 1, *self.a1_a0(x))
-        return np.where(o == 1, out, 0.0)
 
 
 def _riesz_weights(
@@ -553,12 +554,11 @@ def tmle_fluctuate(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.asarray(d)
     y = np.asarray(y, dtype=float)
-    av = np.where(d == 1, *alpha_model.a1_a0(x))
-    denom = float(np.sum(av**2))
+    a1, a0 = alpha_model.a1_a0(x)
+    denom = float(np.sum(np.where(d == 1, a1, a0) ** 2))
     if denom == 0.0:
         raise ZeroDenominator("representer vanishes on every labeled row")
-    res = y - mu_model.predict_rows(d, x)
-    eps = float(np.sum(av * res)) / denom
+    eps = float(np.sum(weighted_residual(d, y, *mu_model.arms(x), a1, a0))) / denom
     return replace(mu_model, fluctuations=mu_model.fluctuations + ((alpha_model, eps),))
 
 
@@ -584,8 +584,7 @@ def ddml_iterate(
         res = yl - mu.predict_rows(dl, xl)
         alpha = fit_riesz(data, gen, degree, residuals=res)
         mu = tmle_fluctuate(mu, alpha, xl, dl, yl)
-        av = np.where(dl == 1, *alpha.a1_a0(xl))
-        score = float(np.sum(av * (yl - mu.predict_rows(dl, xl)))) / data.n
+        score = float(np.sum(weighted_residual(dl, yl, *mu.arms(xl), *alpha.a1_a0(xl)))) / data.n
         trace.append(abs(score))
     return mu, alpha, trace
 
@@ -595,15 +594,12 @@ def ddml_iterate(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class VBeta:
+class VBeta(_ArmPair):
     """Evaluable v(d, x) = e(d|x) / (beta + (1 - beta) / r(x))."""
 
     e_fn: Callable[[int, np.ndarray], np.ndarray]
     r_fn: Callable[[np.ndarray], np.ndarray]
     beta: float
-
-    def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self.arms(x)[0 if d == 1 else 1]
 
     def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         e1, e0 = arms(self.e_fn, x)

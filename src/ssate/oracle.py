@@ -208,6 +208,8 @@ class GaussianLinearDgp(_Dgp):
 
     def __post_init__(self):
         k = np.size(self.p_mean)
+        if k == 0:  # no coordinate: no quadrature grid, and no covariate to sample
+            raise DimMismatch("p_mean must have at least one coordinate")
         for name in ("p_mean", "p_var", "mu1_coef", "mu0_coef", "e_coef",
                      "pi_coef", "q_mean", "q_var"):
             if getattr(self, name) is not None:  # coefficients are intercept-first
@@ -334,9 +336,22 @@ def _core(dgp, x: np.ndarray, prob) -> np.ndarray:
     return dgp.sigma2(1, x) / prob(1, x) + dgp.sigma2(0, x) / prob(0, x)
 
 
-def _check_grid_step(grid_step: float) -> None:
-    if not grid_step > 0.0:  # NaN fails too
+_MAX_GRID_INTERVALS = 10**5  # a finer grid's argmin would take minutes, or more memory than RAM
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The argmin search grid from ``lo`` to ``hi``: round((hi - lo) / step) equal intervals.
+    A step that is not positive or leaves fewer than 2 or more than ``_MAX_GRID_INTERVALS``
+    intervals, or a range that is not finite lo < hi, is a ValueError naming the setting."""
+    if not step > 0.0:  # NaN fails too
         raise ValueError("grid_step must be positive")
+    if not -np.inf < lo < hi < np.inf:  # NaN fails too
+        raise ValueError(f"grid needs finite grid_lo < grid_hi, got {lo} and {hi}")
+    n = round(min((hi - lo) / step, _MAX_GRID_INTERVALS + 1))  # a tiny step's ratio is inf
+    if not 2 <= n <= _MAX_GRID_INTERVALS:
+        raise ValueError(f"grid_step must leave 2 to {_MAX_GRID_INTERVALS} intervals on "
+                         f"[{lo:g}, {hi:g}], got {step}")
+    return np.linspace(lo, hi, n + 1)
 
 
 class _Terms:
@@ -346,10 +361,10 @@ class _Terms:
 
     def __init__(self, dgp, one_sample: bool = False, two_sample: bool = False,
                  alpha: Optional[float] = None, grid_step: float = 0.01):
-        _check_grid_step(grid_step)
+        self.grid = _grid(0.0, 1.0, grid_step)  # beta's
         if alpha is not None and not 0.0 < alpha < 1.0:
             raise BadAlpha("labeled fraction alpha must lie in (0, 1)")
-        self.alpha, self.grid_step = alpha, grid_step
+        self.alpha = alpha
         laws = {"core_e": lambda x: _core(dgp, x, dgp.e)}
         if one_sample:
             laws["core_g"] = lambda x: _core(dgp, x, dgp.g)
@@ -380,8 +395,7 @@ class _Terms:
 
     def sweep(self) -> BoundReport:
         """``report`` with beta_star, V_ts at 0, 1/2, beta_star and 1, V~_ts at beta_star."""
-        grid = np.linspace(0.0, 1.0, int(round(1.0 / self.grid_step)) + 1)
-        bs = float(grid[int(np.argmin([self.v_ts(float(b)) for b in grid]))])
+        bs = float(self.grid[int(np.argmin([self.v_ts(float(b)) for b in self.grid]))])
         self.report.beta_star, self.report.v_tilde_ts = bs, self.v_tilde_ts(bs)
         self.report.v_ts = {b: self.v_ts(b) for b in (0.0, 0.5, bs, 1.0)}
         return self.report
@@ -448,11 +462,7 @@ def brute_force_riesz(
     """
     if not isinstance(dgp, DiscreteXDgp):
         raise DomainViolation("brute-force oracle requires a discrete-covariate DGP")
-    _check_grid_step(grid_step)
-    if not -np.inf < grid_lo < grid_hi < np.inf:  # NaN fails too
-        raise ValueError(f"grid needs finite grid_lo < grid_hi, got {grid_lo} and {grid_hi}")
-    n_steps = int(round((grid_hi - grid_lo) / grid_step))
-    grid = np.linspace(grid_lo, grid_hi, n_steps + 1)
+    grid = _grid(grid_lo, grid_hi, grid_step)
     g1, g0 = (dgp.g(d, dgp.xs)[:, None] for d in (1, 0))
     if gen.tag == "LSIF":
         objs = (g1 * grid**2 - 2.0 * grid, g0 * grid**2 + 2.0 * grid)

@@ -429,7 +429,8 @@ class TestConfigErrors:
             assert capsys.readouterr().err == f"simulate: {message}\n"
 
     @pytest.mark.parametrize("extra", [{"alpha": "0.5"}, {"grid_step": "0.01"},
-                                       {"grid_step": -0.01}, {"grid_step": 1e-320}])
+                                       {"grid_step": -0.01}, {"grid_step": 1e-320},
+                                       {"grid_step": 3}, {"grid_step": 1e-12}])
     def test_bounds_uncoerced_values_exit_2(self, files, tmp_path, extra):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dgp": str(files["spec"]), "alpha": 0.5, **extra}))
@@ -469,6 +470,15 @@ class TestConfigErrors:
         out = tmp_path / "missing" / "r.json"
         assert main([command, *argv, "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"{command}: cannot write --output: ")
+
+    def test_labeled_file_as_unlabeled_exit_2(self, files, tmp_path, capsys):
+        # beside a k=3 labeled file, the k=1 labeled file's x1,d,y once read as three covariates
+        lab = tmp_path / "lab3.csv"
+        write_labeled_csv(sample_two(gaussian_k3(), 100, 100, 92), lab)
+        assert main(["estimate-ts", "--labeled", str(lab), "--unlabeled", str(files["lab"]),
+                     "--beta-star", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            f"estimate-ts: {files['lab']}, line 1: header must be x1,...,xk\n")
 
     def test_fractional_indicator_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -563,10 +573,16 @@ class TestBounds:
         assert main(["bounds", "--dgp", str(path)]) == 2
         assert "distinct" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("step", ["-1", "nan"])
-    def test_bad_grid_step_without_alpha_exit_2(self, files, capsys, step):
+    @pytest.mark.parametrize("step, message", [
+        ("-1", "must be positive"), ("nan", "must be positive"),
+        # a one-point grid [0] would give beta_star 0.0; 10^12 points would not fit in memory
+        ("inf", "must leave 2 to 100000 intervals on [0, 1], got inf"),
+        ("3", "must leave 2 to 100000 intervals on [0, 1], got 3.0"),
+        ("1e-12", "must leave 2 to 100000 intervals on [0, 1], got 1e-12"),
+    ], ids=["-1", "nan", "inf", "3", "1e-12"])
+    def test_bad_grid_step_without_alpha_exit_2(self, files, capsys, step, message):
         assert main(["bounds", "--dgp", str(files["spec"]), "--grid-step", step]) == 2
-        assert capsys.readouterr().err == "bounds: grid_step must be positive\n"
+        assert capsys.readouterr().err == f"bounds: grid_step {message}\n"
 
     def test_no_support_spec_exit_2(self, tmp_path, capsys):
         spec = dgp_to_dict(dgp_d1())

@@ -60,6 +60,8 @@ class TestValidateOneSample:
         path = one_sample_csv(tmp_path, "x1,x2,o,d,y\n0.0,1.0,1,0,1.0\n3.0,1,0,1.0\n")
         with pytest.raises(DimMismatch):
             read_one_sample_csv(path)
+        with pytest.raises(DimMismatch, match="^array lengths disagree$"):
+            OneSampleDataset.from_arrays(np.zeros((2, 1)), [1, 1], [1, 0], [1.0])
 
     def test_nonfinite_covariate(self):
         with pytest.raises(NonfiniteValue):
@@ -113,6 +115,8 @@ class TestValidateTwoSample:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             TwoSampleDataset.from_arrays([[0.0]], [1], [1.0], [[1.0, 2.0]])
+        with pytest.raises(DimMismatch, match="^labeled array lengths disagree$"):
+            TwoSampleDataset.from_arrays([[0.0], [1.0]], [1, 0], [1.0], [[1.0]])
 
     @pytest.mark.parametrize("x, d, y, z, error, where", [
         ([[0.0], [np.nan], [np.inf]], [1, 0, 1], [1.0, 2.0, 3.0], [[0.0]], NonfiniteValue,
@@ -279,8 +283,20 @@ class TestCsvErrors:
             read_two_sample_csv(lab, unl)
 
     def test_bad_header(self, tmp_path):
-        path = one_sample_csv(tmp_path, "x1,o,y,d\n0.0,1,2.0,1\n")
-        with pytest.raises(DimMismatch, match=re.escape("line 1: header must be x1,...,xk,o,d,y")):
+        for header in ("x1,o,y,d", "foo,o,d,y", "x2,o,d,y", "x1,x3,o,d,y", "X1,o,d,y"):
+            path = one_sample_csv(tmp_path, f"{header}\n0.0,1,2.0,1\n")
+            with pytest.raises(DimMismatch,
+                               match=re.escape("line 1: header must be x1,...,xk,o,d,y")):
+                read_one_sample_csv(path)
+        # a labeled file is no unlabeled one: its d and y would be read as covariates
+        lab, unl = two_sample_csvs(tmp_path, "x1,x2,x3,d,y\n0,0,0,1,2.0\n", "x1,d,y\n0.0,1,2.0\n")
+        with pytest.raises(DimMismatch,
+                           match=re.escape(f"{unl}, line 1: header must be x1,...,xk")):
+            read_two_sample_csv(lab, unl)
+
+    def test_empty_file(self, tmp_path):
+        path = one_sample_csv(tmp_path, "")
+        with pytest.raises(EmptyDataset, match=re.escape(f"{path}: empty file")):
             read_one_sample_csv(path)
 
 

@@ -14,8 +14,8 @@ from ssate import (
     score_ts_x,
 )
 from ssate.errors import BadFoldCount, BadLevel, DomainViolation, NonfiniteValue, SsateError
-from ssate.estimators import NuisanceConfig, score_os_vec, score_ts_vec
-from ssate.nuisance import FittedBasis, OutcomeModel, fit_riesz
+from ssate.estimators import NuisanceConfig, score_os_vec
+from ssate.nuisance import FittedBasis, OutcomeModel, fit_riesz, weighted_residual
 
 from conftest import gaussian_k3, random_one_sample, random_two_sample, traced_peak
 
@@ -42,6 +42,8 @@ class TestCi:
 
     def test_degenerate(self):
         assert ci(1.3, 0.0, 0.9) == (1.3, 1.3)
+        with pytest.raises(ValueError, match="^se must be nonnegative$"):
+            ci(1.3, -0.1, 0.9)
 
     def test_bad_level(self, d1):
         with pytest.raises(BadLevel):
@@ -65,9 +67,10 @@ def score_os_row(o, d, y, mu, g):
 
 
 def score_ts_row(d, y, mu, v):
-    """score_ts_vec on the single labeled row (x=0, d, y)."""
+    """The two-sample weighted residual of the single labeled row (x=0, d, y)."""
     x = np.zeros((1, 1))
-    return score_ts_vec(np.array([d]), np.array([y]), mu(1, x), mu(0, x), v(1, x), v(0, x))[0]
+    return weighted_residual(np.array([d]), np.array([y]), mu(1, x), mu(0, x),
+                             1.0 / v(1, x), -1.0 / v(0, x))[0]
 
 
 class TestScoreOs:

@@ -22,6 +22,7 @@ from ssate import (
 )
 from ssate import nuisance
 from ssate.datamodel import OneSampleDataset
+from ssate.estimators import score_os_vec
 from ssate.errors import (
     ClassAbsent,
     DomainViolation,
@@ -89,6 +90,12 @@ class TestFitOutcome:
         x = np.array([[0.0]])
         with pytest.raises(InsufficientArmData):
             fit_outcome_both(x, np.array([0]), np.array([1.0]))(1, x)
+
+    def test_rank_deficient_without_ridge(self):
+        # x is constant, so the intercept and x columns are collinear
+        x, y = np.ones((3, 1)), np.array([0.0, 1.0, 2.0])
+        with pytest.raises(SingularSystem, match="use ridge_lambda > 0"):
+            fit_outcome_both(x, np.ones(3), y, ridge_lambda=0.0)
 
     def test_arm_without_rows_is_unfitted(self):
         x = np.array([[0.0], [1.0], [2.0]])
@@ -311,6 +318,22 @@ class TestFitRiesz:
             fit_riesz(big, gen=gen)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda data: fit_riesz(data, residuals=np.ones(data.n_labeled + 1)), ValueError,
+     "residuals must be supplied for all labeled rows"),
+    (lambda data: fit_riesz(OneSampleDataset.from_arrays(data.x, np.zeros(data.n), data.d,
+                                                        data.y)), InsufficientArmData,
+     "representer fitting needs at least one labeled row"),
+    # exp(-800) underflows to 0, so a1 = 1 + 0 leaves the UKL domain a1 > 1
+    (lambda data: riesz_loss(RieszModel(UKL, FittedBasis(1, 1), np.array([-800.0, 0.0]),
+                                        np.zeros(2)), data), DomainViolation,
+     "UKL representer must satisfy a1 > 1 and a0 < -1"),
+], ids=["residual-count", "no-labeled-row", "ukl-domain"])
+def test_riesz_input_rejected(d1, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(sample_one(d1, 50, 3))
+
+
 def test_unknown_generator_tag_rejected():
     with pytest.raises(ValueError, match="unknown generator"):
         BregmanGenerator("foo")
@@ -467,9 +490,8 @@ class TestDdml:
     def test_plugin_estimate_near_truth(self, d1):
         data = sample_one(d1, 20000, 20)
         mu, alpha, _ = ddml_iterate(data, n_steps=3)
-        av = alpha.alpha(data.o, data.d, data.x)
-        res = np.where(data.o == 1, data.y - mu.predict_rows(data.d, data.x), 0.0)
-        tau = np.mean(av * res + mu(1, data.x) - mu(0, data.x))
+        tau = np.mean(score_os_vec(data.o, data.d, data.y, *mu.arms(data.x),
+                                   *alpha.a1_a0(data.x)))
         assert abs(tau - 0.5) < 0.1
 
 

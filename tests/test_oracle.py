@@ -177,6 +177,9 @@ class TestBetaStar:
             oracle_bounds(d1, grid_step=step)
 
 
+FEW_OR_MANY = "grid_step must leave 2 to 100000 intervals"
+
+
 class TestBruteForce:
     def test_lsif_reference(self, d1):
         a1, a0 = brute_force_riesz(d1, LSIF)
@@ -196,12 +199,15 @@ class TestBruteForce:
         ({"grid_step": 0.0}, "grid_step must be positive"),
         ({"grid_step": -0.01}, "grid_step must be positive"),
         ({"grid_step": float("nan")}, "grid_step must be positive"),
+        # one point, which has no inside argmin, or 1.6e10 points (119 GiB)
+        ({"grid_step": np.inf}, rf"{FEW_OR_MANY} on \[-8, 8\], got inf"),
+        ({"grid_step": 1e-9}, rf"{FEW_OR_MANY} on \[-8, 8\], got 1e-09"),
         ({"grid_lo": 2.0, "grid_hi": 1.0}, "grid needs finite grid_lo < grid_hi, got 2.0 and 1.0"),
         ({"grid_lo": 1.0, "grid_hi": 1.0}, "grid needs finite grid_lo < grid_hi, got 1.0 and 1.0"),
         ({"grid_lo": -np.inf}, "grid needs finite grid_lo < grid_hi, got -inf and 8.0"),
         ({"grid_hi": float("nan")}, "grid needs finite grid_lo < grid_hi, got -8.0 and nan"),
-    ], ids=["step-zero", "step-negative", "step-nan", "lo-above-hi", "lo-equals-hi", "lo-inf",
-            "hi-nan"])
+    ], ids=["step-zero", "step-negative", "step-nan", "step-inf", "step-tiny", "lo-above-hi",
+            "lo-equals-hi", "lo-inf", "hi-nan"])
     def test_bad_grid(self, d1, grid, message):
         # numpy's errors, or a ZeroDivisionError, would name no setting
         for gen in (LSIF, UKL):
@@ -267,7 +273,7 @@ class TestSpecLengths:
     @pytest.mark.parametrize("name, value", [
         ("p_var", [1.0, 1.0]), ("q_mean", [0.5, 0.5]), ("q_var", [[1.5]]),
         ("mu1_coef", [1.0]), ("mu0_coef", [0.2, 0.3, 0.1]), ("e_coef", [0.0]),
-        ("pi_coef", [0.0, 0.0, 0.0]),
+        ("pi_coef", [0.0, 0.0, 0.0]), ("p_mean", []),
     ])
     def test_gaussian_vector_lengths(self, name, value):
         spec = dgp_to_dict(TestGaussianFamily().make())
@@ -275,15 +281,17 @@ class TestSpecLengths:
         with pytest.raises(DimMismatch, match=name):
             dgp_from_dict(spec)
 
-    @pytest.mark.parametrize("change", ["list", "missing", "unknown"])
+    @pytest.mark.parametrize("change", ["list", "missing", "unknown", "family"])
     def test_malformed_spec_rejected(self, d1, change):
         spec = dgp_to_dict(d1)
         if change == "list":
             spec = list(spec)
         elif change == "missing":
             del spec["mu0"]
-        else:
+        elif change == "unknown":
             spec["mu2"] = spec["mu1"]
+        else:
+            spec["family"] = "Uniform"
         with pytest.raises(DomainViolation):
             dgp_from_dict(spec)
 
@@ -308,6 +316,51 @@ def test_nonfinite_or_negative_spec_rejected(d1, family, change, message):
     base = d1 if family == "DiscreteX" else TestGaussianFamily().make()
     with pytest.raises(DomainViolation, match=re.escape(message)):
         dgp_from_dict({**dgp_to_dict(base), **change})
+
+
+GAUSSIAN_K4 = {"p_mean": [0.0] * 4, "p_var": [1.0] * 4, "mu1_coef": [0.0] * 5,
+               "mu0_coef": [0.0] * 5, "e_coef": [0.0] * 5, "pi_coef": [0.0] * 5,
+               "q_mean": [0.0] * 4, "q_var": [1.0] * 4}
+# finite values outside a law's range
+OUT_OF_RANGE = [
+    ("DiscreteX", {"p": [0.3, 0.3]}, "p masses must sum to 1"),
+    ("DiscreteX", {"p": [1.0, 0.0]}, "p masses must be positive"),
+    ("DiscreteX", {"s2_1": [0.0, 1.0]}, "conditional variances must be positive"),
+    ("GaussianLinear", GAUSSIAN_K4, "quadrature supports covariate dimension <= 3"),
+    ("GaussianLinear", {"p_var": [0.0]}, "covariate variances must be positive"),
+    ("GaussianLinear", {"q_var": None}, "q_mean and q_var must be given together"),
+    ("GaussianLinear", {"q_var": [-1.5]}, "covariate variances must be positive"),
+]
+
+
+@pytest.mark.parametrize("family, change, message", OUT_OF_RANGE,
+                         ids=["p-sum", "p-zero", "s2-zero", "k4", "p_var-zero", "q_mean-alone",
+                              "q_var-negative"])
+def test_out_of_range_spec_rejected(d1, family, change, message):
+    base = d1 if family == "DiscreteX" else TestGaussianFamily().make()
+    with pytest.raises(DomainViolation, match=f"^{re.escape(message)}$"):
+        dgp_from_dict({**dgp_to_dict(base), **change})
+
+
+def test_law_off_the_support_rejected(d1):
+    with pytest.raises(DomainViolation, match=r"^covariate \[0.5\] is not a support point"):
+        d1.mu(1, np.array([[0.0], [0.5]]))
+
+
+def test_brute_force_needs_a_discrete_dgp():
+    with pytest.raises(DomainViolation, match="requires a discrete-covariate DGP"):
+        brute_force_riesz(gaussian_k3(), LSIF)
+
+
+def test_spec_without_coordinate_bounds_exit_2(tmp_path, capsys):
+    # no coordinate once gave "'float' object cannot be interpreted as an integer"
+    path = tmp_path / "bad.json"
+    spec = {**dgp_to_dict(TestGaussianFamily().make()), "p_mean": [], "p_var": [],
+            "mu1_coef": [1.0], "mu0_coef": [0.0], "e_coef": [0.0], "pi_coef": [0.0],
+            "q_mean": [], "q_var": []}
+    path.write_text(json.dumps(spec))
+    assert main(["bounds", "--dgp", str(path), "--alpha", "0.5"]) == 2
+    assert capsys.readouterr().err == "bounds: p_mean must have at least one coordinate\n"
 
 
 def test_nonfinite_spec_bounds_exit_2(d1, tmp_path, capsys):
@@ -398,12 +451,16 @@ class TestOneGridPerLaw:
         lambda dgp: beta_star(dgp, 0.5, grid_step=-0.01),
         lambda dgp: oracle_bounds(dgp, alpha=1.0),
         lambda dgp: oracle_bounds(dgp, grid_step=float("nan")),
+        lambda dgp: beta_star(dgp, 0.5, grid_step=np.inf),
+        lambda dgp: oracle_bounds(dgp, alpha=0.5, grid_step=3.0),
+        lambda dgp: oracle_bounds(dgp, alpha=0.5, grid_step=1e-12),
         lambda dgp: true_ate(dgp, 2.0),
         lambda dgp: true_ate(dgp, float("nan")),
         lambda dgp: bound_v_tilde_ts(dgp, -1.0),
         lambda dgp: bound_v_ts(dgp, 2.0, 0.5),
     ], ids=["bound_v_ts-alpha", "beta_star-alpha", "beta_star-grid_step",
-            "oracle_bounds-alpha", "oracle_bounds-grid_step", "true_ate-beta",
+            "oracle_bounds-alpha", "oracle_bounds-grid_step", "beta_star-one-point",
+            "oracle_bounds-one-interval", "oracle_bounds-too-fine", "true_ate-beta",
             "true_ate-beta-nan", "bound_v_tilde_ts-beta", "bound_v_ts-beta"])
     def test_settings_checked_before_any_grid(self, builds, call):
         with pytest.raises(ValueError):  # BadAlpha and DomainViolation are ones

@@ -183,6 +183,22 @@ class TestMcConfigChecks:
             with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
                 McConfig(dgp=d1, scenario=scenario, **{"reps": 3, **study, field: value})
 
+    @pytest.mark.parametrize("study, message", [
+        ({"scenario": "one-sample", "estimator": "ts-eff", "n": 100},
+         "estimator 'ts-eff' not valid for one-sample"),
+        ({"scenario": "two-sample", "estimator": "os-ipw", "m": 50, "l": 50, "beta_star": 0.5},
+         "estimator 'os-ipw' not valid for two-sample"),
+        ({"scenario": "two-sample", "estimator": "ts-eff", "m": 50, "l": 50},
+         "two-sample studies need beta_star"),
+    ], ids=["ts-eff-one-sample", "os-ipw-two-sample", "no-beta-star"])
+    def test_study_shape(self, d1, study, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            McConfig(dgp=d1, reps=3, **study)
+
+    def test_unknown_hook_kind(self):
+        with pytest.raises(ValueError, match="^unknown misspecification kind 'true-pi'$"):
+            Misspec("true-pi")
+
     def test_one_sample_beta_star(self, d1):
         # no one-sample estimator reads beta_star, but tau0 would be taken at it
         with pytest.raises(ValueError, match="take no beta_star"):
@@ -261,6 +277,8 @@ class TestMcConfigChecks:
                     {"n_labeled": 20, "beta_star": 0.5}):
             with pytest.raises(ValueError):
                 run_infinite_unlabeled_study(d1, **{"ratio": 10, "reps": 2, **bad})
+        with pytest.raises(ValueError, match="needs an observation probability"):
+            run_infinite_unlabeled_study(replace(d1, pi1=None), n_labeled=20, ratio=10, reps=2)
         # a fractional or bool count names its setting, in either regime
         for bad, setting in (({"n_labeled": 20.5}, "n_labeled"), ({"n_labeled": True}, "n_labeled"),
                              ({"ratio": 10.5}, "ratio"), ({"reps": 2.5}, "reps"),
