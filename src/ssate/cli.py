@@ -66,14 +66,20 @@ def _finite(obj):
     return obj
 
 
+def _read_json(what: str, path: str):
+    """The JSON value in the file at ``path``; a file that cannot be read or decoded is a
+    config error that names it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and undecodable bytes
+        raise SsateError(f"{what} {path}: {exc}") from None
+
+
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SsateError(f"config file {path}: {exc}") from None
+    cfg = _read_json("config file", path)
     if not isinstance(cfg, dict):
         raise SsateError("config file must hold a JSON object")
     return cfg
@@ -201,9 +207,8 @@ def cmd_bounds(cfg: dict):
     path = cfg.get("dgp")
     if not path:
         raise SsateError("a DGP spec JSON file is required (--dgp)")
-    with open(path) as fh:
-        spec = json.load(fh)
-    report = oracle_bounds(dgp_from_dict(spec), alpha=cfg.get("alpha"), grid_step=cfg["grid_step"])
+    dgp = dgp_from_dict(_read_json("DGP spec file", path))
+    report = oracle_bounds(dgp, alpha=cfg.get("alpha"), grid_step=cfg["grid_step"])
     v_ts = {str(k): v for k, v in report.v_ts.items()} if report.v_ts else None
     return {**vars(report), "v_ts": v_ts}
 

@@ -80,19 +80,22 @@ class _ArmPair:
     def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
         return self.arms(x)[0 if d == 1 else 1]
 
+    def predict_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Arm-matched prediction, row by row."""
+        return np.where(np.asarray(d) == 1, *self.arms(x))
+
 
 # ---------------------------------------------------------------------------
 # Outcome regression
 # ---------------------------------------------------------------------------
 
 @dataclass
-class OutcomeModel:
+class OutcomeModel(_ArmPair):
     """Per-arm ridge regression with bounded predictions, called as mu(arm, x).
 
     ``fluctuations`` holds (riesz_model, epsilon) pairs appended by the
     TMLE step; fluctuation terms are added after clipping so the score
-    identity from the fluctuation remains exact. An arm fitted on no rows
-    has coefficients None, and calling the model for it raises.
+    identity from the fluctuation remains exact.
     """
 
     basis: FittedBasis
@@ -100,28 +103,13 @@ class OutcomeModel:
     clip_c: float
     fluctuations: tuple = ()
 
-    def _clipped(self, arm: int, phi: np.ndarray) -> np.ndarray:
-        if self.coef.get(arm) is None:
-            raise InsufficientArmData(f"arm {arm} has 0 rows, need at least {self.basis.dim}")
-        return np.clip(phi @ self.coef[arm], -self.clip_c, self.clip_c)
-
-    def __call__(self, arm: int, x: np.ndarray) -> np.ndarray:
-        val = self._clipped(arm, self.basis.transform(x))
-        for riesz, eps in self.fluctuations:
-            val = val + eps * (riesz.a1(x) if arm == 1 else riesz.a0(x))
-        return val
-
     def arms(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         phi = self.basis.transform(x)
-        val1, val0 = self._clipped(1, phi), self._clipped(0, phi)
+        val1, val0 = (np.clip(phi @ self.coef[arm], -self.clip_c, self.clip_c) for arm in (1, 0))
         for riesz, eps in self.fluctuations:
             a1, a0 = riesz.a1_a0(x)
             val1, val0 = val1 + eps * a1, val0 + eps * a0
         return val1, val0
-
-    def predict_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Arm-matched prediction, row by row."""
-        return np.where(np.asarray(d) == 1, *self.arms(x))
 
 
 def _ridge_solve(phi: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -147,20 +135,20 @@ def fit_outcome_both(
     clip_c: Optional[float] = None,
 ) -> OutcomeModel:
     """Closed-form ridge fit of E[Y | X, arm] for each arm, on a shared
-    feature map. An arm with no rows is left unfitted; one with fewer rows
-    than basis columns raises InsufficientArmData."""
+    feature map. An arm with fewer rows than basis columns raises
+    InsufficientArmData; a short arm with rows is reported before an empty one."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.asarray(d)
     y = np.asarray(y, dtype=float)
     fb = FittedBasis(degree, x.shape[1])
     phi = fb.transform(x)  # row by row, so phi[mask] is the arm's own transform
+    masks = {arm: d == arm for arm in (1, 0)}
     coef = {}
-    for arm in (1, 0):
-        mask = d == arm
-        rows = int(mask.sum())
-        if 0 < rows < fb.dim:
+    for arm in sorted(masks, key=lambda a: not masks[a].any()):
+        rows = int(masks[arm].sum())
+        if rows < fb.dim:
             raise InsufficientArmData(f"arm {arm} has {rows} rows, need at least {fb.dim}")
-        coef[arm] = _ridge_solve(phi[mask], y[mask], ridge_lambda) if rows else None
+        coef[arm] = _ridge_solve(phi[masks[arm]], y[masks[arm]], ridge_lambda)
     cc = default_clip_c(y) if clip_c is None else float(clip_c)
     return OutcomeModel(basis=fb, coef=coef, clip_c=cc)
 

@@ -434,10 +434,10 @@ def beta_star(dgp, alpha: float, grid_step: float = 0.01) -> float:
 
 
 def oracle_bounds(dgp, alpha: Optional[float] = None, grid_step: float = 0.01) -> BoundReport:
-    """All bounds the DGP supports, in one report from one ``_Terms``; ``grid_step``,
-    for beta_star, is checked whether or not ``alpha`` asks for the two-sample bounds."""
+    """All bounds the DGP supports, in one report from one ``_Terms``; ``grid_step``, for
+    beta_star, and a given ``alpha`` are checked whether or not the two-sample bounds apply."""
     two_sample = dgp.has_q and alpha is not None
-    terms = _Terms(dgp, dgp.has_pi, two_sample, alpha if two_sample else None, grid_step)
+    terms = _Terms(dgp, dgp.has_pi, two_sample, alpha, grid_step)
     return terms.sweep() if two_sample else terms.report
 
 

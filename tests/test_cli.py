@@ -171,6 +171,9 @@ WRONG_TYPES = [
 ]
 WRONG_TYPE_IDS = [command + "-" + message.split()[0].strip("'")
                   for command, _, message in WRONG_TYPES]
+# json's messages for a file holding '{not json', and one starting with byte 0xff
+BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NOT_UTF_8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 # a key the command does not read: neither an option's dest nor, for an
@@ -353,6 +356,20 @@ class TestConfigErrors:
             path.write_text(content)
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"{command}: ")
+
+    @pytest.mark.parametrize("option, content, message", [
+        ("--config", b"{not json", f"config file {{path}}: {BAD_JSON}"),
+        ("--dgp", b"{not json", f"DGP spec file {{path}}: {BAD_JSON}"),
+        ("--config", b"\xff\xfe", f"config file {{path}}: {NOT_UTF_8}"),
+        ("--dgp", b"\xff\xfe", f"DGP spec file {{path}}: {NOT_UTF_8}"),
+        ("--dgp", b"[1, 2]", "a DGP spec must be a JSON object, got list"),
+    ], ids=["config-bad-json", "dgp-bad-json", "config-not-utf-8", "dgp-not-utf-8", "dgp-list"])
+    def test_bad_json_file_message(self, tmp_path, capsys, option, content, message):
+        # both files go through one reader, so a decoding error names the file it is in
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["bounds", option, str(path)]) == 2
+        assert capsys.readouterr().err == f"bounds: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize("command, bad, message", WRONG_TYPES, ids=WRONG_TYPE_IDS)
     def test_wrong_json_type_exit_2(self, files, tmp_path, capsys, command, bad, message):
@@ -583,6 +600,20 @@ class TestBounds:
     def test_bad_grid_step_without_alpha_exit_2(self, files, capsys, step, message):
         assert main(["bounds", "--dgp", str(files["spec"]), "--grid-step", step]) == 2
         assert capsys.readouterr().err == f"bounds: grid_step {message}\n"
+
+    @pytest.mark.parametrize("alpha", ["5", "-1", "nan", "0.5"])
+    def test_alpha_checked_without_q_law(self, tmp_path, capsys, alpha):
+        spec = dgp_to_dict(dgp_d1())
+        del spec["q"]
+        path = tmp_path / "noq.json"
+        path.write_text(json.dumps(spec))
+        code = main(["bounds", "--dgp", str(path), "--alpha", alpha])
+        out, err = capsys.readouterr()
+        if alpha == "0.5":  # a valid alpha on a DGP with no q law gives the one-sample bounds
+            assert code == 0 and err == ""
+            assert json.loads(out)["report"]["v_ts"] is None
+        else:
+            assert code == 2 and err == "bounds: labeled fraction alpha must lie in (0, 1)\n"
 
     def test_no_support_spec_exit_2(self, tmp_path, capsys):
         spec = dgp_to_dict(dgp_d1())

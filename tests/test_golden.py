@@ -31,6 +31,7 @@ from ssate import (
 )
 from ssate.cli import main
 from ssate.datamodel import write_labeled_csv, write_one_sample_csv, write_unlabeled_csv
+from ssate.errors import ReportIncomplete
 from ssate.estimators import NuisanceConfig
 from ssate.nuisance import LSIF, UKL, ddml_iterate, tmle_fluctuate
 from ssate.oracle import GaussianLinearDgp, dgp_to_dict
@@ -161,6 +162,69 @@ def test_fit_is_pinned(case, samples):
 @pytest.mark.parametrize("case", sorted(MC_CASES))
 def test_mc_report_is_pinned(case):
     assert run_mc(MC_CASES[case], threads=1).to_dict() == GOLDEN[case]
+
+
+# os-ra on samples of 4 and 6 rows: every rep that fails lacks arm data, in one of four
+# ways (arm 1 or arm 0, with 0 or 1 rows), and the report keeps the reps that succeed.
+# Failures are pinned as {message: reps} and compared as the report's rep-ordered list.
+OS_RA_FAILURE_PINS = {
+    'n=4': {'bound_value': None,
+            'coverage': 0.0,
+            'estimator': 'os-ra',
+            'failures': {'arm 0 has 0 rows, need at least 2': [8, 23, 25, 27, 38, 40, 57],
+                         'arm 0 has 1 rows, need at least 2': [6, 10, 16, 17, 33, 34, 37, 41,
+                                                               46, 53, 59],
+                         'arm 1 has 0 rows, need at least 2': [9, 12, 13, 14, 15, 18, 28, 32,
+                                                               35, 36, 39, 45, 48, 54, 60],
+                         'arm 1 has 1 rows, need at least 2': [1, 2, 4, 7, 11, 19, 20, 21, 22,
+                                                               24, 26, 30, 31, 42, 43, 44, 47,
+                                                               49, 50, 51, 52, 55, 56, 58]},
+            'level': 0.95,
+            'mc_bias': -1.2606972161284191,
+            'mc_se_of_bias': 0.30155139808224374,
+            'mean_se': 0.19345384741416596,
+            'mean_tau_hat': -0.760697216128419,
+            'reps_completed': 3,
+            'scaled_variance': 1.09119894822427,
+            'scenario': 'one-sample',
+            'seed': 0,
+            'sizes': {'n': 4},
+            'tau0': 0.5},
+    'n=6': {'bound_value': None,
+            'coverage': 0.36363636363636365,
+            'estimator': 'os-ra',
+            'failures': {'arm 0 has 0 rows, need at least 2': [12, 22, 24, 36, 39, 43],
+                         'arm 0 has 1 rows, need at least 2': [17, 20, 21, 31, 33, 37, 41, 42,
+                                                               45, 49, 52, 56, 59],
+                         'arm 1 has 0 rows, need at least 2': [4, 10, 16, 34, 35, 44, 53],
+                         'arm 1 has 1 rows, need at least 2': [1, 6, 7, 9, 11, 13, 14, 15, 18,
+                                                               19, 25, 26, 28, 29, 32, 46, 47,
+                                                               48, 51, 54, 55, 58, 60]},
+            'level': 0.95,
+            'mc_bias': 0.006741202798987933,
+            'mc_se_of_bias': 0.24018349333681807,
+            'mean_se': 0.1872098337164587,
+            'mean_tau_hat': 0.5067412027989879,
+            'reps_completed': 11,
+            'scaled_variance': 3.807415291117504,
+            'scenario': 'one-sample',
+            'seed': 0,
+            'sizes': {'n': 6},
+            'tau0': 0.5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_RA_FAILURE_PINS))
+def test_os_ra_failures_are_pinned(case):
+    pin = dict(OS_RA_FAILURE_PINS[case])
+    n = pin["sizes"]["n"]
+    with pytest.raises(ReportIncomplete) as info:
+        run_mc(McConfig(dgp=dgp_d1(), estimator="os-ra", n=n, reps=60, seed=0), threads=1)
+    pin["failures"] = sorted(
+        ({"error": f"INSUFFICIENT-ARM-DATA: {msg}", "rep": rep}
+         for msg, reps in pin["failures"].items() for rep in reps),
+        key=lambda f: f["rep"])
+    assert info.value.partial_report.to_dict() == pin
 
 
 def test_riesz_model_is_not_a_probability(samples):

@@ -43,6 +43,15 @@ def zero_outcome_model(x):
     return OutcomeModel(basis=basis, coef={1: np.zeros(p), 0: np.zeros(p)}, clip_c=1e6)
 
 
+def with_arm0(x, y):
+    """(x, d, y): the arm-1 rows ``x, y`` followed by k + 1 arm-0 rows, at the origin and
+    the unit vectors, with y = 0. That is enough rows to fit arm 0 at degree 1, and each
+    arm is fitted on its own rows only, so arm 1's coefficients do not move."""
+    k = x.shape[1]
+    return (np.vstack([x, np.zeros(k), np.eye(k)]), np.r_[np.ones(len(x)), np.zeros(k + 1)],
+            np.r_[y, np.zeros(k + 1)])
+
+
 class TestFitOutcome:
     def test_degree_below_one(self):
         x, d, y = np.zeros((4, 1)), np.array([1, 1, 0, 0]), np.zeros(4)
@@ -56,9 +65,8 @@ class TestFitOutcome:
 
     def test_interpolation(self):
         x = np.array([[0.0], [1.0]])
-        d = np.array([1, 1])
         y = np.array([0.0, 1.0])
-        m = fit_outcome_both(x, d, y, ridge_lambda=0.0)
+        m = fit_outcome_both(*with_arm0(x, y), ridge_lambda=0.0)
         grid = np.array([[0.0], [0.5], [1.0]])
         assert np.allclose(m(1, grid), grid.ravel(), atol=1e-12)
 
@@ -66,7 +74,7 @@ class TestFitOutcome:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 1))
         y = rng.normal(size=50) + 3
-        m = fit_outcome_both(x, np.ones(50), y, ridge_lambda=1e12)
+        m = fit_outcome_both(*with_arm0(x, y), ridge_lambda=1e12)
         assert np.max(np.abs(m(1, x))) < 1e-6
 
     def test_ridge_monotonicity(self):
@@ -75,7 +83,7 @@ class TestFitOutcome:
         y = rng.normal(size=60) + x[:, 0]
         norms = []
         for lam in (1e-6, 1e-2, 1.0, 100.0):
-            m = fit_outcome_both(x, np.ones(60), y, ridge_lambda=lam)
+            m = fit_outcome_both(*with_arm0(x, y), ridge_lambda=lam)
             norms.append(np.linalg.norm(m.coef[1]))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -97,17 +105,19 @@ class TestFitOutcome:
         with pytest.raises(SingularSystem, match="use ridge_lambda > 0"):
             fit_outcome_both(x, np.ones(3), y, ridge_lambda=0.0)
 
-    def test_arm_without_rows_is_unfitted(self):
+    def test_short_arm_raises_at_fit(self):
+        # every score evaluates both arms, so a model with one arm unfitted is never returned
         x = np.array([[0.0], [1.0], [2.0]])
-        m = fit_outcome_both(x, np.zeros(3), np.array([1.0, 2.0, 3.0]), ridge_lambda=0.0)
-        assert np.allclose(m(0, x), [1.0, 2.0, 3.0], atol=1e-12)
-        with pytest.raises(InsufficientArmData, match="arm 1 has 0 rows"):
-            m(1, x)
+        with pytest.raises(InsufficientArmData, match=r"^arm 1 has 0 rows, need at least 2$"):
+            fit_outcome_both(x, np.zeros(3), np.array([1.0, 2.0, 3.0]), ridge_lambda=0.0)
+        # a short arm with rows is reported before an empty one
+        with pytest.raises(InsufficientArmData, match=r"^arm 0 has 1 rows, need at least 2$"):
+            fit_outcome_both(x[:1], np.array([0]), np.array([1.0]))
 
     def test_clipping(self):
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0.0, 100.0, 200.0])
-        m = fit_outcome_both(x, np.ones(3), y, ridge_lambda=0.0, clip_c=50.0)
+        m = fit_outcome_both(*with_arm0(x, y), ridge_lambda=0.0, clip_c=50.0)
         assert np.all(np.abs(m(1, np.array([[10.0]]))) <= 50.0)
 
 
@@ -649,16 +659,12 @@ class TestArms:
         with pytest.raises(TypeError):
             nuisance.arms(model, continuous.x)
 
-    def test_unfitted_arm_raises(self):
+    def test_empty_arm_raises_at_fit(self):
         x = np.array([[0.0], [1.0], [2.0]])
-        mu = fit_outcome_both(x, np.ones(3, dtype=int), np.array([0.0, 1.0, 2.0]), ridge_lambda=0.0)
-        assert np.allclose(mu(1, x), [0.0, 1.0, 2.0])  # the fitted arm still evaluates
-        with pytest.raises(InsufficientArmData):
-            mu(0, x)
-        with pytest.raises(InsufficientArmData):
-            nuisance.arms(mu, x)
-        with pytest.raises(InsufficientArmData):
-            mu.predict_rows(np.ones(3, dtype=int), x)
+        with pytest.raises(InsufficientArmData, match=r"^arm 0 has 0 rows, need at least 2$"):
+            fit_outcome_both(x, np.ones(3, dtype=int), np.array([0.0, 1.0, 2.0]), ridge_lambda=0.0)
+        with pytest.raises(InsufficientArmData, match=r"^arm 1 has 0 rows, need at least 2$"):
+            fit_outcome_both(x[:0], np.ones(0, dtype=int), np.zeros(0))
 
 
 class TestProperties:

@@ -142,6 +142,12 @@ class TestBoundStructure:
         with pytest.raises(BadAlpha):
             bound_v_ts(d2, 0.5, 1.5)
 
+    @pytest.mark.parametrize("alpha", [5.0, -1.0, float("nan")], ids=["5", "-1", "nan"])
+    def test_bad_alpha_without_q_law(self, d1, alpha):
+        # checked whether or not the DGP has the q law that the two-sample bounds need
+        with pytest.raises(BadAlpha, match=r"^labeled fraction alpha must lie in \(0, 1\)$"):
+            oracle_bounds(replace(d1, q=None), alpha=alpha)
+
     def test_common_support_validation(self):
         with pytest.raises(DomainViolation):
             DiscreteXDgp(
