@@ -24,7 +24,7 @@ def main():
     for gen, name in ((LSIF, "least-squares generator"),
                       (UKL, "KL generator")):
         model = fit_riesz(data, gen=gen)
-        v1, v0 = model.a1(grid), model.a0(grid)
+        v1, v0 = model.a1_a0(grid)
         print(f"{name} fit on n={data.n}:")
         for xv, u1, u0 in zip((0.0, 1.0), v1, v0):
             print(f"  x={xv:.0f}: a1={u1:+.4f}  a0={u0:+.4f}")

@@ -289,12 +289,16 @@ def main(argv=None) -> int:
         report = {"error": str(exc), "partial": partial}
     except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:  # SsateError too
         return _fail(args.command, exc, EXIT_CONFIG)
+    except MemoryError as exc:  # a read or a study too large for the machine
+        return _fail(args.command, f"out of memory: {exc}", EXIT_ESTIMATION)
     if callable(report):  # the estimator call: only its SsateError is an estimation failure
         try:
             with np.errstate(all="ignore"):  # a non-finite fit fails below, in one line
                 report = report()
         except SsateError as exc:
             return _fail(args.command, f"estimation failed: {exc}", EXIT_ESTIMATION)
+        except MemoryError as exc:
+            return _fail(args.command, f"out of memory: {exc}", EXIT_ESTIMATION)
     # a study's inline DGP spec is not echoed
     echo = {key: val for key, val in cfg.items() if key != "dgp" or args.command != "simulate"}
     try:

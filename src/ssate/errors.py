@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks of counts and of betas.
+"""Exception types shared across the package, and the checks of counts, arms and betas.
 
 Each error carries a stable ``code`` string so the CLI can report
 machine-readable failure categories.
@@ -88,6 +88,13 @@ def check_integer(name: str, value, error: type = SsateError, low=None) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value!r}")
+
+
+def arm_position(d) -> int:
+    """Arm ``d``'s place in an (arm 1, arm 0) pair; DomainViolation unless d is 0 or 1."""
+    if d not in (0, 1):  # NaN fails too
+        raise DomainViolation(f"arm must be 0 or 1, got {d}")
+    return int(d == 0)
 
 
 def check_beta(name: str, value) -> None:

@@ -29,10 +29,11 @@ from .errors import (
     NonfiniteValue,
     SingularSystem,
     ZeroDenominator,
+    arm_position,
     check_beta,
     check_integer,
 )
-from .optimize import OptimizerConfig, minimize_newton
+from .optimize import TOL, minimize_newton
 
 DEFAULT_CLIP_EPS = 0.01
 DEFAULT_R_CLIP = (0.01, 100.0)
@@ -78,7 +79,7 @@ class _ArmPair:
     """A model of (arm, x) that evaluates both arms at once in ``arms(x)``."""
 
     def __call__(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self.arms(x)[0 if d == 1 else 1]
+        return self.arms(x)[arm_position(d)]
 
     def predict_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Arm-matched prediction, row by row."""
@@ -122,10 +123,6 @@ def _ridge_solve(phi: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return coef
 
 
-def default_clip_c(y: np.ndarray) -> float:
-    return 100.0 * float(np.max(np.abs(y))) if len(y) else 1.0
-
-
 def fit_outcome_both(
     x: np.ndarray,
     d: np.ndarray,
@@ -138,8 +135,7 @@ def fit_outcome_both(
     feature map. An arm with fewer rows than basis columns raises
     InsufficientArmData; a short arm with rows is reported before an empty one."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = np.asarray(d)
-    y = np.asarray(y, dtype=float)
+    d, y = np.asarray(d), np.asarray(y, dtype=float)
     fb = FittedBasis(degree, x.shape[1])
     phi = fb.transform(x)  # row by row, so phi[mask] is the arm's own transform
     masks = {arm: d == arm for arm in (1, 0)}
@@ -149,7 +145,7 @@ def fit_outcome_both(
         if rows < fb.dim:
             raise InsufficientArmData(f"arm {arm} has {rows} rows, need at least {fb.dim}")
         coef[arm] = _ridge_solve(phi[masks[arm]], y[masks[arm]], ridge_lambda)
-    cc = default_clip_c(y) if clip_c is None else float(clip_c)
+    cc = 100.0 * float(np.max(np.abs(y))) if clip_c is None else float(clip_c)
     return OutcomeModel(basis=fb, coef=coef, clip_c=cc)
 
 
@@ -347,12 +343,6 @@ class RieszModel:
     theta0: np.ndarray
     converged: bool = True
 
-    def a1(self, x: np.ndarray) -> np.ndarray:
-        return self.a1_a0(x)[0]
-
-    def a0(self, x: np.ndarray) -> np.ndarray:
-        return self.a1_a0(x)[1]
-
     def a1_a0(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(a1(x), a0(x)) from one transform. Not named ``arms``: a representer
         is not a probability, so ``arms`` must not accept it as a g."""
@@ -484,7 +474,7 @@ def fit_riesz(
     ``_riesz_weights``. If the moment leaves that range (default basis: an
     arm's labeled rows share one x, other rows do not) the objective is
     unbounded below and SingularSystem is raised. LSIF ``converged`` means
-    a finite solve whose gradient is within ``OptimizerConfig.tol`` relative to
+    a finite solve whose gradient is within ``optimize.TOL`` relative to
     |grad(0)| + |H| |theta| (its backward error); UKL uses Newton's flag.
     """
     if data.n_labeled < 1:
@@ -510,7 +500,7 @@ def fit_riesz(
             theta = span @ (-g_span / evals)
             arm_loss, g, _ = fun_grad_hess(theta)
             scale = np.linalg.norm(grad) + evals.max() * np.linalg.norm(theta)
-            ok = bool(np.isfinite(arm_loss) and np.linalg.norm(g) <= OptimizerConfig.tol * scale)
+            ok = bool(np.isfinite(arm_loss) and np.linalg.norm(g) <= TOL * scale)
         else:
             def on_span(z, fun_grad_hess=fun_grad_hess, span=span):
                 arm_loss, g, h = fun_grad_hess(span @ z)
@@ -540,8 +530,7 @@ def tmle_fluctuate(
     alpha on the supplied labeled rows.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = np.asarray(d)
-    y = np.asarray(y, dtype=float)
+    d, y = np.asarray(d), np.asarray(y, dtype=float)
     a1, a0 = alpha_model.a1_a0(x)
     denom = float(np.sum(np.where(d == 1, a1, a0) ** 2))
     if denom == 0.0:

@@ -8,10 +8,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iter: int = 5000
-    tol: float = 1e-8  # stopping rule on the gradient norm
+MAX_ITER = 5000
+TOL = 1e-8  # stopping rule on the gradient norm
 
 
 @dataclass(frozen=True)
@@ -26,20 +24,19 @@ class OptResult:
 def minimize_gd(
     fun_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
-    config: OptimizerConfig = OptimizerConfig(),
 ) -> OptResult:
     """Gradient descent with Armijo backtracking (halving) line search.
 
     The step size is warm-started from the previous iteration (doubled) so
     well-conditioned problems take near-constant steps. ``converged`` is
-    true only when the final gradient norm is within ``config.tol``.
+    true only when the final gradient norm is within ``TOL``.
     """
     x = np.asarray(x0, dtype=float).copy()
     loss, grad = fun_grad(x)
     step = 1.0
-    for it in range(config.max_iter):
+    for it in range(MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= config.tol:
+        if gnorm <= TOL:
             return OptResult(x, loss, gnorm, True, it)
         step = min(step * 2.0, 1e8)
         g2 = gnorm * gnorm
@@ -51,16 +48,15 @@ def minimize_gd(
             step *= 0.5
             if step < 1e-20:
                 # no descent possible at machine precision
-                return OptResult(x, loss, gnorm, bool(gnorm <= config.tol), it)
+                return OptResult(x, loss, gnorm, bool(gnorm <= TOL), it)
         x, loss, grad = x_new, loss_new, grad_new
     gnorm = float(np.linalg.norm(grad))
-    return OptResult(x, loss, gnorm, bool(gnorm <= config.tol), config.max_iter)
+    return OptResult(x, loss, gnorm, bool(gnorm <= TOL), MAX_ITER)
 
 
 def minimize_newton(
     fun_grad_hess: Callable[[np.ndarray], Tuple[float, np.ndarray, Callable[[], np.ndarray]]],
     x0: np.ndarray,
-    config: OptimizerConfig = OptimizerConfig(),
 ) -> OptResult:
     """Damped Newton with Armijo backtracking.
 
@@ -76,9 +72,9 @@ def minimize_newton(
     x = np.asarray(x0, dtype=float).copy()
     loss, grad, hess = fun_grad_hess(x)
     ridge = 1e-12 * np.eye(len(x))  # keeps the direction well-defined near flat regions
-    for it in range(config.max_iter):
+    for it in range(MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= config.tol:
+        if gnorm <= TOL:
             return OptResult(x, loss, gnorm, True, it)
         try:
             direction = np.linalg.solve(hess() + ridge, grad)
@@ -99,7 +95,7 @@ def minimize_newton(
                 break
             step *= 0.5
             if step < 1e-20:
-                return OptResult(x, loss, gnorm, bool(gnorm <= config.tol), it)
+                return OptResult(x, loss, gnorm, bool(gnorm <= TOL), it)
         x, (loss, grad, hess) = x_new, out
     gnorm = float(np.linalg.norm(grad))
-    return OptResult(x, loss, gnorm, bool(gnorm <= config.tol), config.max_iter)
+    return OptResult(x, loss, gnorm, bool(gnorm <= TOL), MAX_ITER)

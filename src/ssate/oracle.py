@@ -14,7 +14,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum, check_beta
+from .errors import (BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum, arm_position,
+                     check_beta)
 from .nuisance import BregmanGenerator
 
 _GH_NODES = 64
@@ -54,6 +55,13 @@ class _Dgp:
             raise DomainViolation("DGP has no unlabeled covariate law q0")
         return [getattr(self, name) for name in self._law_fields[law]]
 
+    def _covariates(self, x) -> np.ndarray:
+        """``x`` as float rows of the DGP's k covariates; DimMismatch on another k."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.k:
+            raise DimMismatch(f"covariates have k={x.shape[1]}, the DGP has k={self.k}")
+        return x
+
     def _nodes(self, law: str) -> Tuple[np.ndarray, np.ndarray]:
         blocks, w = self._node_blocks(law)
         return np.concatenate(list(blocks)), w
@@ -72,7 +80,7 @@ class _Dgp:
 
     def e(self, d: int, x: np.ndarray) -> np.ndarray:
         e1 = self._e1(x)
-        return e1 if d == 1 else 1.0 - e1
+        return 1.0 - e1 if arm_position(d) else e1
 
     def pi(self, x: np.ndarray) -> np.ndarray:
         if not self.has_pi:
@@ -142,7 +150,7 @@ class DiscreteXDgp(_Dgp):
         return self.xs.shape[1]
 
     def _lookup(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._covariates(x)
         out = np.full(len(x), -1, dtype=int)
         for s in range(self.xs.shape[0]):
             out[np.all(x == self.xs[s], axis=1)] = s
@@ -158,10 +166,10 @@ class DiscreteXDgp(_Dgp):
         return self._law(law)[0][self._lookup(x)]
 
     def mu(self, d: int, x: np.ndarray) -> np.ndarray:
-        return (self.mu1 if d == 1 else self.mu0)[self._lookup(x)]
+        return (self.mu1, self.mu0)[arm_position(d)][self._lookup(x)]
 
     def sigma2(self, d: int, x: np.ndarray) -> np.ndarray:
-        return (self.s2_1 if d == 1 else self.s2_0)[self._lookup(x)]
+        return (self.s2_1, self.s2_0)[arm_position(d)][self._lookup(x)]
 
     def _e1(self, x: np.ndarray) -> np.ndarray:
         return self.e1[self._lookup(x)]
@@ -230,7 +238,7 @@ class GaussianLinearDgp(_Dgp):
         return len(self.p_mean)
 
     def _aug(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._covariates(x)
         return np.column_stack([np.ones(len(x)), x])
 
     def _node_blocks(self, law: str):
@@ -246,16 +254,14 @@ class GaussianLinearDgp(_Dgp):
 
     def _pdf(self, law: str, x: np.ndarray) -> np.ndarray:
         mean, var = self._law(law)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = (x - mean) ** 2 / var
+        z = (self._covariates(x) - mean) ** 2 / var
         return np.exp(-0.5 * z.sum(axis=1)) / np.sqrt(np.prod(2.0 * np.pi * var))
 
     def mu(self, d: int, x: np.ndarray) -> np.ndarray:
-        return self._aug(x) @ (self.mu1_coef if d == 1 else self.mu0_coef)
+        return self._aug(x) @ (self.mu1_coef, self.mu0_coef)[arm_position(d)]
 
     def sigma2(self, d: int, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.full(len(x), self.s2_1 if d == 1 else self.s2_0)
+        return np.full(len(self._covariates(x)), (self.s2_1, self.s2_0)[arm_position(d)])
 
     def _e1(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(self._aug(x) @ self.e_coef)))

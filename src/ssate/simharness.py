@@ -38,10 +38,7 @@ def sample_one(dgp, n: int, seed: int) -> OneSampleDataset:
     x = dgp.sample_x(rng, n, "p")
     laws = dgp._draw_laws(x, with_pi=True)
     o = (rng.random(n) < next(laws)).astype(np.int8)
-    d, y = _draw_labeled(rng, laws, n)
-    d = np.where(o == 1, d, 0).astype(np.int8)
-    y = np.where(o == 1, y, 0.0)
-    return OneSampleDataset.from_arrays(x, o, d, y)
+    return OneSampleDataset.from_arrays(x, o, *_draw_labeled(rng, laws, n))
 
 
 def sample_two(dgp, m: int, l: int, seed: int) -> TwoSampleDataset:

@@ -94,8 +94,8 @@ def test_criterion_06_riesz_oracle_equivalence(d1):
     grid = np.array([[0.0], [1.0]])
     for gen in (LSIF, UKL):
         model = fit_riesz(data, gen=gen)
-        assert np.all(np.abs(model.a1(grid) - 4.0) <= 0.1)
-        assert np.all(np.abs(model.a0(grid) + 4.0) <= 0.1)
+        assert np.all(np.abs(model.a1_a0(grid)[0] - 4.0) <= 0.1)
+        assert np.all(np.abs(model.a1_a0(grid)[1] + 4.0) <= 0.1)
     a1, a0 = brute_force_riesz(d1, LSIF, grid_lo=-8.0, grid_hi=8.0, grid_step=0.01)
     assert np.array_equal(a1, np.array([4.0, 4.0]))
     assert np.array_equal(a0, np.array([-4.0, -4.0]))
@@ -141,7 +141,7 @@ def test_criterion_08_tmle_identity():
         mu0 = fit_outcome_both(xl, dl, yl)
         alpha = fit_riesz(data, gen=LSIF)
         mu1 = tmle_fluctuate(mu0, alpha, xl, dl, yl)
-        av = np.where(dl == 1, alpha.a1(xl), alpha.a0(xl))
+        av = np.where(dl == 1, *alpha.a1_a0(xl))
         assert abs(np.sum(av * (yl - mu1.predict_rows(dl, xl)))) <= 1e-8 * data.n
         if case % 10 == 0:
             _, _, trace = ddml_iterate(data, n_steps=2)

@@ -532,6 +532,23 @@ def test_each_command_offers_its_options():
     }
 
 
+@pytest.mark.parametrize("name, command", [
+    ("read_one_sample_csv", "estimate-os"),
+    ("estimate_os_eff", "estimate-os"),
+    ("run_mc", "simulate"),
+])
+def test_out_of_memory_exit_3(files, tmp_path, monkeypatch, capsys, name, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(f"ssate.cli.{name}", exhausted)
+    argv = (["estimate-os", "--input", str(files["os"])] if command == "estimate-os"
+            else ["simulate", "--config", str(simulate_config(tmp_path, {}))])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"{command}: out of memory: Unable to allocate 7.28 TiB for an array\n")
+
+
 class TestEstimateTs:
     def test_missing_beta_star_exit_2(self, files, capsys):
         code = main(["estimate-ts", "--labeled", str(files["lab"]),

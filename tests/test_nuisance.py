@@ -20,7 +20,7 @@ from ssate import (
     sample_two,
     tmle_fluctuate,
 )
-from ssate import nuisance
+from ssate import nuisance, optimize
 from ssate.datamodel import OneSampleDataset
 from ssate.estimators import score_os_vec
 from ssate.errors import (
@@ -32,7 +32,7 @@ from ssate.errors import (
     ZeroDenominator,
 )
 from ssate.nuisance import FittedBasis, _riesz_arm_objectives, riesz_loss_grad
-from ssate.optimize import OptimizerConfig, minimize_gd, minimize_newton
+from ssate.optimize import minimize_gd, minimize_newton
 
 from conftest import gaussian_k3, random_one_sample, traced_peak
 
@@ -234,10 +234,10 @@ class TestFitRiesz:
         data = sample_one(d1, 20000, 10)
         model = fit_riesz(data, gen=gen)
         grid = np.array([[0.0], [1.0]])
-        assert np.allclose(model.a1(grid), 4.0, atol=0.15)
-        assert np.allclose(model.a0(grid), -4.0, atol=0.15)
+        assert np.allclose(model.a1_a0(grid)[0], 4.0, atol=0.15)
+        assert np.allclose(model.a1_a0(grid)[1], -4.0, atol=0.15)
         if gen is UKL:
-            assert np.all(model.a1(grid) > 1.0) and np.all(model.a0(grid) < -1.0)
+            assert np.all(model.a1_a0(grid)[0] > 1.0) and np.all(model.a1_a0(grid)[1] < -1.0)
 
     def test_no_unlabeled_rows_degenerate(self, d1):
         data = sample_one(d1, 400, 11)
@@ -270,8 +270,8 @@ class TestFitRiesz:
         residuals = rng.uniform(0.5, 1.5, size=data.n_labeled)
         model = fit_riesz(data, gen=LSIF, residuals=residuals)
         grid = np.array([[0.0], [1.0]])
-        assert np.allclose(model.a1(grid), 4.0, atol=0.2)
-        assert np.allclose(model.a0(grid), -4.0, atol=0.2)
+        assert np.allclose(model.a1_a0(grid)[0], 4.0, atol=0.2)
+        assert np.allclose(model.a1_a0(grid)[1], -4.0, atol=0.2)
 
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -286,11 +286,10 @@ class TestFitRiesz:
 
     def test_ukl_fit_converged_flag_is_honest(self, d1):
         data = sample_one(d1, 400, 3)
-        opt = OptimizerConfig()
         model = fit_riesz(data, gen=UKL)
         g1, g0 = riesz_loss_grad(model, data)
         assert model.converged
-        assert np.linalg.norm(np.concatenate([g1, g0])) <= opt.tol
+        assert np.linalg.norm(np.concatenate([g1, g0])) <= optimize.TOL
         refit = fit_riesz(data, gen=UKL)
         assert np.array_equal(model.theta1, refit.theta1)
         assert np.array_equal(model.theta0, refit.theta0)
@@ -303,8 +302,8 @@ class TestFitRiesz:
         linear = fit_riesz(data, gen=gen)
         quadratic = fit_riesz(data, gen=gen, degree=2)
         assert quadratic.converged
-        assert np.allclose(quadratic.a1(data.x), linear.a1(data.x), rtol=0, atol=1e-9)
-        assert np.allclose(quadratic.a0(data.x), linear.a0(data.x), rtol=0, atol=1e-9)
+        assert np.allclose(quadratic.a1_a0(data.x)[0], linear.a1_a0(data.x)[0], rtol=0, atol=1e-9)
+        assert np.allclose(quadratic.a1_a0(data.x)[1], linear.a1_a0(data.x)[1], rtol=0, atol=1e-9)
         # the minimum-norm minimizer splits the weight evenly over x and x**2
         assert quadratic.theta1[1] == pytest.approx(quadratic.theta1[2], abs=1e-9)
 
@@ -350,7 +349,7 @@ def test_unknown_generator_tag_rejected():
 
 
 class TestMinimizeGd:
-    def test_iteration_cap_is_not_convergence(self):
+    def test_iteration_cap_is_not_convergence(self, monkeypatch):
         # condition number 1e3: after 1,000 steps the gradient norm is
         # still ~0.4; the large constant checks that the size of the loss
         # does not loosen the gradient test
@@ -359,10 +358,10 @@ class TestMinimizeGd:
         def fun_grad(x):
             return 1e6 + 0.5 * float(np.sum(scales * x * x)), scales * x
 
-        opt = OptimizerConfig(max_iter=1000)
-        res = minimize_gd(fun_grad, np.ones(2), opt)
-        assert res.n_iter == opt.max_iter
-        assert res.grad_norm > opt.tol
+        monkeypatch.setattr(optimize, "MAX_ITER", 1000)
+        res = minimize_gd(fun_grad, np.ones(2))
+        assert res.n_iter == optimize.MAX_ITER
+        assert res.grad_norm > optimize.TOL
         assert not res.converged
 
 class TestMinimizeNewton:
@@ -380,7 +379,7 @@ class TestMinimizeNewton:
         # one Hessian per iteration, none at the converged point
         runs = []
 
-        def counting(objective, x0, config=OptimizerConfig()):
+        def counting(objective, x0):
             counts = {"fun": 0, "hess": 0}
 
             def counted(x):
@@ -393,7 +392,7 @@ class TestMinimizeNewton:
 
                 return loss, grad, built
 
-            res = minimize_newton(counted, x0, config)
+            res = minimize_newton(counted, x0)
             runs.append((res, counts))
             return res
 
@@ -410,14 +409,14 @@ class TestMinimizeNewton:
         (lambda x: -np.eye(len(x)), 5000, True),  # the Newton direction ascends
         (lambda x: np.diag(np.cosh(x)), 3, False),  # true Newton, stopped by max_iter
     ], ids=["solve-fails", "not-descent", "max-iter"])
-    def test_exits(self, hess, max_iter, converged):
+    def test_exits(self, hess, max_iter, converged, monkeypatch):
         # on sum(cosh(x)) the first two fall back to the gradient, which converges; without
         # the fallback the first raises LinAlgError and the second stalls in its line search
         def fun_grad_hess(x):
             return float(np.sum(np.cosh(x))), np.sinh(x), lambda: hess(x)
 
-        res = minimize_newton(fun_grad_hess, np.array([3.0, -2.0]),
-                              OptimizerConfig(max_iter=max_iter))
+        monkeypatch.setattr(optimize, "MAX_ITER", max_iter)
+        res = minimize_newton(fun_grad_hess, np.array([3.0, -2.0]))
         assert res.converged is converged
         assert (res.grad_norm <= 1e-8) is converged
         if converged:
@@ -439,7 +438,7 @@ class TestTmle:
         out = tmle_fluctuate(mu, alpha, x, d, y)
         r_bar = float(np.mean(y[d == 1]))
         assert np.allclose(out(1, x) - mu(1, x), r_bar)
-        av = np.where(d == 1, alpha.a1(x), alpha.a0(x))
+        av = np.where(d == 1, *alpha.a1_a0(x))
         assert abs(np.sum(av * (y - out.predict_rows(d, x)))) <= 1e-8 * len(y)
 
     def test_orthogonal_residuals_fixed_point(self):
@@ -469,7 +468,7 @@ class TestTmle:
         alpha = RieszModel(generator=LSIF, basis=mu.basis,
                            theta1=np.array([4.0, 0.0]), theta0=np.array([-4.0, 0.0]))
         out = tmle_fluctuate(mu, alpha, xl, dl, yl)
-        av = np.where(dl == 1, alpha.a1(xl), alpha.a0(xl))
+        av = np.where(dl == 1, *alpha.a1_a0(xl))
         assert abs(np.sum(av * (yl - out.predict_rows(dl, xl)))) <= 1e-8 * data.n
 
 
@@ -637,6 +636,12 @@ class TestArms:
             assert same_bits(pair[0], one) and same_bits(pair[1], zero), name
             assert len(calls) == transforms, name
 
+    def test_arm_other_than_0_or_1_rejected(self, continuous):
+        for name, (model, _) in self.models(continuous).items():
+            for arm in (2, -1, 0.5):
+                with pytest.raises(DomainViolation, match=f"^arm must be 0 or 1, got {arm}$"):
+                    model(arm, continuous.x)
+
     def test_predict_rows_is_arm_matched(self, continuous):
         mu = self.models(continuous)["mu-fluctuated"][0]
         x, d = continuous.x, continuous.d
@@ -651,8 +656,8 @@ class TestArms:
     def test_riesz_pair(self, continuous, gen):
         model = fit_riesz(continuous, gen=gen, degree=2)
         a1, a0 = model.a1_a0(continuous.x)
-        assert same_bits(a1, model.a1(continuous.x))
-        assert same_bits(a0, model.a0(continuous.x))
+        assert same_bits(a1, model.a1_a0(continuous.x)[0])
+        assert same_bits(a0, model.a1_a0(continuous.x)[1])
 
     def test_riesz_model_has_no_arms(self, continuous):
         model = fit_riesz(continuous)
@@ -673,5 +678,5 @@ class TestProperties:
         for _ in range(10):
             data = random_one_sample(rng)
             model = fit_riesz(data, gen=UKL)
-            assert np.all(model.a1(data.x) > 1.0)
-            assert np.all(model.a0(data.x) < -1.0)
+            assert np.all(model.a1_a0(data.x)[0] > 1.0)
+            assert np.all(model.a1_a0(data.x)[1] < -1.0)

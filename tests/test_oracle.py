@@ -353,6 +353,28 @@ def test_law_off_the_support_rejected(d1):
         d1.mu(1, np.array([[0.0], [0.5]]))
 
 
+@pytest.mark.parametrize("family", ["DiscreteX", "GaussianLinear"])
+@pytest.mark.parametrize("law", ["e", "g", "mu", "sigma2"])
+def test_arm_other_than_0_or_1_rejected(d1, family, law):
+    dgp = d1 if family == "DiscreteX" else TestGaussianFamily().make()
+    for arm in (2, -1):
+        with pytest.raises(DomainViolation, match=f"^arm must be 0 or 1, got {arm}$"):
+            getattr(dgp, law)(arm, np.array([[0.0]]))
+
+
+@pytest.mark.parametrize("family", ["DiscreteX", "GaussianLinear"])
+@pytest.mark.parametrize("call, k", [
+    (lambda dgp: dgp.mu(1, [[1.0, 1.0]]), 2),
+    (lambda dgp: dgp.e(1, [[0, 0, 0]]), 3),
+    (lambda dgp: dgp.sigma2(0, [[0.0, 1.0]]), 2),
+    (lambda dgp: dgp.p_pdf([[1.0, 2.0]]), 2),
+], ids=["mu", "e", "sigma2", "p_pdf"])
+def test_covariates_of_another_k_rejected(d1, family, call, k):
+    dgp = d1 if family == "DiscreteX" else TestGaussianFamily().make()
+    with pytest.raises(DimMismatch, match=f"^covariates have k={k}, the DGP has k=1$"):
+        call(dgp)
+
+
 def test_brute_force_needs_a_discrete_dgp():
     with pytest.raises(DomainViolation, match="requires a discrete-covariate DGP"):
         brute_force_riesz(gaussian_k3(), LSIF)
