@@ -26,6 +26,7 @@ from .errors import (
     NonfiniteValue,
     SsateError,
     check_integer,
+    covariates,
 )
 
 MISSING_TOKEN = "NA"
@@ -47,11 +48,6 @@ def _check_rows(ok: np.ndarray, error, message: str, sample: str = "") -> None:
         exc = error(f"{sample}row {row}: {message}")
         exc.row, exc.sample = row, sample
         raise exc
-
-
-def _covariates(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x[:, None] if x.ndim == 1 else x
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -106,7 +102,7 @@ class OneSampleDataset:
     @staticmethod
     def from_arrays(x, o, d, y) -> "OneSampleDataset":
         """Validate and freeze the arrays; ``d`` and ``y`` are read only where o == 1."""
-        x = _covariates(x)
+        x = covariates(x)
         o, d, y = np.asarray(o), np.asarray(d), np.asarray(y, dtype=float)
         if x.shape[0] == 0:
             raise EmptyDataset("dataset must contain at least one row")
@@ -146,7 +142,7 @@ class TwoSampleDataset:
     @staticmethod
     def from_arrays(x, d, y, z) -> "TwoSampleDataset":
         """Validate and freeze the labeled (x, d, y) and unlabeled z arrays."""
-        x, z = _covariates(x), _covariates(z)
+        x, z = covariates(x), covariates(z)
         d, y = np.asarray(d), np.asarray(y, dtype=float)
         if x.shape[0] == 0 or z.shape[0] == 0:
             raise EmptyDataset("both labeled and unlabeled samples must be nonempty")

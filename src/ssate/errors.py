@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the checks of counts, arms and betas.
+"""Exception types shared across the package, and the one check of each kind of input.
 
 Each error carries a stable ``code`` string so the CLI can report
 machine-readable failure categories.
 """
 
 import numbers
+
+import numpy as np
 
 
 class SsateError(ValueError):
@@ -95,6 +97,27 @@ def arm_position(d) -> int:
     if d not in (0, 1):  # NaN fails too
         raise DomainViolation(f"arm must be 0 or 1, got {d}")
     return int(d == 0)
+
+
+def arm_rows(d, *arrays) -> np.ndarray:
+    """``arm_position``'s rule row by row; DimMismatch unless ``arrays`` have one row per arm."""
+    d = np.asarray(d)
+    if any(np.shape(a)[:1] != d.shape for a in arrays):
+        raise DimMismatch("array lengths disagree")
+    for bad in d[(d != 0) & (d != 1)][:1]:  # NaN is caught too
+        arm_position(bad)
+    return d
+
+
+def covariates(x, k=None, owner: str = "model") -> np.ndarray:
+    """``x`` as float rows, a 1-D array as one column; DimMismatch on another ndim or k."""
+    x = np.asarray(x, dtype=float)
+    x = x[:, None] if x.ndim == 1 else x
+    if x.ndim != 2:
+        raise DimMismatch(f"covariates must be a 1-D or 2-D array, got {x.ndim}-D")
+    if k is not None and x.shape[1] != k:
+        raise DimMismatch(f"covariates have k={x.shape[1]}, the {owner} has k={k}")
+    return x
 
 
 def check_beta(name: str, value) -> None:

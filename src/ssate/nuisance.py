@@ -30,8 +30,10 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
     arm_position,
+    arm_rows,
     check_beta,
     check_integer,
+    covariates,
 )
 from .optimize import TOL, minimize_newton
 
@@ -58,7 +60,7 @@ class FittedBasis:
         return 1 + self.k * self.degree
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = covariates(x, self.k)
         powers = [x**t if t > 1 else x for t in range(1, self.degree + 1)]
         return np.column_stack([np.ones(x.shape[0])] + powers)
 
@@ -83,7 +85,7 @@ class _ArmPair:
 
     def predict_rows(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Arm-matched prediction, row by row."""
-        return np.where(np.asarray(d) == 1, *self.arms(x))
+        return np.where(arm_rows(d, covariates(x)) == 1, *self.arms(x))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +136,8 @@ def fit_outcome_both(
     """Closed-form ridge fit of E[Y | X, arm] for each arm, on a shared
     feature map. An arm with fewer rows than basis columns raises
     InsufficientArmData; a short arm with rows is reported before an empty one."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d, y = np.asarray(d), np.asarray(y, dtype=float)
+    x, y = covariates(x), np.asarray(y, dtype=float)
+    d = arm_rows(d, x, y)
     fb = FittedBasis(degree, x.shape[1])
     phi = fb.transform(x)  # row by row, so phi[mask] is the arm's own transform
     masks = {arm: d == arm for arm in (1, 0)}
@@ -260,8 +262,8 @@ def fit_e_model(
     degree: int = 1,
     clip_eps: float = DEFAULT_CLIP_EPS,
 ) -> EModel:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = np.asarray(d)
+    x = covariates(x)
+    d = arm_rows(d, x)
     if not (np.any(d == 1) and np.any(d == 0)):
         raise ClassAbsent("both treatment arms must be present")
     fb = FittedBasis(degree, x.shape[1])
@@ -291,8 +293,8 @@ def fit_density_ratio(
     unlabeled_z: np.ndarray,
     degree: int = 1,
 ) -> DensityRatioModel:
-    labeled_x = np.atleast_2d(np.asarray(labeled_x, dtype=float))
-    unlabeled_z = np.atleast_2d(np.asarray(unlabeled_z, dtype=float))
+    labeled_x = covariates(labeled_x)
+    unlabeled_z = covariates(unlabeled_z, labeled_x.shape[1], "labeled sample")
     pooled = np.vstack([labeled_x, unlabeled_z])
     source = np.concatenate([np.ones(len(labeled_x)), np.zeros(len(unlabeled_z))])
     fb = FittedBasis(degree, pooled.shape[1])
@@ -529,9 +531,8 @@ def tmle_fluctuate(
     Returns a model whose arm-matched residuals are exactly orthogonal to
     alpha on the supplied labeled rows.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d, y = np.asarray(d), np.asarray(y, dtype=float)
     a1, a0 = alpha_model.a1_a0(x)
+    d, y = arm_rows(d, a1, y), np.asarray(y, dtype=float)
     denom = float(np.sum(np.where(d == 1, a1, a0) ** 2))
     if denom == 0.0:
         raise ZeroDenominator("representer vanishes on every labeled row")

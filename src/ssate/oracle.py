@@ -15,8 +15,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import (BadAlpha, DimMismatch, DomainViolation, GridExcludesMinimum, arm_position,
-                     check_beta)
-from .nuisance import BregmanGenerator
+                     check_beta, covariates)
 
 _GH_NODES = 64
 _NODE_BLOCK = _GH_NODES**2  # nodes per block of points the bounds are evaluated on
@@ -54,13 +53,6 @@ class _Dgp:
         if law == "q" and not self.has_q:
             raise DomainViolation("DGP has no unlabeled covariate law q0")
         return [getattr(self, name) for name in self._law_fields[law]]
-
-    def _covariates(self, x) -> np.ndarray:
-        """``x`` as float rows of the DGP's k covariates; DimMismatch on another k."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.k:
-            raise DimMismatch(f"covariates have k={x.shape[1]}, the DGP has k={self.k}")
-        return x
 
     def _nodes(self, law: str) -> Tuple[np.ndarray, np.ndarray]:
         blocks, w = self._node_blocks(law)
@@ -126,13 +118,12 @@ class DiscreteXDgp(_Dgp):
     _law_fields = {"p": ("p",), "q": ("q",)}  # the masses on the support points
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
-        if len(np.unique(xs, axis=0)) < len(xs):
+        object.__setattr__(self, "xs", covariates(self.xs))
+        if len(np.unique(self.xs, axis=0)) < len(self.xs):
             raise DomainViolation("support points must be distinct")
-        object.__setattr__(self, "xs", xs)
         for name in ("p", "e1", "mu1", "mu0", "s2_1", "s2_0", "pi1", "q"):
             if getattr(self, name) is not None:
-                _set_vector(self, name, len(xs))  # one entry per support point
+                _set_vector(self, name, len(self.xs))  # one entry per support point
         if abs(float(np.sum(self.p)) - 1.0) > 1e-9:
             raise DomainViolation("p masses must sum to 1")
         if self.q is not None and (abs(float(np.sum(self.q)) - 1.0) > 1e-9 or np.any(self.q < 0)):
@@ -150,13 +141,12 @@ class DiscreteXDgp(_Dgp):
         return self.xs.shape[1]
 
     def _lookup(self, x: np.ndarray) -> np.ndarray:
-        x = self._covariates(x)
+        x = covariates(x, self.k, "DGP")
         out = np.full(len(x), -1, dtype=int)
         for s in range(self.xs.shape[0]):
             out[np.all(x == self.xs[s], axis=1)] = s
         if np.any(out < 0):
-            bad = x[out < 0][0]
-            raise DomainViolation(f"covariate {bad} is not a support point of the DGP")
+            raise DomainViolation(f"covariate {x[out < 0][0]} is not a support point of the DGP")
         return out
 
     def _node_blocks(self, law: str):  # the support points are one block
@@ -238,7 +228,7 @@ class GaussianLinearDgp(_Dgp):
         return len(self.p_mean)
 
     def _aug(self, x: np.ndarray) -> np.ndarray:
-        x = self._covariates(x)
+        x = covariates(x, self.k, "DGP")
         return np.column_stack([np.ones(len(x)), x])
 
     def _node_blocks(self, law: str):
@@ -254,14 +244,14 @@ class GaussianLinearDgp(_Dgp):
 
     def _pdf(self, law: str, x: np.ndarray) -> np.ndarray:
         mean, var = self._law(law)
-        z = (self._covariates(x) - mean) ** 2 / var
+        z = (covariates(x, self.k, "DGP") - mean) ** 2 / var
         return np.exp(-0.5 * z.sum(axis=1)) / np.sqrt(np.prod(2.0 * np.pi * var))
 
     def mu(self, d: int, x: np.ndarray) -> np.ndarray:
         return self._aug(x) @ (self.mu1_coef, self.mu0_coef)[arm_position(d)]
 
     def sigma2(self, d: int, x: np.ndarray) -> np.ndarray:
-        return np.full(len(self._covariates(x)), (self.s2_1, self.s2_0)[arm_position(d)])
+        return np.full(len(covariates(x, self.k, "DGP")), (self.s2_1, self.s2_0)[arm_position(d)])
 
     def _e1(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-(self._aug(x) @ self.e_coef)))
@@ -453,7 +443,7 @@ def oracle_bounds(dgp, alpha: Optional[float] = None, grid_step: float = 0.01) -
 
 def brute_force_riesz(
     dgp: DiscreteXDgp,
-    gen: BregmanGenerator,
+    gen,  # a nuisance.BregmanGenerator, LSIF or UKL
     grid_lo: float = -8.0,
     grid_hi: float = 8.0,
     grid_step: float = 0.01,

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .datamodel import OneSampleDataset, TwoSampleDataset
-from .errors import DomainViolation, ReportIncomplete, SsateError, check_integer
+from .errors import DomainViolation, ReportIncomplete, SsateError, check_integer, covariates
 from .estimators import (
     NuisanceConfig,
     check_run_args,
@@ -96,9 +96,9 @@ def _hook_overrides(hook: Optional[Misspec], dgp, takes: tuple) -> dict:
     if hook is None:
         return {}
     forced = {  # kind -> (keyword, forced function)
-        "zero-mu": ("mu_override", lambda d, x: np.zeros(len(np.atleast_2d(x)))),
-        "constant-g": ("g_override", lambda d, x: np.full(len(np.atleast_2d(x)), hook.c)),
-        "constant-e": ("e_override", lambda d, x: np.full(len(np.atleast_2d(x)), hook.c)),
+        "zero-mu": ("mu_override", lambda d, x: np.zeros(len(covariates(x)))),
+        "constant-g": ("g_override", lambda d, x: np.full(len(covariates(x)), hook.c)),
+        "constant-e": ("e_override", lambda d, x: np.full(len(covariates(x)), hook.c)),
         "true-mu": ("mu_override", dgp.mu),
         "true-g": ("g_override", dgp.g),
         "true-e": ("e_override", dgp.e),
